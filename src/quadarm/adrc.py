@@ -78,29 +78,32 @@ class SubsystemConfig:
             raise InvalidParameterError("u_limits must be an increasing pair")
 
 
+def eso_advance(x1: float, x2: float, x3: float, y: float, bu: float,
+                p1: float, p2: float, p3: float, dt: float) -> tuple:
+    """Float kernel of ``eso_step``: the three observer states after one RK4
+    step with the measurement ``y`` and the input term ``bu`` held."""
+    h = 0.5 * dt
+    e = y - x1
+    a1, a2, a3 = x2 + p1 * e, x3 + p2 * e + bu, p3 * e
+    e = y - (x1 + h * a1)
+    b1, b2, b3 = x2 + h * a2 + p1 * e, x3 + h * a3 + p2 * e + bu, p3 * e
+    e = y - (x1 + h * b1)
+    c1, c2, c3 = x2 + h * b2 + p1 * e, x3 + h * b3 + p2 * e + bu, p3 * e
+    e = y - (x1 + dt * c1)
+    d1, d2, d3 = x2 + dt * c2 + p1 * e, x3 + dt * c3 + p2 * e + bu, p3 * e
+    sixth = dt / 6.0
+    return (x1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1),
+            x2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2),
+            x3 + sixth * (a3 + 2 * b3 + 2 * c3 + d3))
+
+
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
              gains: EsoGains, dt: float) -> EsoState:
     """Advance the observer one step (RK4, measurement held over the step)."""
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    p1, p2, p3 = gains.p1, gains.p2, gains.p3
-    bu = b_hat * u
-
-    def deriv(x1, x2, x3):
-        e = y - x1
-        return x2 + p1 * e, x3 + p2 * e + bu, p3 * e
-
-    x1, x2, x3 = eso.x1_hat, eso.x2_hat, eso.x3_hat
-    k1 = deriv(x1, x2, x3)
-    k2 = deriv(x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1], x3 + 0.5 * dt * k1[2])
-    k3 = deriv(x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1], x3 + 0.5 * dt * k2[2])
-    k4 = deriv(x1 + dt * k3[0], x2 + dt * k3[1], x3 + dt * k3[2])
-    sixth = dt / 6.0
-    return EsoState(
-        x1 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        x2 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        x3 + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-    )
+    return EsoState(*eso_advance(eso.x1_hat, eso.x2_hat, eso.x3_hat, y, b_hat * u,
+                                 gains.p1, gains.p2, gains.p3, dt))
 
 
 def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
@@ -141,6 +144,27 @@ def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float,
     return clamp_b_hat(raw)
 
 
+def update(obs, y: float, ref: float, ref_rate: float, b_hat: float,
+           config: SubsystemConfig, dt: float) -> tuple:
+    """Float kernel of ``AdrcController.step``: observe with the previously
+    applied input, then compute the new cancelling control.
+
+    ``obs`` is (x1_hat, x2_hat, x3_hat, u) after the last period, or None
+    before the first, which starts the observer on the first measurement to
+    avoid a large artificial transient.  Returns (obs, u0, saturated,
+    degenerate_b); the new control is obs[3].
+    """
+    if obs is None:
+        x1, x2, x3 = y, 0.0, 0.0
+    else:
+        e = config.eso
+        x1, x2, x3 = eso_advance(obs[0], obs[1], obs[2], y, b_hat * obs[3],
+                                 e.p1, e.p2, e.p3, dt)
+    u0 = pd(ref, ref_rate, x1, x2, config.pd)
+    u, saturated, degenerate = cancel(u0, x3, b_hat, config.u_limits)
+    return (x1, x2, x3, u), u0, saturated, degenerate
+
+
 @dataclass
 class StepDiagnostics:
     u: float = 0.0
@@ -159,39 +183,25 @@ class AdrcController:
     def __init__(self, config: SubsystemConfig):
         self.config = config
         self.eso = EsoState()
-        self._last_u = 0.0
-        self._initialized = False
-
-    def reset(self):
-        self.eso = EsoState()
-        self._last_u = 0.0
-        self._initialized = False
+        self._last_u = None  # until the first measurement
 
     def step(self, y: float, ref: float, ref_rate: float, dt: float,
              b_hat: float | None = None) -> StepDiagnostics:
-        """One control period: observe with the previously applied input,
-        then compute the new cancelling control.
+        """One control period; see ``update``.
 
         ``b_hat`` overrides the configured effectiveness (used by the
         altitude loop, whose effectiveness depends on attitude and the
         ground-effect factor).
         """
-        cfg = self.config
-        b = cfg.b_hat if b_hat is None else b_hat
-        if not self._initialized:
-            # start the observer on the first measurement to avoid a large
-            # artificial transient
-            self.eso = EsoState(x1_hat=y)
-            self._initialized = True
-        else:
-            self.eso = eso_step(self.eso, y, self._last_u, b, cfg.eso, dt)
-
-        u0 = pd(ref, ref_rate, self.eso.x1_hat, self.eso.x2_hat, cfg.pd)
-        u, saturated, degenerate = cancel(u0, self.eso.x3_hat, b, cfg.u_limits)
-        self._last_u = u
+        if dt <= 0:
+            raise InvalidParameterError("dt must be positive")
+        b = self.config.b_hat if b_hat is None else b_hat
+        e = self.eso
+        obs = None if self._last_u is None else (e.x1_hat, e.x2_hat, e.x3_hat, self._last_u)
+        (x1, x2, x3, u), u0, saturated, degenerate = update(obs, y, ref, ref_rate, b,
+                                                            self.config, dt)
+        self.eso, self._last_u = EsoState(x1, x2, x3), u
         return StepDiagnostics(
-            u=u, u0=u0, f_hat=self.eso.x3_hat,
-            x1_hat=self.eso.x1_hat, x2_hat=self.eso.x2_hat,
-            estimation_error=y - self.eso.x1_hat,
+            u=u, u0=u0, f_hat=x3, x1_hat=x1, x2_hat=x2, estimation_error=y - x1,
             saturated=saturated, degenerate_b=degenerate,
         )

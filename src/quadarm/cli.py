@@ -14,8 +14,8 @@ import click
 
 from . import config as config_mod
 from . import tuner as tuner_mod
-from .errors import DivergenceError, InvalidParameterError, QuadArmError
-from .sim import COLUMNS, TraceLog, run
+from .errors import DivergenceError, QuadArmError
+from .sim import run
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -34,6 +34,14 @@ def _load_config(path):
         sys.exit(EXIT_CONFIG)
 
 
+def _check_out_dir(path):
+    """Exit before any work when ``path`` cannot be written for lack of its directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        click.echo(f"output directory does not exist: {directory}", err=True)
+        sys.exit(EXIT_RUNTIME)
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="YAML config; omit for the stock tracking scenario.")
@@ -44,10 +52,14 @@ def _load_config(path):
 def simulate(config_path, out_path, seed):
     """Run one scenario and write the trace log as CSV."""
     cfg = _load_config(config_path)
+    _check_out_dir(out_path)
     try:
         trace = run(cfg.scenario, cfg.params, cfg.dist_params, cfg.gains)
     except DivergenceError as exc:
         click.echo(f"simulation diverged at t={exc.time:.4f} s", err=True)
+        sys.exit(EXIT_RUNTIME)
+    except QuadArmError as exc:
+        click.echo(f"simulation failed: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
     trace.to_csv(out_path)
     click.echo(f"wrote {len(trace)} records to {out_path}")
@@ -63,6 +75,7 @@ def simulate(config_path, out_path, seed):
 def tune(config_path, out_path, seed):
     """Optimize the controller gains against the configured scenario."""
     cfg = _load_config(config_path)
+    _check_out_dir(out_path)
     problem = cfg.tune_problem()
     try:
         initial = cfg.tune_initial()
@@ -70,7 +83,7 @@ def tune(config_path, out_path, seed):
     except config_mod.ConfigError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)
-    except InvalidParameterError as exc:
+    except QuadArmError as exc:
         click.echo(f"tuning failed: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
 
@@ -115,23 +128,29 @@ FIGURE_SET = [
               show_default=True, help="Directory for the plot scripts.")
 def plots(trace_path, out_dir):
     """Emit one gnuplot script per figure class from a trace CSV."""
+    # the scripts need only the header; the records stay in the file
     try:
-        trace = TraceLog.from_csv(trace_path)
-    except (QuadArmError, ValueError) as exc:
+        with open(trace_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            columns, first = next(reader, None), next(reader, None)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         click.echo(f"cannot read trace: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
-    if not trace.rows:
+    if not columns:
+        click.echo(f"cannot read trace: {trace_path}: empty trace file", err=True)
+        sys.exit(EXIT_RUNTIME)
+    if not first:
         click.echo("trace contains no records", err=True)
         sys.exit(EXIT_RUNTIME)
 
     needed = {"t"} | {c for _, cols, _ in FIGURE_SET for c in cols}
-    missing = sorted(needed - set(trace.columns))
+    missing = sorted(needed - set(columns))
     if missing:
         click.echo("trace is missing columns: " + ", ".join(missing), err=True)
         sys.exit(EXIT_RUNTIME)
 
     os.makedirs(out_dir, exist_ok=True)
-    t_idx = trace.columns.index("t") + 1  # gnuplot columns are 1-based
+    t_idx = columns.index("t") + 1  # gnuplot columns are 1-based
     for name, cols, ylabel in FIGURE_SET:
         lines = [
             "set datafile separator ','",
@@ -141,7 +160,7 @@ def plots(trace_path, out_dir):
             "set key autotitle columnhead",
         ]
         plot_parts = [
-            f"'{os.path.abspath(trace_path)}' using {t_idx}:{trace.columns.index(c) + 1} with lines"
+            f"'{os.path.abspath(trace_path)}' using {t_idx}:{columns.index(c) + 1} with lines"
             for c in cols
         ]
         lines.append("plot " + ", \\\n     ".join(plot_parts))

@@ -12,10 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import DPHI, DPSI, DTHETA, DX, DY, DZ, MassProperties, QuadState
-
-# velocity-state indices in the order of the six lumped channels
-_VEL_IDX = (DPHI, DTHETA, DPSI, DZ, DX, DY)
+from .model import MassProperties, QuadState
 
 
 @dataclass(frozen=True)
@@ -130,49 +127,56 @@ def com_shift(masses: MassProperties) -> float:
     return masses.z_G
 
 
+def com_terms(s, lagged, z_G: float, m: float) -> tuple:
+    """Float kernel of ``com_effect`` over the 12-state and lagged-acceleration
+    sequences."""
+    x2, x4, x6, x10, x12 = s[1], s[3], s[5], s[9], s[11]
+    d_x2, d_x4, _, _, d_x10, d_x12 = lagged
+    mz = m * z_G
+    return (
+        -mz * (d_x12 + x10 * x6),
+        mz * (d_x10 - x12 * x6),
+        mz * (x12 * x4 + x4 * x2),
+        z_G * (x2 ** 2 - x4 ** 2),
+        -z_G * (x2 * x6 - d_x4),
+        -z_G * (x4 * x6 - d_x2),
+    )
+
+
 def com_effect(state: QuadState, z_G: float, m: float) -> np.ndarray:
     """Coupling accelerations induced by the shifted center of mass.
 
     Acceleration terms on the right-hand side are taken from the previous
     step (``state.lagged_accel``), which is zero-initialized.
     """
-    s = state.vector
-    x2, x4, x6 = s[DPHI], s[DTHETA], s[DPSI]
-    x10, x12 = s[DX], s[DY]
-    d_x2, d_x4, _, _, d_x10, d_x12 = state.lagged_accel
-    return np.array([
-        -m * z_G * (d_x12 + x10 * x6),
-        m * z_G * (d_x10 - x12 * x6),
-        m * z_G * (x12 * x4 + x4 * x2),
-        z_G * (x2 ** 2 - x4 ** 2),
-        -z_G * (x2 * x6 - d_x4),
-        -z_G * (x4 * x6 - d_x2),
-    ])
+    return np.array(com_terms(state.vector.tolist(), state.lagged_accel.tolist(), z_G, m))
+
+
+def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
+    """Bind the channel constants once; returns the float kernel
+    ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)`` behind ``lump``."""
+    # the CoM and drag contributions enter with -, except the yaw CoM term and
+    # the altitude drag under the published signs; a sign times k*v rounds as
+    # the signed coefficient times v
+    up = 1.0 if params.strict_signs else -1.0
+    k1, k2, k3, k4, k5, k6 = ([sg * k for sg, k in zip((-1.0, -1.0, -1.0, up, -1.0, -1.0),
+                                                       params.drag.k)]
+                              if flags.drag else (0.0,) * 6)
+    ge, wp = params.ground_effect, params.wind
+    com, gust, ground = flags.com, flags.wind, flags.ground_effect
+    no_com = (0.0,) * 6
+
+    def f(s, lagged, t, z_G):
+        q1, q2, q3, q4, q5, q6 = com_terms(s, lagged, z_G, m) if com else no_com
+        w = wind(t, wp) if gust else 0.0
+        G = ground_effect_factor(s[6], ge) if ground else 1.0
+        return (-q1 + k1 * s[1] + w, -q2 + k2 * s[3] + w, up * q3 + k3 * s[5] + w,
+                -q4 + k4 * s[7] + w, -q5 + k5 * s[9] + w, -q6 + k6 * s[11] + w, G)
+    return f
 
 
 def lump(state: QuadState, t: float, params: DisturbanceParams,
          flags: DisturbanceFlags, masses: MassProperties) -> DisturbanceOutputs:
     """Assemble delta_a..delta_f from the enabled channels plus G."""
-    com_terms = np.zeros(6)
-    if flags.com:
-        com_terms = com_effect(state, masses.z_G, masses.m)
-
-    drag_terms = np.zeros(6)
-    if flags.drag:
-        vel = state.vector[list(_VEL_IDX)]
-        drag_terms = np.asarray(params.drag.k) * vel
-
-    wind_term = wind(t, params.wind) if flags.wind else 0.0
-
-    # per-channel signs on the CoM and drag contributions
-    if params.strict_signs:
-        com_sign = np.array([-1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
-        drag_sign = np.array([-1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
-    else:
-        com_sign = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
-        drag_sign = -np.ones(6)
-
-    delta = com_sign * com_terms + drag_sign * drag_terms + wind_term
-
-    G = ground_effect_factor(state.z, params.ground_effect) if flags.ground_effect else 1.0
-    return DisturbanceOutputs(*delta, G=G)
+    return DisturbanceOutputs(*lump_kernel(params, flags, masses.m)(
+        state.vector.tolist(), state.lagged_accel.tolist(), t, masses.z_G))

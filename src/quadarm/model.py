@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,25 +44,6 @@ class QuadState:
             raise InvalidParameterError("lagged_accel must have 6 entries")
         if not (np.all(np.isfinite(self.vector)) and np.all(np.isfinite(self.lagged_accel))):
             raise InvalidParameterError("state entries must be finite")
-
-    def copy(self) -> "QuadState":
-        return QuadState(self.vector.copy(), self.lagged_accel.copy())
-
-    @property
-    def phi(self):
-        return self.vector[PHI]
-
-    @property
-    def theta(self):
-        return self.vector[THETA]
-
-    @property
-    def psi(self):
-        return self.vector[PSI]
-
-    @property
-    def z(self):
-        return self.vector[Z]
 
 
 @dataclass(frozen=True)
@@ -203,6 +185,14 @@ class MixerParams:
             [km, -km, km, -km],
         ])
 
+    @cached_property
+    def inverse(self) -> tuple:
+        """Rows of the allocation matrix's inverse, singularity-checked once."""
+        m = self.matrix()
+        if abs(np.linalg.det(m)) < 1e-300:
+            raise ConfigurationError("allocation matrix is singular")
+        return tuple(map(tuple, np.linalg.inv(m).tolist()))
+
 
 @dataclass
 class ControlInputs:
@@ -217,9 +207,7 @@ class ControlInputs:
 
     @property
     def omega_r(self) -> float:
-        """Relative rotor speed -O1 + O2 - O3 + O4."""
-        o = self.omega
-        return -o[0] + o[1] - o[2] + o[3]
+        return relative_speed(self.omega)
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.U1, self.U2, self.U3, self.U4])
@@ -236,6 +224,20 @@ def mix(omega_squared, params: MixerParams) -> ControlInputs:
     return ControlInputs(U1=u[0], U2=u[1], U3=u[2], U4=u[3], omega=np.sqrt(w2))
 
 
+def relative_speed(omega) -> float:
+    """Relative rotor speed -O1 + O2 - O3 + O4."""
+    return -omega[0] + omega[1] - omega[2] + omega[3]
+
+
+def realize(uv, params: MixerParams) -> tuple[list, bool]:
+    """Squared rotor speeds realizing U1..U4 (floats in and out), with
+    negative squares clamped to zero, and whether any was."""
+    w2 = [r0 * uv[0] + r1 * uv[1] + r2 * uv[2] + r3 * uv[3]
+          for r0, r1, r2, r3 in params.inverse]
+    saturated = w2[0] < 0 or w2[1] < 0 or w2[2] < 0 or w2[3] < 0
+    return [0.0 if w <= 0.0 else w for w in w2], saturated
+
+
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     """Invert the allocation: U1..U4 -> squared rotor speeds.
 
@@ -243,12 +245,8 @@ def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     value flags that saturation.
     """
     uv = u.as_vector() if isinstance(u, ControlInputs) else np.asarray(u, dtype=float)
-    m = params.matrix()
-    if abs(np.linalg.det(m)) < 1e-300:
-        raise ConfigurationError("allocation matrix is singular")
-    w2 = np.linalg.solve(m, uv)
-    saturated = bool(np.any(w2 < 0))
-    return np.maximum(w2, 0.0), saturated
+    w2, saturated = realize(uv.tolist(), params)
+    return np.array(w2), saturated
 
 
 def rotor_speeds(u, params: MixerParams) -> ControlInputs:
@@ -277,6 +275,41 @@ class QuadParams:
         return self.masses.m
 
 
+def derivative_kernel(params: QuadParams):
+    """Bind the plant constants once; returns the float kernel
+    ``f(s, u, dist) -> (derivative, accelerations)`` behind
+    ``state_derivative``.
+
+    ``s`` is the 12-state sequence, ``u`` is (U1, U2, U3, U4, omega_r) and
+    ``dist`` is (delta_a..delta_f, G); both results are tuples of floats.
+    """
+    ia = params.inertia
+    a1, a2, a3, a4, a5, a6, a7, a8 = (ia.a1, ia.a2, ia.a3, ia.a4,
+                                      ia.a5, ia.a6, ia.a7, ia.a8)
+    m, g = params.m, params.g
+    isfinite = math.isfinite
+
+    def f(s, u, dist):
+        if not all(map(isfinite, s)):
+            raise InvalidInputError("state must be finite")
+        x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s
+        U1, U2, U3, U4, omega_r = u
+        delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist
+        sin1, cos1 = math.sin(x1), math.cos(x1)
+        sin3, cos3 = math.sin(x3), math.cos(x3)
+        sin5, cos5 = math.sin(x5), math.cos(x5)
+
+        acc_phi = U2 * a6 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a
+        acc_theta = U3 * a7 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b
+        acc_psi = U4 * a8 + a5 * x2 * x4 + delta_c
+        acc_z = g - G * (U1 / m) * cos3 * cos1 + delta_d
+        acc_x = -(U1 / m) * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
+        acc_y = -(U1 / m) * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
+        return ((x2, acc_phi, x4, acc_theta, x6, acc_psi, x8, acc_z, x10, acc_x, x12, acc_y),
+                (acc_phi, acc_theta, acc_psi, acc_z, acc_x, acc_y))
+    return f
+
+
 def state_derivative(state: QuadState, u: ControlInputs, dist,
                      params: QuadParams) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the 12-state derivative and the six accelerations.
@@ -286,34 +319,7 @@ def state_derivative(state: QuadState, u: ControlInputs, dist,
     returned separately so the caller can store them as the next step's
     lagged values.
     """
-    s = state.vector
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("state must be finite")
-    ia = params.inertia
-    m = params.m
-    g = params.g
-    G = dist.G
-
-    x2, x4, x6, x8 = s[DPHI], s[DTHETA], s[DPSI], s[DZ]
-    sin1, cos1 = math.sin(s[PHI]), math.cos(s[PHI])
-    sin3, cos3 = math.sin(s[THETA]), math.cos(s[THETA])
-    sin5, cos5 = math.sin(s[PSI]), math.cos(s[PSI])
-    omega_r = u.omega_r
-
-    acc_phi = u.U2 * ia.a6 - ia.a2 * x4 * omega_r + ia.a1 * x4 * x6 + dist.delta_a
-    acc_theta = u.U3 * ia.a7 + ia.a4 * x2 * omega_r + ia.a3 * x2 * x6 + dist.delta_b
-    acc_psi = u.U4 * ia.a8 + ia.a5 * x2 * x4 + dist.delta_c
-    acc_z = g - G * (u.U1 / m) * cos3 * cos1 + dist.delta_d
-    acc_x = -(u.U1 / m) * (sin1 * sin5 + sin3 * cos1 * cos5) + dist.delta_e
-    acc_y = -(u.U1 / m) * (cos1 * sin3 * sin5 - sin1 * cos5) + dist.delta_f
-
-    deriv = np.array([
-        x2, acc_phi,
-        x4, acc_theta,
-        x6, acc_psi,
-        x8, acc_z,
-        s[DX], acc_x,
-        s[DY], acc_y,
-    ])
-    accels = np.array([acc_phi, acc_theta, acc_psi, acc_z, acc_x, acc_y])
-    return deriv, accels
+    deriv, accels = derivative_kernel(params)(
+        state.vector.tolist(), (u.U1, u.U2, u.U3, u.U4, u.omega_r),
+        (*dist.as_vector().tolist(), dist.G))
+    return np.array(deriv), np.array(accels)

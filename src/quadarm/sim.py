@@ -5,16 +5,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from . import adrc, disturbances, model
-from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW, AdrcController, StepDiagnostics
-from .disturbances import DisturbanceFlags, DisturbanceParams, lump
+from . import adrc
+from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
+from .disturbances import DisturbanceFlags, DisturbanceParams, lump_kernel
 from .errors import DivergenceError, IntegrationError, InvalidParameterError
-from .model import ControlInputs, QuadParams, QuadState, rotor_speeds, state_derivative
+from .model import QuadParams, QuadState, derivative_kernel, realize, relative_speed
 
 DIVERGENCE_LIMIT = 1e6
+#: rows per block that ``TraceLog.to_csv`` formats at a time
+CSV_CHUNK_ROWS = 1024
 
 DEG = math.pi / 180.0
 
@@ -90,48 +93,78 @@ COLUMNS = (["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
 
 
 class TraceLog:
-    """Uniform-grid record of one simulation run."""
+    """Uniform-grid record of one simulation run: one float64 array
+    (``rows``, one row per record) under named columns."""
 
-    def __init__(self, columns=None):
+    def __init__(self, columns=None, capacity: int = 0):
         self.columns = list(columns) if columns is not None else list(COLUMNS)
-        self.rows: list[list[float]] = []
+        self._data = np.empty((capacity, len(self.columns)))
+        self._n = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Read-only view of the records; ``column`` and ``as_array`` slice it."""
+        view = self._data[:self._n]
+        view.flags.writeable = False
+        return view
 
     def append(self, row):
         if len(row) != len(self.columns):
             raise InvalidParameterError("row width does not match columns")
-        self.rows.append([float(v) for v in row])
+        if self._n == len(self._data):
+            self._data = np.resize(self._data, (2 * self._n + 1, len(self.columns)))
+        self._data[self._n] = row
+        self._n += 1
 
     def __len__(self):
-        return len(self.rows)
+        return self._n
 
     def column(self, name: str) -> np.ndarray:
         try:
             idx = self.columns.index(name)
         except ValueError:
             raise KeyError(name) from None
-        return np.array([r[idx] for r in self.rows])
+        return self.rows[:, idx]
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.rows)
+        return self.rows
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([repr(v) for v in row])
+            csv.writer(fh).writerow(self.columns)
+            # a float's repr holds no character that csv.writer would quote
+            for i in range(0, self._n, CSV_CHUNK_ROWS):
+                block = self._data[i:min(i + CSV_CHUNK_ROWS, self._n)].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if not header:
                 raise InvalidParameterError(f"{path}: empty trace file")
-            log = cls(columns=header)
-            for row in reader:
-                log.append([float(v) for v in row])
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)  # warns on a file without records
+        if data.size == 0:
+            data = np.empty((0, len(header)))
+        if data.shape[1] != len(header):
+            raise InvalidParameterError("row width does not match columns")
+        log = cls(columns=header)
+        log._data, log._n = data, len(data)
         return log
+
+
+def _rk4(deriv_fn, t: float, y, lagged, dt: float) -> tuple[list, list]:
+    """Classical fourth-order step over float sequences; returns the new
+    state and the final-stage accelerations."""
+    h = 0.5 * dt
+    k1, _ = deriv_fn(t, y, lagged)
+    k2, _ = deriv_fn(t + h, [a + h * b for a, b in zip(y, k1)], lagged)
+    k3, _ = deriv_fn(t + h, [a + h * b for a, b in zip(y, k2)], lagged)
+    k4, acc = deriv_fn(t + dt, [a + dt * b for a, b in zip(y, k3)], lagged)
+    if not all(map(math.isfinite, chain(k1, k2, k3, k4))):
+        raise IntegrationError(t)
+    sixth = dt / 6.0
+    return [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)], acc
 
 
 def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
@@ -143,34 +176,18 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    y = state.vector
-    lag = state.lagged_accel
-    k1, _ = deriv_fn(t, y, lag)
-    k2, _ = deriv_fn(t + 0.5 * dt, y + 0.5 * dt * k1, lag)
-    k3, _ = deriv_fn(t + 0.5 * dt, y + 0.5 * dt * k2, lag)
-    k4, acc = deriv_fn(t + dt, y + dt * k3, lag)
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError(t)
-    new_vec = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return QuadState(new_vec, acc)
+    vector, acc = _rk4(lambda tau, y, lag: deriv_fn(tau, np.array(y), lag),
+                       t, state.vector, state.lagged_accel, dt)
+    return QuadState(np.array(vector), acc)
 
 
-def build_controllers(gains: "ControllerGains", params: QuadParams) -> dict:
-    """Instantiate the four subsystem controllers."""
+def subsystem_configs(gains: "ControllerGains", params: QuadParams) -> list:
+    """The four subsystem controller settings, in ``SUBSYSTEMS`` order."""
     ia = params.inertia
     b_hats = {ROLL: ia.a6, PITCH: ia.a7, YAW: ia.a8, ALTITUDE: -1.0 / params.m}
-    controllers = {}
-    for name in SUBSYSTEMS:
-        cfg = adrc.SubsystemConfig(
-            which=name,
-            b_hat=b_hats[name],
-            eso=gains.eso_for(name),
-            pd=gains.pd_for(name),
-            u_limits=gains.u_limits[name],
-        )
-        controllers[name] = AdrcController(cfg)
-    return controllers
+    return [adrc.SubsystemConfig(which=name, b_hat=b_hats[name], eso=gains.eso_for(name),
+                                 pd=gains.pd_for(name), u_limits=gains.u_limits[name])
+            for name in SUBSYSTEMS]
 
 
 @dataclass(frozen=True)
@@ -200,68 +217,56 @@ class ControllerGains:
 def run(scenario: Scenario, params: QuadParams,
         dist_params: DisturbanceParams | None = None,
         gains: ControllerGains | None = None) -> TraceLog:
-    """Integrate the closed loop (or the open-loop fixture) and log it."""
-    dist_params = dist_params or DisturbanceParams()
-    controllers = None
-    if not scenario.open_loop:
-        controllers = build_controllers(gains or ControllerGains(), params)
+    """Integrate the closed loop (or the open-loop fixture) and log it.
 
-    masses = params.masses
-    state = scenario.initial_state.copy()
-    dt = scenario.dt
-    flags = scenario.flags
-    log = TraceLog()
+    State, observers and control are plain floats; the plant, disturbance
+    and controller kernels get their constants once, here.
+    """
+    configs = None if scenario.open_loop else subsystem_configs(gains or ControllerGains(),
+                                                                params)
+    lump_f = lump_kernel(dist_params or DisturbanceParams(), scenario.flags, params.m)
+    deriv_f = derivative_kernel(params)
+    masses, d1_profile = params.masses, scenario.d1_profile
+    dt, n = scenario.dt, scenario.n_steps
+    y = scenario.initial_state.vector.tolist()
+    lagged = scenario.initial_state.lagged_accel.tolist()
+    log = TraceLog(capacity=n + 1)
 
-    idle = StepDiagnostics()
-    diags = {name: idle for name in SUBSYSTEMS}
-    u = ControlInputs()
+    obs = [None] * 4
+    diags = [0.0] * 24  # (u, u0, f_hat, x1_hat, x2_hat, sat) per subsystem
+    u, rotor_sat = (0.0, 0.0, 0.0, 0.0, 0.0), False  # U1..U4, omega_r
 
-    n = scenario.n_steps
+    def deriv_fn(tau, s, lag):
+        return deriv_f(s, u, lump_f(s, lag, tau, z_G))
+
     for k in range(n + 1):
         t = k * dt
-        if scenario.d1_profile is not None:
-            masses = params.masses.with_d1(scenario.d1_profile(t))
-
-        dist_now = lump(state, t, dist_params, flags, masses)
+        z_G = (masses if d1_profile is None else masses.with_d1(d1_profile(t))).z_G
+        dist = lump_f(y, lagged, t, z_G)
         refs = scenario.references(t)
 
         if scenario.open_loop:
             # the open-loop fixture drives the thrust channel directly
-            u = ControlInputs(U1=scenario.open_loop_u1(t))
+            u, rotor_sat = (scenario.open_loop_u1(t), 0.0, 0.0, 0.0, 0.0), False
         elif k < n:
-            measurements = {
-                ROLL: state.vector[model.PHI],
-                PITCH: state.vector[model.THETA],
-                YAW: state.vector[model.PSI],
-                ALTITUDE: state.vector[model.Z],
-            }
-            b_alt, _ = adrc.b_hat_altitude(state.phi, state.theta, dist_now.G, masses.m)
-            for i, name in enumerate(SUBSYSTEMS):
-                ctrl = controllers[name]
-                b_hat = b_alt if name == ALTITUDE else None
-                diags[name] = ctrl.step(measurements[name], refs[i], 0.0, dt, b_hat=b_hat)
-            u = rotor_speeds([diags[ALTITUDE].u, diags[ROLL].u,
-                              diags[PITCH].u, diags[YAW].u], params.mixer)
+            b_alt, _ = adrc.b_hat_altitude(y[0], y[2], dist[6], masses.m)
+            for i, cfg in enumerate(configs):
+                obs[i], u0, sat, _ = adrc.update(obs[i], y[2 * i], refs[i], 0.0,
+                                                 b_alt if i == 3 else cfg.b_hat, cfg, dt)
+                x1, x2, x3, ui = obs[i]
+                diags[6 * i:6 * i + 6] = ui, u0, x3, x1, x2, sat
+            U = (obs[3][3], obs[0][3], obs[1][3], obs[2][3])
+            w2, rotor_sat = realize(U, params.mixer)
+            u = (*U, relative_speed([math.sqrt(w) for w in w2]))
 
-        row = [t, *state.vector, *state.lagged_accel, *refs]
-        for name in SUBSYSTEMS:
-            d = diags[name]
-            row += [d.u, d.u0, d.f_hat, d.x1_hat, d.x2_hat, float(d.saturated)]
-        row += [dist_now.G, *dist_now.as_vector(), u.omega_r, float(u.rotor_saturated)]
-        log.append(row)
-
+        log.append([t, *y, *lagged, *refs, *diags, dist[6], *dist[:6], u[4], rotor_sat])
         if k == n:
             break
-
-        def deriv_fn(tau, vector, lagged, _u=u, _masses=masses):
-            st = QuadState.__new__(QuadState)
-            st.vector = vector
-            st.lagged_accel = lagged
-            dist = lump(st, tau, dist_params, flags, _masses)
-            return state_derivative(st, _u, dist, params)
-
-        state = rk4_step(state, deriv_fn, t, dt)
-        if np.max(np.abs(state.vector)) > DIVERGENCE_LIMIT:
+        try:
+            y, lagged = _rk4(deriv_fn, t, y, lagged, dt)
+        except OverflowError:  # a square beyond the float range
+            raise IntegrationError(t) from None
+        if not all(map(math.isfinite, y)) or max(map(abs, y)) > DIVERGENCE_LIMIT:
             raise DivergenceError(t + dt)
 
     return log
@@ -270,35 +275,38 @@ def run(scenario: Scenario, params: QuadParams,
 def estimation_oracle(trace: TraceLog, params: QuadParams,
                       dist_params: DisturbanceParams | None = None,
                       flags: DisturbanceFlags | None = None,
-                      masses=None) -> dict:
+                      masses=None, d1_profile=None) -> dict:
     """Reconstruct each subsystem's true total disturbance from the log.
 
     The reconstruction repeats the model algebra (everything in the
     acceleration row except the b_hat*u term) from the logged states, so
-    it is independent of the observer path it is checked against.
-    Returns per subsystem: true series, estimated series, error series.
+    it is independent of the observer path it is checked against.  With
+    ``d1_profile`` each row uses the arm position of its time, as ``run``
+    does.  Returns per subsystem: true series, estimated series, error
+    series.
     """
-    dist_params = dist_params or DisturbanceParams()
     flags = flags or DisturbanceFlags.all_on()
     masses = masses or params.masses
+    lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, masses.m)
     ia = params.inertia
 
     t_col = trace.column("t")
     states = np.column_stack([trace.column(c) for c in STATE_COLUMNS])
     lagged = np.column_stack([trace.column(c) for c in ACCEL_COLUMNS])
     omega_r = trace.column("omega_r")
+    delta = np.array([
+        lump_f(s, lag, t, (masses if d1_profile is None else masses.with_d1(d1_profile(t))).z_G)
+        for s, lag, t in zip(states.tolist(), lagged.tolist(), t_col.tolist())
+    ]).reshape(-1, 7)
+    x2, x4, x6 = states[:, 1], states[:, 3], states[:, 5]
+    f_true = {
+        ROLL: ia.a1 * x4 * x6 - ia.a2 * x4 * omega_r + delta[:, 0],
+        PITCH: ia.a3 * x2 * x6 + ia.a4 * x2 * omega_r + delta[:, 1],
+        YAW: ia.a5 * x2 * x4 + delta[:, 2],
+        ALTITUDE: params.g + delta[:, 3],
+    }
 
     result = {}
-    f_true = {name: np.zeros(len(trace)) for name in SUBSYSTEMS}
-    for i in range(len(trace)):
-        st = QuadState(states[i], lagged[i])
-        d = lump(st, t_col[i], dist_params, flags, masses)
-        x2, x4, x6 = states[i][model.DPHI], states[i][model.DTHETA], states[i][model.DPSI]
-        f_true[ROLL][i] = ia.a1 * x4 * x6 - ia.a2 * x4 * omega_r[i] + d.delta_a
-        f_true[PITCH][i] = ia.a3 * x2 * x6 + ia.a4 * x2 * omega_r[i] + d.delta_b
-        f_true[YAW][i] = ia.a5 * x2 * x4 + d.delta_c
-        f_true[ALTITUDE][i] = params.g + d.delta_d
-
     for name in SUBSYSTEMS:
         f_hat = trace.column(f"f_hat_{name}")
         result[name] = {

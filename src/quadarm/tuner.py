@@ -187,7 +187,8 @@ def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
     estimation = 0.0
     if w.estimation > 0:
         oracle = estimation_oracle(trace, problem.params, problem.dist_params,
-                                   problem.scenario.flags, problem.params.masses)
+                                   problem.scenario.flags,
+                                   d1_profile=problem.scenario.d1_profile)
         for name in adrc.SUBSYSTEMS:
             estimation += float(np.sum(oracle[name]["error"] ** 2) * dt)
 

@@ -5,9 +5,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from quadarm import cli
 from quadarm import config as config_mod
+from quadarm import tuner as tuner_mod
 from quadarm.cli import FIGURE_SET, main
 from quadarm.config import ConfigError, config_with_gains, load, resolve
+from quadarm.errors import DivergenceError, IntegrationError
+from quadarm.sim import COLUMNS
 from quadarm.tuner import table_gains_vector
 
 DEG = math.pi / 180.0
@@ -139,6 +143,35 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert "diverged" in result.output
 
+    def test_missing_out_dir_exit_1_before_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        out = tmp_path / "absent" / "t.csv"
+        result = CliRunner().invoke(main, ["simulate", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"output directory does not exist: {tmp_path / 'absent'}"]
+        assert calls == []
+
+    def test_singular_mixer_one_line_exit_1(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", {"scenario": {"duration": 0.1},
+                                               "physical": {"mixer": {"k_m": 1e-300}}})
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "simulation failed: allocation matrix is singular"]
+
+    def test_integration_error_one_line_exit_1(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise IntegrationError(0.25)
+
+        monkeypatch.setattr(cli, "run", fail)
+        result = CliRunner().invoke(main, ["simulate", "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 1
+        assert len(result.output.strip().splitlines()) == 1
+        assert "non-finite derivative at t=0.25" in result.output
+
 
 class TestPlotsCommand:
     def test_emits_figure_scripts(self, tmp_path):
@@ -160,6 +193,14 @@ class TestPlotsCommand:
         trace.write_text("")
         result = CliRunner().invoke(main, ["plots", str(trace)])
         assert result.exit_code == 1
+
+    def test_header_only_trace_exit_1(self, tmp_path):
+        trace = tmp_path / "header.csv"
+        trace.write_text(",".join(COLUMNS) + "\n")
+        result = CliRunner().invoke(
+            main, ["plots", str(trace), "--out", str(tmp_path / "p")])
+        assert result.exit_code == 1
+        assert "trace contains no records" in result.output
 
     def test_missing_columns_named(self, tmp_path):
         trace = tmp_path / "thin.csv"
@@ -201,3 +242,23 @@ class TestTuneCommand:
         result = CliRunner().invoke(main, ["tune", "--config", cfg])
         assert result.exit_code == 1
         assert "tuning failed" in result.output
+
+    def test_missing_out_dir_exit_1_before_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))
+        out = tmp_path / "absent" / "tuned.yaml"
+        result = CliRunner().invoke(main, ["tune", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"output directory does not exist: {tmp_path / 'absent'}"]
+        assert calls == []
+
+    def test_runtime_error_one_line_exit_1(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DivergenceError(0.5)
+
+        monkeypatch.setattr(tuner_mod, "tune", fail)
+        result = CliRunner().invoke(main, ["tune", "--out", str(tmp_path / "t.yaml")])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "tuning failed: simulation diverged at t=0.5 s"]

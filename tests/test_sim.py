@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams,
+import csv
+import io
+
+from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, PdGains,
                      PiecewiseConstant, QuadParams, QuadState, Scenario,
                      TraceLog, estimation_oracle, rk4_step, run)
-from quadarm.disturbances import DragParams
-from quadarm.errors import DivergenceError, InvalidParameterError
-from quadarm.sim import COLUMNS
+from quadarm.disturbances import DragParams, lump
+from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
+from quadarm.sim import ACCEL_COLUMNS, COLUMNS, CSV_CHUNK_ROWS, DELTA_COLUMNS, STATE_COLUMNS
 
 
 class TestPiecewiseConstant:
@@ -140,6 +143,13 @@ class TestRun:
 
         assert abs(final_z(0.002) - final_z(0.001)) < 1e-4
 
+    def test_overflowing_square_is_integration_error(self, params):
+        # a huge roll command overflows the CoM term's squared rate
+        gains = ControllerGains(pd_roll=PdGains(1e180, 1.0),
+                                u_limits={**ControllerGains().u_limits, "roll": (-1e200, 1e200)})
+        with pytest.raises(IntegrationError):
+            run(Scenario(duration=0.01), params, gains=gains)
+
     def test_divergence_raises(self, params):
         # strict altitude drag sign is anti-damping; a large coefficient
         # blows the open-loop fall up exponentially
@@ -155,6 +165,37 @@ class TestRun:
         assert standard_trace.column("z")[-1] == pytest.approx(5.0, abs=0.01)
         assert standard_trace.column("phi")[-1] == pytest.approx(
             5 * math.pi / 180.0, abs=1e-3)
+
+    def test_no_validated_state_per_step(self, params, monkeypatch):
+        built = []
+        check = QuadState.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(QuadState, "__post_init__", counted)
+        counts = []
+        for duration in (0.1, 1.0):
+            built.clear()
+            run(Scenario(duration=duration), params)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_logged_disturbances_equal_public_lump(self, standard_trace, params):
+        # the loop's kernel and the public wrapper agree bit for bit
+        cols = standard_trace.columns
+        arr = standard_trace.as_array()
+        states = arr[:, [cols.index(c) for c in STATE_COLUMNS]]
+        lagged = arr[:, [cols.index(c) for c in ACCEL_COLUMNS]]
+        logged = arr[:, [cols.index(c) for c in ["G", *DELTA_COLUMNS]]]
+        rebuilt = np.array([
+            [d.G, *d.as_vector()]
+            for d in (lump(QuadState(s, a), t, DisturbanceParams(), DisturbanceFlags.all_on(),
+                           params.masses)
+                      for s, a, t in zip(states, lagged, arr[:, cols.index("t")]))
+        ])
+        assert rebuilt.tobytes() == logged.tobytes()
 
     def test_gain_argument_changes_output(self, params):
         base = run(Scenario(duration=0.5), params)
@@ -185,7 +226,33 @@ class TestEstimationOracle:
         assert np.max(np.abs(err)) < 0.05 * np.max(np.abs(truth))
 
 
+    def test_arm_profile_followed(self, params):
+        # the arm moves from 0.8 m to 0.2 m at t = 1 s; the truth must use
+        # the arm position of each row, as the run does
+        d1 = PiecewiseConstant(((0.0, 0.8), (1.0, 0.2)))
+        trace = run(Scenario(duration=4.0, d1_profile=d1), params)
+        oracle = estimation_oracle(trace, params, d1_profile=d1)
+        late = trace.column("t") >= 2.0
+        rms = np.sqrt(np.mean(oracle["pitch"]["error"][late] ** 2))
+        assert rms < 0.05
+
+
 class TestTraceLog:
+    def test_csv_bytes_in_chunks(self, params, tmp_path):
+        trace = run(Scenario(duration=2.1), params)
+        assert len(trace) > CSV_CHUNK_ROWS and len(trace) % CSV_CHUNK_ROWS != 0
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(trace.columns)
+        for row in trace.as_array().tolist():
+            writer.writerow([repr(v) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        back = TraceLog.from_csv(path)
+        assert back.as_array().tobytes() == trace.as_array().tobytes()
+
+
     def test_csv_round_trip_exact(self, params, tmp_path):
         trace = run(Scenario(duration=0.05), params)
         path = tmp_path / "trace.csv"
