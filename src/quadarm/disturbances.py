@@ -164,10 +164,9 @@ def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
                               if flags.drag else (0.0,) * 6)
     ge, wp = params.ground_effect, params.wind
     com, gust, ground = flags.com, flags.wind, flags.ground_effect
-    no_com = (0.0,) * 6
 
     def f(s, lagged, t, z_G):
-        q1, q2, q3, q4, q5, q6 = com_terms(s, lagged, z_G, m) if com else no_com
+        q1, q2, q3, q4, q5, q6 = com_terms(s, lagged, z_G, m) if com else (0.0,) * 6
         w = wind(t, wp) if gust else 0.0
         G = ground_effect_factor(s[6], ge) if ground else 1.0
         return (-q1 + k1 * s[1] + w, -q2 + k2 * s[3] + w, up * q3 + k3 * s[5] + w,

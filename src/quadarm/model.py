@@ -287,10 +287,9 @@ def derivative_kernel(params: QuadParams):
     a1, a2, a3, a4, a5, a6, a7, a8 = (ia.a1, ia.a2, ia.a3, ia.a4,
                                       ia.a5, ia.a6, ia.a7, ia.a8)
     m, g = params.m, params.g
-    isfinite = math.isfinite
 
     def f(s, u, dist):
-        if not all(map(isfinite, s)):
+        if not all(map(math.isfinite, s)):
             raise InvalidInputError("state must be finite")
         x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s
         U1, U2, U3, U4, omega_r = u

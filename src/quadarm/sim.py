@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -143,7 +144,9 @@ class TraceLog:
             header = next(csv.reader(fh), None)
             if not header:
                 raise InvalidParameterError(f"{path}: empty trace file")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)  # warns on a file without records
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header without records
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.size == 0:
             data = np.empty((0, len(header)))
         if data.shape[1] != len(header):

@@ -261,6 +261,12 @@ class TestTraceLog:
         assert back.columns == trace.columns
         assert np.array_equal(back.as_array(), trace.as_array())
 
+    def test_header_only_file_has_no_records(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(COLUMNS) + "\r\n")
+        trace = TraceLog.from_csv(path)
+        assert trace.columns == COLUMNS and trace.as_array().shape == (0, len(COLUMNS))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
