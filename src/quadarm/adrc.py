@@ -9,7 +9,7 @@ integrator for the PD loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, InvalidParameterError
 

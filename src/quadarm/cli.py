@@ -76,13 +76,8 @@ def tune(config_path, out_path, seed):
     """Optimize the controller gains against the configured scenario."""
     cfg = _load_config(config_path)
     _check_out_dir(out_path)
-    problem = cfg.tune_problem()
     try:
-        initial = cfg.tune_initial()
-        result = tuner_mod.tune(problem, initial, cfg.tuner_options)
-    except config_mod.ConfigError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+        result = tuner_mod.tune(cfg.tune_problem(), cfg.tune_initial(), cfg.tuner_options)
     except QuadArmError as exc:
         click.echo(f"tuning failed: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
@@ -91,11 +86,9 @@ def tune(config_path, out_path, seed):
     config_mod.dump(tuned, out_path)
 
     history_path = os.path.splitext(out_path)[0] + "_history.csv"
-    layout = (tuner_mod.SHARED_LAYOUT if cfg.tuner_layout == "shared"
-              else tuner_mod.PER_SUBSYSTEM_LAYOUT)
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "cost", *layout])
+        writer.writerow(["iteration", "cost", *tuner_mod.LAYOUTS[cfg.tuner_layout]])
         for i, (vec, cost) in enumerate(result.history):
             writer.writerow([i, repr(cost), *[repr(float(v)) for v in vec]])
 

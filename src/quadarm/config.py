@@ -8,8 +8,7 @@ and converted to radians on load.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
@@ -20,10 +19,9 @@ from .disturbances import (DisturbanceFlags, DisturbanceParams, DragParams,
 from .errors import ConfigurationError, InvalidParameterError, QuadArmError
 from .model import (GeometryParams, InertiaParams, MassProperties, MixerParams,
                     QuadParams, QuadState, compose_inertia)
-from .sim import ControllerGains, PiecewiseConstant, Scenario
-from .tuner import CostWeights, SignalBound, TuneOptions, TuneProblem
-
-DEG = math.pi / 180.0
+from .sim import DEG, ControllerGains, PiecewiseConstant, Scenario
+from .tuner import (CostWeights, SignalBound, TuneOptions, TuneProblem, gains_from_vector,
+                    gains_vector, layout_names, layout_vector)
 
 
 class ConfigError(ConfigurationError):
@@ -34,65 +32,56 @@ class ConfigError(ConfigurationError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.problems))
 
 
-DEFAULTS = {
-    "physical": {
-        "m_q": 1.8,
-        "m_r": 0.2,
-        "d0": 0.0,
-        "d1": 0.8,
-        "g": 9.81,
-        "inertia": {"I_xx": 0.018, "I_yy": 0.018, "I_zz": 0.035,
-                    "J_r": 6e-3, "l": 0.45},
-        "geometry": None,  # set to the six dimensions to derive inertia instead
-        "mixer": {"k_f": 1e-5, "k_m": 1.5e-6},
-    },
-    "controller": {
-        "eso": {"p1": 29.5659, "p2": 2907.0, "p3": 3000.0},
-        "eso_overrides": {},
-        "pd": {
-            "roll": {"kp": 90.3979, "kd": 19.6321},
-            "pitch": {"kp": 79.3794, "kd": 21.1666},
-            "yaw": {"kp": 69.8457, "kd": 16.8096},
-            "altitude": {"kp": 10.5246, "kd": 9.5557},
+def _gains_mapping(gains: ControllerGains) -> dict:
+    """The ``controller`` entries that hold the observer and PD gains."""
+    return {
+        "eso": asdict(gains.eso),
+        "eso_overrides": {name: asdict(e) for name, e in gains.eso_overrides.items()},
+        "pd": {name: asdict(gains.pd_for(name)) for name in adrc.SUBSYSTEMS},
+    }
+
+
+def _defaults() -> dict:
+    """The raw mapping of the stock configuration, read off the dataclass defaults."""
+    params, gains, dist, sc = QuadParams(), ControllerGains(), DisturbanceParams(), Scenario()
+
+    def segments(profile, scale=1.0):
+        return [[t, v / scale] for t, v in profile.segments]
+
+    return {
+        "physical": {
+            **asdict(params.masses), "g": params.g, "inertia": asdict(params.inertia),
+            "geometry": None,  # set to the six dimensions to derive inertia instead
+            "mixer": asdict(params.mixer),
         },
-        "u_limits": {
-            "roll": [-5.0, 5.0], "pitch": [-5.0, 5.0], "yaw": [-5.0, 5.0],
-            "altitude": [0.0, 40.0],
+        "controller": {
+            **_gains_mapping(gains),
+            "u_limits": {name: list(limits) for name, limits in gains.u_limits.items()},
         },
-    },
-    "disturbances": {
-        "enable": {"drag": True, "ground_effect": True, "wind": True, "com": True},
-        "drag": {"k": [0.3729] * 6},
-        "ground_effect": {"rho": 8.6, "r": 0.1905, "z_min": 0.2},
-        "wind": {"alpha": 0.1, "beta": 1.0, "n": 0.002},
-        "strict_signs": True,
-    },
-    "scenario": {
-        "duration": 10.0,
-        "dt": 0.001,
-        "initial_state": [0.0] * 12,
-        "references": {
-            "roll_deg": [[0.0, 5.0]],
-            "pitch_deg": [[0.0, 5.0]],
-            "yaw_deg": [[0.0, 5.0]],
-            "z": [[0.0, 5.0]],
+        "disturbances": {
+            "enable": asdict(sc.flags), "drag": {"k": list(dist.drag.k)},
+            "ground_effect": asdict(dist.ground_effect), "wind": asdict(dist.wind),
+            "strict_signs": dist.strict_signs,
         },
-        "d1_profile": None,
-        "open_loop": False,
-        "open_loop_u1": [[0.0, 0.0]],
-    },
-    "tuner": {
-        "layout": "shared",
-        "weights": {"tracking": 1.0, "estimation": 1.0, "effort": 0.01,
-                    "bound_penalty": 1e3},
-        "bounds": [],
-        "box": None,  # {"lower": [...], "upper": [...]}
-        "initial": None,  # defaults to the controller section's gains
-        "options": {"max_iterations": 20, "fd_eps_rel": 1e-4,
-                    "fd_eps_floor": 1e-6, "initial_step": 1.0,
-                    "max_backtracks": 25, "rel_tol": 1e-6},
-    },
-}
+        "scenario": {
+            "duration": sc.duration, "dt": sc.dt,
+            "initial_state": sc.initial_state.vector.tolist(),
+            "references": {"roll_deg": segments(sc.ref_roll, DEG),
+                           "pitch_deg": segments(sc.ref_pitch, DEG),
+                           "yaw_deg": segments(sc.ref_yaw, DEG), "z": segments(sc.ref_z)},
+            "d1_profile": None, "open_loop": sc.open_loop,
+            "open_loop_u1": segments(sc.open_loop_u1),
+        },
+        "tuner": {
+            "layout": TuneProblem.layout, "weights": asdict(CostWeights()), "bounds": [],
+            "box": None,  # {"lower": [...], "upper": [...]}
+            "initial": None,  # defaults to the controller section's gains
+            "options": asdict(TuneOptions()),
+        },
+    }
+
+
+DEFAULTS = _defaults()
 
 
 def _merge(defaults, override, path, problems):
@@ -119,13 +108,26 @@ def _merge(defaults, override, path, problems):
     return merged
 
 
-def _profile(segments, path, problems, scale=1.0):
+def _build(problems, path, make):
+    """``make()``, or None with the failure recorded under ``path``."""
     try:
-        return PiecewiseConstant(tuple((float(t), float(v) * scale)
-                                       for t, v in segments))
-    except (TypeError, ValueError, InvalidParameterError) as exc:
+        return make()
+    except KeyError as exc:
+        problems.append(f"{path}: missing {exc}")
+    except (QuadArmError, TypeError, ValueError) as exc:
         problems.append(f"{path}: {exc}")
-        return PiecewiseConstant.constant(0.0)
+
+
+def _profile(segments, path, problems, scale=1.0):
+    return _build(problems, path, lambda: PiecewiseConstant(
+        tuple((float(t), float(v) * scale) for t, v in segments)))
+
+
+def _limits(pair) -> tuple[float, float]:
+    lower, upper = (float(x) for x in pair)
+    if not lower < upper:
+        raise InvalidParameterError("expected an increasing [lower, upper] pair")
+    return lower, upper
 
 
 @dataclass
@@ -145,26 +147,17 @@ class Config:
     raw: dict = field(repr=False, default_factory=dict)
 
     def tune_problem(self) -> TuneProblem:
-        kwargs = {}
-        if self.tuner_box is not None:
-            kwargs["box_lower"], kwargs["box_upper"] = self.tuner_box
+        lower, upper = self.tuner_box or (None, None)
         return TuneProblem(scenario=self.scenario, params=self.params,
-                           dist_params=self.dist_params,
-                           weights=self.tuner_weights,
-                           bounds=self.tuner_bounds,
-                           layout=self.tuner_layout, **kwargs)
+                           dist_params=self.dist_params, weights=self.tuner_weights,
+                           bounds=self.tuner_bounds, layout=self.tuner_layout,
+                           box_lower=lower, box_upper=upper)
 
     def tune_initial(self) -> np.ndarray:
+        """``tuner.initial``, or the controller section's gains in the tuner layout."""
         if self.tuner_initial is not None:
             return self.tuner_initial
-        if self.tuner_layout != "shared":
-            raise ConfigError(["tuner.initial: required for the per-subsystem layout"])
-        g = self.gains
-        return np.array([
-            g.eso.p1, g.eso.p2, g.eso.p3,
-            g.pd_roll.kp, g.pd_roll.kd, g.pd_pitch.kp, g.pd_pitch.kd,
-            g.pd_yaw.kp, g.pd_yaw.kd, g.pd_altitude.kp, g.pd_altitude.kd,
-        ])
+        return gains_vector(self.gains, self.tuner_layout)
 
 
 def resolve(data: dict | None) -> Config:
@@ -175,126 +168,82 @@ def resolve(data: dict | None) -> Config:
         raise ConfigError(problems)
 
     phys = data["physical"]
-    try:
+
+    def physical():
         masses = MassProperties(phys["m_q"], phys["m_r"], phys["d0"], phys["d1"])
-    except QuadArmError as exc:
-        problems.append(f"physical: {exc}")
-        masses = MassProperties()
-    try:
-        if phys["geometry"] is not None:
-            geom = GeometryParams(**phys["geometry"])
-            inertia = compose_inertia(geom, masses,
-                                      J_r=phys["inertia"]["J_r"],
-                                      l=phys["inertia"]["l"])
-        else:
-            inertia = InertiaParams(**phys["inertia"])
-        mixer = MixerParams(**phys["mixer"])
-    except (QuadArmError, TypeError) as exc:
-        problems.append(f"physical: {exc}")
-        inertia, mixer = InertiaParams(), MixerParams()
-    params = QuadParams(masses=masses, inertia=inertia, mixer=mixer, g=phys["g"])
+        inertia = (InertiaParams(**phys["inertia"]) if phys["geometry"] is None
+                   else compose_inertia(GeometryParams(**phys["geometry"]), masses,
+                                        J_r=phys["inertia"]["J_r"], l=phys["inertia"]["l"]))
+        return QuadParams(masses=masses, inertia=inertia, mixer=MixerParams(**phys["mixer"]),
+                          g=float(phys["g"]))
+    params = _build(problems, "physical", physical)
 
     ctrl = data["controller"]
-    try:
-        eso = adrc.EsoGains(**ctrl["eso"])
-    except QuadArmError as exc:
-        problems.append(f"controller.eso: {exc}")
-        eso = adrc.EsoGains()
+    eso = _build(problems, "controller.eso", lambda: adrc.EsoGains(**ctrl["eso"]))
     overrides = {}
-    for name, gains in (ctrl["eso_overrides"] or {}).items():
+    for name, values in (ctrl["eso_overrides"] or {}).items():
         if name not in adrc.SUBSYSTEMS:
             problems.append(f"controller.eso_overrides.{name}: unknown subsystem")
             continue
-        try:
-            overrides[name] = adrc.EsoGains(**gains)
-        except QuadArmError as exc:
-            problems.append(f"controller.eso_overrides.{name}: {exc}")
-    pd = {}
-    for name in adrc.SUBSYSTEMS:
-        try:
-            pd[name] = adrc.PdGains(**ctrl["pd"][name])
-        except QuadArmError as exc:
-            problems.append(f"controller.pd.{name}: {exc}")
-            pd[name] = adrc.PdGains(1.0, 1.0)
-    limits = {name: tuple(ctrl["u_limits"][name]) for name in adrc.SUBSYSTEMS}
+        overrides[name] = _build(problems, f"controller.eso_overrides.{name}",
+                                 lambda: adrc.EsoGains(**values))
+    pd = {name: _build(problems, f"controller.pd.{name}",
+                       lambda: adrc.PdGains(**ctrl["pd"][name])) for name in adrc.SUBSYSTEMS}
+    limits = {name: _build(problems, f"controller.u_limits.{name}",
+                           lambda: _limits(ctrl["u_limits"][name]))
+              for name in adrc.SUBSYSTEMS}
+
+    dist = data["disturbances"]
+    dist_params = _build(problems, "disturbances", lambda: DisturbanceParams(
+        drag=DragParams(tuple(dist["drag"]["k"])),
+        ground_effect=GroundEffectParams(**dist["ground_effect"]),
+        wind=WindParams(**dist["wind"]),
+        strict_signs=bool(dist["strict_signs"]),
+    ))
+    flags = DisturbanceFlags(**{k: bool(v) for k, v in dist["enable"].items()})
+
+    sc = data["scenario"]
+    initial = _build(problems, "scenario.initial_state", lambda: QuadState(
+        np.asarray(sc["initial_state"], dtype=float)))
+    refs = {key: _profile(value, f"scenario.references.{key}", problems,
+                          DEG if key.endswith("_deg") else 1.0)
+            for key, value in sc["references"].items()}
+    d1_profile = (None if sc["d1_profile"] is None
+                  else _profile(sc["d1_profile"], "scenario.d1_profile", problems))
+    open_loop_u1 = _profile(sc["open_loop_u1"], "scenario.open_loop_u1", problems)
+    scenario = _build(problems, "scenario", lambda: Scenario(
+        duration=float(sc["duration"]), dt=float(sc["dt"]), initial_state=initial,
+        ref_roll=refs["roll_deg"], ref_pitch=refs["pitch_deg"], ref_yaw=refs["yaw_deg"],
+        ref_z=refs["z"], flags=flags, d1_profile=d1_profile,
+        open_loop=bool(sc["open_loop"]), open_loop_u1=open_loop_u1))
+
+    tn = data["tuner"]
+    weights = _build(problems, "tuner.weights", lambda: CostWeights(**tn["weights"]))
+    bounds = [_build(problems, f"tuner.bounds[{i}]", lambda: SignalBound(
+        b["signal"], tuple(tuple(seg) for seg in b["segments"])))
+        for i, b in enumerate(tn["bounds"] or [])]
+    layout = tn["layout"]
+    box = init = None
+    if _build(problems, "tuner.layout", lambda: layout_names(layout)):
+        if tn["box"] is not None:
+            box = tuple(_build(problems, f"tuner.box.{side}",
+                               lambda: layout_vector(tn["box"][side], layout))
+                        for side in ("lower", "upper"))
+            if all(b is not None for b in box) and np.any(box[0] > box[1]):
+                problems.append("tuner.box: lower bound exceeds upper bound")
+        if tn["initial"] is not None:
+            init = _build(problems, "tuner.initial",
+                          lambda: layout_vector(tn["initial"], layout))
+    options = _build(problems, "tuner.options", lambda: TuneOptions(**tn["options"]))
+
+    if problems:
+        raise ConfigError(problems)
     gains = ControllerGains(eso=eso, eso_overrides=overrides,
                             pd_roll=pd["roll"], pd_pitch=pd["pitch"],
                             pd_yaw=pd["yaw"], pd_altitude=pd["altitude"],
                             u_limits=limits)
-
-    dist = data["disturbances"]
-    try:
-        dist_params = DisturbanceParams(
-            drag=DragParams(tuple(dist["drag"]["k"])),
-            ground_effect=GroundEffectParams(**dist["ground_effect"]),
-            wind=WindParams(**dist["wind"]),
-            strict_signs=bool(dist["strict_signs"]),
-        )
-    except QuadArmError as exc:
-        problems.append(f"disturbances: {exc}")
-        dist_params = DisturbanceParams()
-    flags = DisturbanceFlags(**{k: bool(v) for k, v in dist["enable"].items()})
-
-    sc = data["scenario"]
-    refs = sc["references"]
-    try:
-        initial = QuadState(np.asarray(sc["initial_state"], dtype=float))
-    except (QuadArmError, ValueError) as exc:
-        problems.append(f"scenario.initial_state: {exc}")
-        initial = QuadState()
-    d1_profile = None
-    if sc["d1_profile"] is not None:
-        d1_profile = _profile(sc["d1_profile"], "scenario.d1_profile", problems)
-    try:
-        scenario = Scenario(
-            duration=float(sc["duration"]),
-            dt=float(sc["dt"]),
-            initial_state=initial,
-            ref_roll=_profile(refs["roll_deg"], "scenario.references.roll_deg",
-                              problems, scale=DEG),
-            ref_pitch=_profile(refs["pitch_deg"], "scenario.references.pitch_deg",
-                               problems, scale=DEG),
-            ref_yaw=_profile(refs["yaw_deg"], "scenario.references.yaw_deg",
-                             problems, scale=DEG),
-            ref_z=_profile(refs["z"], "scenario.references.z", problems),
-            flags=flags,
-            d1_profile=d1_profile,
-            open_loop=bool(sc["open_loop"]),
-            open_loop_u1=_profile(sc["open_loop_u1"], "scenario.open_loop_u1",
-                                  problems),
-        )
-    except QuadArmError as exc:
-        problems.append(f"scenario: {exc}")
-        scenario = Scenario()
-
-    tn = data["tuner"]
-    try:
-        weights = CostWeights(**tn["weights"])
-    except QuadArmError as exc:
-        problems.append(f"tuner.weights: {exc}")
-        weights = CostWeights()
-    bounds = []
-    for i, b in enumerate(tn["bounds"] or []):
-        try:
-            bounds.append(SignalBound(b["signal"],
-                                      tuple(tuple(seg) for seg in b["segments"])))
-        except (QuadArmError, KeyError, TypeError) as exc:
-            problems.append(f"tuner.bounds[{i}]: {exc}")
-    box = None
-    if tn["box"] is not None:
-        box = (np.asarray(tn["box"]["lower"], dtype=float),
-               np.asarray(tn["box"]["upper"], dtype=float))
-    init = None if tn["initial"] is None else np.asarray(tn["initial"], dtype=float)
-    try:
-        options = TuneOptions(**tn["options"])
-    except TypeError as exc:
-        problems.append(f"tuner.options: {exc}")
-        options = TuneOptions()
-
-    if problems:
-        raise ConfigError(problems)
     return Config(params=params, gains=gains, dist_params=dist_params,
-                  scenario=scenario, tuner_layout=tn["layout"],
+                  scenario=scenario, tuner_layout=layout,
                   tuner_weights=weights, tuner_bounds=tuple(bounds),
                   tuner_box=box, tuner_initial=init, tuner_options=options,
                   raw=data)
@@ -322,21 +271,11 @@ def dump(data: dict, path) -> None:
 def config_with_gains(config: Config, vector, layout: str = "shared") -> dict:
     """Raw config mapping with the controller section set from a tuned
     gain vector, suitable for feeding straight back into simulate."""
-    data = yaml.safe_load(yaml.safe_dump(config.raw))  # deep copy
-    v = [float(x) for x in np.asarray(vector)]
-    if layout == "shared":
-        p = v[:3]
-        pdv = v[3:]
-        data["controller"]["eso"] = {"p1": p[0], "p2": p[1], "p3": p[2]}
-        data["controller"]["eso_overrides"] = {}
-    else:
-        data["controller"]["eso"] = {"p1": v[0], "p2": v[1], "p3": v[2]}
-        data["controller"]["eso_overrides"] = {
-            name: {"p1": v[3 * i], "p2": v[3 * i + 1], "p3": v[3 * i + 2]}
-            for i, name in enumerate(adrc.SUBSYSTEMS)}
-        pdv = v[12:]
-    for i, name in enumerate(adrc.SUBSYSTEMS):
-        data["controller"]["pd"][name] = {"kp": pdv[2 * i], "kd": pdv[2 * i + 1]}
-    data["tuner"]["initial"] = v
+    data = yaml.safe_load(yaml.safe_dump(config.raw))  # deep copy, keys sorted
+    mapping = _gains_mapping(gains_from_vector(vector, layout))
+    # update in place, so the copy's key order (and the dumped bytes) stays
+    data["controller"]["pd"].update(mapping.pop("pd"))
+    data["controller"].update(mapping)
+    data["tuner"]["initial"] = layout_vector(vector, layout).tolist()
     data["tuner"]["layout"] = layout
     return data

@@ -105,11 +105,6 @@ class DisturbanceOutputs:
                          self.delta_d, self.delta_e, self.delta_f])
 
 
-def drag(k: float, v: float) -> float:
-    """Linear drag magnitude k*v (sign applied at the lumping stage)."""
-    return k * v
-
-
 def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
     """Thrust amplification factor near the ground; ->1 as z -> infinity."""
     zc = max(z, p.z_min)
@@ -118,13 +113,6 @@ def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
 
 def wind(t: float, p: WindParams) -> float:
     return p.alpha + p.beta * math.sin(p.n * t)
-
-
-def com_shift(masses: MassProperties) -> float:
-    """Combined center-of-mass offset along z."""
-    if masses.m <= 0:
-        raise InvalidParameterError("total mass must be positive")
-    return masses.z_G
 
 
 def com_terms(s, lagged, z_G: float, m: float) -> tuple:

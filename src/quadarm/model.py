@@ -67,11 +67,11 @@ class MassProperties:
 
     @property
     def z_G(self) -> float:
-        return (self.m_q * self.d0 + self.m_r * self.d1) / (self.m_q + self.m_r)
+        return self.z_G_at(self.d1)
 
-    def with_d1(self, d1: float) -> "MassProperties":
-        """New mass properties for a repositioned prismatic arm."""
-        return MassProperties(self.m_q, self.m_r, self.d0, d1)
+    def z_G_at(self, d1: float) -> float:
+        """Center-of-mass offset with the prismatic arm at ``d1``."""
+        return (self.m_q * self.d0 + self.m_r * d1) / (self.m_q + self.m_r)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ class InertiaParams:
 
 
 def compose_inertia(geometry: GeometryParams, masses: MassProperties,
-                    J_r: float = 6e-3, l: float = 0.45) -> InertiaParams:
+                    J_r: float = InertiaParams.J_r,
+                    l: float = InertiaParams.l) -> InertiaParams:
     """Build the combined inertia from component shapes (parallel-axis sum).
 
     The airframe is modelled as a crossed pair of cylinders, the arm as a

@@ -244,7 +244,7 @@ def run(scenario: Scenario, params: QuadParams,
 
     for k in range(n + 1):
         t = k * dt
-        z_G = (masses if d1_profile is None else masses.with_d1(d1_profile(t))).z_G
+        z_G = masses.z_G if d1_profile is None else masses.z_G_at(d1_profile(t))
         dist = lump_f(y, lagged, t, z_G)
         refs = scenario.references(t)
 
@@ -298,7 +298,7 @@ def estimation_oracle(trace: TraceLog, params: QuadParams,
     lagged = np.column_stack([trace.column(c) for c in ACCEL_COLUMNS])
     omega_r = trace.column("omega_r")
     delta = np.array([
-        lump_f(s, lag, t, (masses if d1_profile is None else masses.with_d1(d1_profile(t))).z_G)
+        lump_f(s, lag, t, masses.z_G if d1_profile is None else masses.z_G_at(d1_profile(t)))
         for s, lag, t in zip(states.tolist(), lagged.tolist(), t_col.tolist())
     ]).reshape(-1, 7)
     x2, x4, x6 = states[:, 1], states[:, 3], states[:, 5]

@@ -18,7 +18,7 @@ from . import adrc
 from .disturbances import DisturbanceParams
 from .errors import DivergenceError, InvalidParameterError, QuadArmError
 from .model import QuadParams
-from .sim import ControllerGains, Scenario, TraceLog, estimation_oracle, run
+from .sim import ControllerGains, Scenario, estimation_oracle, run
 
 #: finite cost assigned to runs that diverge or cannot be constructed
 SENTINEL_COST = 1e12
@@ -31,44 +31,58 @@ PER_SUBSYSTEM_LAYOUT = tuple(
     f"{g}_{s}" for s in adrc.SUBSYSTEMS for g in ("p1", "p2", "p3")
 ) + SHARED_LAYOUT[3:]
 
+LAYOUTS = {"shared": SHARED_LAYOUT, "per_subsystem": PER_SUBSYSTEM_LAYOUT}
 
-def table_gains_vector() -> np.ndarray:
-    """The stock optimized gain set in the shared eleven-parameter layout."""
-    g = ControllerGains()
-    return np.array([
-        g.eso.p1, g.eso.p2, g.eso.p3,
-        g.pd_roll.kp, g.pd_roll.kd,
-        g.pd_pitch.kp, g.pd_pitch.kd,
-        g.pd_yaw.kp, g.pd_yaw.kd,
-        g.pd_altitude.kp, g.pd_altitude.kd,
-    ])
+
+def layout_names(layout: str) -> tuple:
+    """The parameter names of ``layout``, in decision-vector order."""
+    if not isinstance(layout, str) or layout not in LAYOUTS:
+        raise InvalidParameterError(f"unknown layout {layout!r}; expected one of "
+                                    + ", ".join(LAYOUTS))
+    return LAYOUTS[layout]
+
+
+def layout_vector(vector, layout: str) -> np.ndarray:
+    """``vector`` as a float array, checked against the width of ``layout``."""
+    n = len(layout_names(layout))
+    v = np.asarray(vector, dtype=float)
+    if v.shape != (n,):
+        raise InvalidParameterError(f"the {layout} layout needs {n} parameters, "
+                                    f"got shape {v.shape}")
+    return v
+
+
+def _eso_triples(v) -> list:
+    """The observer (p1, p2, p3) triples that lead a decision vector; one PD
+    pair per subsystem follows them."""
+    return [v[i:i + 3] for i in range(0, len(v) - 2 * len(adrc.SUBSYSTEMS), 3)]
+
+
+def gains_vector(gains: ControllerGains, layout: str = "shared") -> np.ndarray:
+    """``gains`` as a decision vector in ``layout`` order."""
+    esos = ([gains.eso] if layout == "shared"
+            else [gains.eso_for(name) for name in adrc.SUBSYSTEMS])
+    pds = [gains.pd_for(name) for name in adrc.SUBSYSTEMS]
+    return layout_vector([x for e in esos for x in (e.p1, e.p2, e.p3)]
+                         + [x for pd in pds for x in (pd.kp, pd.kd)], layout)
 
 
 def gains_from_vector(vector, layout: str = "shared") -> ControllerGains:
-    v = np.asarray(vector, dtype=float)
-    if layout == "shared":
-        if v.shape != (11,):
-            raise InvalidParameterError("shared layout needs 11 parameters")
-        eso = adrc.EsoGains(v[0], v[1], v[2])
-        pd_vals = v[3:]
-        overrides = {}
-    elif layout == "per_subsystem":
-        if v.shape != (20,):
-            raise InvalidParameterError("per-subsystem layout needs 20 parameters")
-        overrides = {name: adrc.EsoGains(*v[3 * i:3 * i + 3])
-                     for i, name in enumerate(adrc.SUBSYSTEMS)}
-        eso = overrides[adrc.ROLL]
-        pd_vals = v[12:]
-    else:
-        raise InvalidParameterError(f"unknown layout {layout!r}")
+    """The controller gains a decision vector in ``layout`` order stands for;
+    the per-subsystem layout sets an observer override for every subsystem."""
+    v = layout_vector(vector, layout).tolist()
+    esos = [adrc.EsoGains(*p) for p in _eso_triples(v)]
+    pd = [adrc.PdGains(*v[i:i + 2]) for i in range(3 * len(esos), len(v), 2)]
     return ControllerGains(
-        eso=eso,
-        eso_overrides=overrides,
-        pd_roll=adrc.PdGains(pd_vals[0], pd_vals[1]),
-        pd_pitch=adrc.PdGains(pd_vals[2], pd_vals[3]),
-        pd_yaw=adrc.PdGains(pd_vals[4], pd_vals[5]),
-        pd_altitude=adrc.PdGains(pd_vals[6], pd_vals[7]),
+        eso=esos[0],
+        eso_overrides=dict(zip(adrc.SUBSYSTEMS, esos)) if len(esos) > 1 else {},
+        pd_roll=pd[0], pd_pitch=pd[1], pd_yaw=pd[2], pd_altitude=pd[3],
     )
+
+
+def table_gains_vector() -> np.ndarray:
+    """The stock optimized gain set in the shared eleven-parameter layout."""
+    return gains_vector(ControllerGains())
 
 
 @dataclass(frozen=True)
@@ -126,13 +140,11 @@ class TuneProblem:
     box_upper: np.ndarray | None = None
 
     def __post_init__(self):
-        n = 11 if self.layout == "shared" else 20
-        if self.box_lower is None:
-            self.box_lower = np.full(n, 1e-3)
-        if self.box_upper is None:
-            self.box_upper = np.full(n, 1e5)
-        self.box_lower = np.asarray(self.box_lower, dtype=float)
-        self.box_upper = np.asarray(self.box_upper, dtype=float)
+        n = len(layout_names(self.layout))
+        self.box_lower = layout_vector(np.full(n, 1e-3) if self.box_lower is None
+                                       else self.box_lower, self.layout)
+        self.box_upper = layout_vector(np.full(n, 1e5) if self.box_upper is None
+                                       else self.box_upper, self.layout)
         if np.any(self.box_lower > self.box_upper):
             raise InvalidParameterError("box lower bound exceeds upper bound")
 
@@ -140,12 +152,10 @@ class TuneProblem:
         return cost(vector, self)
 
 
-def _hurwitz_violation(vector, layout: str) -> float:
+def _hurwitz_violation(vector) -> float:
     """Non-negative slack deficit of the Routh condition p1*p2 > p3."""
-    v = np.asarray(vector, dtype=float)
-    triples = [v[0:3]] if layout == "shared" else [v[3 * i:3 * i + 3] for i in range(4)]
     worst = 0.0
-    for p1, p2, p3 in triples:
+    for p1, p2, p3 in _eso_triples(np.asarray(vector, dtype=float).tolist()):
         worst = max(worst, p3 - p1 * p2, -p1, -p3)
     return max(worst, 0.0)
 
@@ -157,7 +167,7 @@ def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
     so the optimizer can always compare candidates.
     """
     report: dict = {"bound_violations": {}, "feasible": True}
-    hv = _hurwitz_violation(vector, problem.layout)
+    hv = _hurwitz_violation(vector)
     if hv > 0:
         report["feasible"] = False
         report["hurwitz_violation"] = hv

@@ -262,3 +262,28 @@ class TestTuneCommand:
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [
             "tuning failed: simulation diverged at t=0.5 s"]
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"tuner": {"layout": "foo"}}, "tuner.layout"),
+    ({"tuner": {"box": {"lower": [1e-3] * 2, "upper": [1e5] * 11}}}, "tuner.box.lower"),
+    ({"tuner": {"box": {"upper": [1e5] * 11}}}, "tuner.box.lower"),
+    ({"tuner": {"box": {"lower": [1e-3] * 11}}}, "tuner.box.upper"),
+    ({"tuner": {"box": {"lower": [1e5] * 11, "upper": [1e-3] * 11}}}, "tuner.box"),
+    ({"tuner": {"initial": [1.0] * 5}}, "tuner.initial"),
+    ({"tuner": {"layout": "per_subsystem", "initial": [1.0] * 11}}, "tuner.initial"),
+    ({"controller": {"u_limits": {"roll": 3}}}, "controller.u_limits.roll"),
+    ({"controller": {"u_limits": {"roll": [5, -5]}}}, "controller.u_limits.roll"),
+    ({"physical": {"g": "abc"}}, "physical"),
+])
+def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
+    calls = []
+    for module in (cli, tuner_mod):
+        monkeypatch.setattr(module, "run", lambda *a, **k: calls.append(a))
+    cfg = write_yaml(tmp_path / "c.yaml", data)
+    for command in ("simulate", "tune"):
+        result = CliRunner().invoke(main, [command, "--config", cfg,
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"  {path}: " in result.output
+    assert calls == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quadarm import (DisturbanceFlags, DisturbanceParams, DragParams,
                      GroundEffectParams, MassProperties, QuadState, WindParams,
                      ground_effect_factor)
-from quadarm.disturbances import com_effect, com_shift, drag, lump, wind
+from quadarm.disturbances import com_effect, lump, wind
 from quadarm.errors import InvalidParameterError
 
 
@@ -22,11 +22,6 @@ def state_with(**kw):
 
 
 class TestDrag:
-    def test_values(self):
-        assert drag(0.3729, 0.0) == 0.0
-        assert drag(0.3729, 1.0) == pytest.approx(0.3729)
-        assert drag(0.3729, -2.0) == pytest.approx(-0.7458)
-
     def test_negative_coefficient_rejected(self):
         with pytest.raises(InvalidParameterError):
             DragParams(k=(-0.1,) * 6)
@@ -77,14 +72,14 @@ class TestWind:
 
 class TestComShift:
     def test_no_arm(self):
-        assert com_shift(MassProperties(m_q=2.0, m_r=0.0, d1=0.8)) == 0.0
+        assert MassProperties(m_q=2.0, m_r=0.0, d1=0.8).z_G == 0.0
 
     def test_table_split(self):
-        assert com_shift(MassProperties(1.8, 0.2, 0.0, 0.8)) == pytest.approx(0.08)
+        assert MassProperties(1.8, 0.2, 0.0, 0.8).z_G == pytest.approx(0.08)
 
     def test_homogeneity(self):
-        a = com_shift(MassProperties(1.8, 0.2, 0.0, 0.8))
-        b = com_shift(MassProperties(3.6, 0.4, 0.0, 0.8))
+        a = MassProperties(1.8, 0.2, 0.0, 0.8).z_G
+        b = MassProperties(3.6, 0.4, 0.0, 0.8).z_G
         assert a == pytest.approx(b)
 
 

@@ -6,12 +6,30 @@ import pytest
 import csv
 import io
 
-from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, PdGains,
-                     PiecewiseConstant, QuadParams, QuadState, Scenario,
+from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassProperties,
+                     PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
                      TraceLog, estimation_oracle, rk4_step, run)
 from quadarm.disturbances import DragParams, lump
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
 from quadarm.sim import ACCEL_COLUMNS, COLUMNS, CSV_CHUNK_ROWS, DELTA_COLUMNS, STATE_COLUMNS
+
+
+def built_per_duration(cls, monkeypatch, simulate) -> list:
+    """Validated ``cls`` objects that ``simulate(duration)`` builds for 0.1 s and 1 s."""
+    built = []
+    check = cls.__post_init__
+
+    def counted(self):
+        built.append(1)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    counts = []
+    for duration in (0.1, 1.0):
+        built.clear()
+        simulate(duration)
+        counts.append(len(built))
+    return counts
 
 
 class TestPiecewiseConstant:
@@ -167,19 +185,18 @@ class TestRun:
             5 * math.pi / 180.0, abs=1e-3)
 
     def test_no_validated_state_per_step(self, params, monkeypatch):
-        built = []
-        check = QuadState.__post_init__
+        counts = built_per_duration(QuadState, monkeypatch,
+                                    lambda duration: run(Scenario(duration=duration), params))
+        assert counts[0] == counts[1]
 
-        def counted(self):
-            built.append(1)
-            check(self)
+    def test_no_mass_properties_per_step_with_arm_profile(self, params, monkeypatch):
+        d1 = PiecewiseConstant(((0.0, 0.8), (0.05, 0.2)))
 
-        monkeypatch.setattr(QuadState, "__post_init__", counted)
-        counts = []
-        for duration in (0.1, 1.0):
-            built.clear()
-            run(Scenario(duration=duration), params)
-            counts.append(len(built))
+        def simulate(duration):
+            trace = run(Scenario(duration=duration, d1_profile=d1), params)
+            estimation_oracle(trace, params, d1_profile=d1)
+
+        counts = built_per_duration(MassProperties, monkeypatch, simulate)
         assert counts[0] == counts[1]
 
     def test_logged_disturbances_equal_public_lump(self, standard_trace, params):

@@ -1,13 +1,15 @@
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import pytest
 
-from quadarm import (CostWeights, DisturbanceFlags, QuadParams, Scenario,
-                     SignalBound, TuneOptions, TuneProblem, cost, tune)
+from quadarm import (ControllerGains, CostWeights, DisturbanceFlags, EsoGains, PdGains,
+                     QuadParams, Scenario, SignalBound, TuneOptions, TuneProblem, cost, tune)
+from quadarm.adrc import SUBSYSTEMS
+from quadarm.config import resolve
 from quadarm.errors import InvalidParameterError
-from quadarm.tuner import (PER_SUBSYSTEM_LAYOUT, SENTINEL_COST, SHARED_LAYOUT,
-                           gains_from_vector, table_gains_vector)
+from quadarm.tuner import (LAYOUTS, PER_SUBSYSTEM_LAYOUT, SENTINEL_COST, SHARED_LAYOUT,
+                           gains_from_vector, gains_vector, table_gains_vector)
 
 
 @dataclass
@@ -26,6 +28,10 @@ class Quadratic:
 FAST_OPTS = TuneOptions(max_iterations=300, rel_tol=1e-14)
 
 
+DISTINCT_OVERRIDES = {name: EsoGains.from_bandwidth(w)
+                      for name, w in zip(SUBSYSTEMS, (2.0, 3.0, 5.0, 7.0))}
+
+
 class TestLayouts:
     def test_table_vector_round_trip(self):
         v = table_gains_vector()
@@ -33,6 +39,25 @@ class TestLayouts:
         assert g.eso.p1 == pytest.approx(29.5659)
         assert g.pd_altitude.kd == pytest.approx(9.5557)
         assert g.eso_overrides == {}
+
+    @pytest.mark.parametrize("gains, layout", [
+        (ControllerGains(), "shared"),
+        (ControllerGains(pd_yaw=PdGains(3.0, 4.0)), "shared"),
+        # the per-subsystem layout sets every subsystem's observer gains as an override
+        (ControllerGains(eso_overrides={name: EsoGains() for name in SUBSYSTEMS}),
+         "per_subsystem"),
+        (ControllerGains(eso=DISTINCT_OVERRIDES["roll"], eso_overrides=DISTINCT_OVERRIDES),
+         "per_subsystem"),
+    ])
+    def test_codec_round_trip(self, gains, layout):
+        v = gains_vector(gains, layout)
+        assert v.shape == (len(LAYOUTS[layout]),)
+        back = gains_from_vector(v, layout)
+        assert back == gains
+        # the float kernels get Python floats, not numpy scalars
+        stored = [back.eso, *back.eso_overrides.values(),
+                  back.pd_roll, back.pd_pitch, back.pd_yaw, back.pd_altitude]
+        assert {type(x) for g in stored for x in astuple(g)} == {float}
 
     def test_layout_names(self):
         assert len(SHARED_LAYOUT) == 11
@@ -44,6 +69,12 @@ class TestLayouts:
         assert set(g.eso_overrides) == {"roll", "pitch", "yaw", "altitude"}
         assert g.eso_overrides["yaw"].p3 == 8.0
 
+    def test_per_subsystem_initial_from_controller_section(self):
+        cfg = resolve({"tuner": {"layout": "per_subsystem"}})
+        x0 = cfg.tune_initial()
+        assert len(x0) == 20
+        assert np.array_equal(x0, gains_vector(cfg.gains, "per_subsystem"))
+
     def test_wrong_size_rejected(self):
         with pytest.raises(InvalidParameterError):
             gains_from_vector(np.ones(5), "shared")
@@ -51,6 +82,8 @@ class TestLayouts:
             gains_from_vector(np.ones(11), "per_subsystem")
         with pytest.raises(InvalidParameterError):
             gains_from_vector(np.ones(11), "banded")
+        with pytest.raises(InvalidParameterError):
+            gains_vector(ControllerGains(), "banded")
 
 
 class TestSignalBound:
