@@ -8,6 +8,7 @@ and converted to radians on load.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -84,8 +85,20 @@ def _defaults() -> dict:
 DEFAULTS = _defaults()
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML 1.1 loading that also reads exponents without a dot or an
+    exponent sign (``1e-3``, ``1e+3``, ``1.0e180``) as floats, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def _merge(defaults, override, path, problems):
-    """Deep-merge override onto defaults, recording unknown keys."""
+    """Deep-merge override onto defaults, recording unknown keys and
+    switches that are not ``true`` or ``false``."""
     if override is None:
         return defaults
     if not isinstance(defaults, dict):
@@ -103,6 +116,8 @@ def _merge(defaults, override, path, problems):
         sub_default = defaults.get(key)
         if isinstance(sub_default, dict):
             merged[key] = _merge(sub_default, value, child, problems)
+        elif isinstance(sub_default, bool) and not isinstance(value, bool):
+            problems.append(f"{child}: expected true or false")
         else:
             merged[key] = value
     return merged
@@ -198,9 +213,9 @@ def resolve(data: dict | None) -> Config:
         drag=DragParams(tuple(dist["drag"]["k"])),
         ground_effect=GroundEffectParams(**dist["ground_effect"]),
         wind=WindParams(**dist["wind"]),
-        strict_signs=bool(dist["strict_signs"]),
+        strict_signs=dist["strict_signs"],
     ))
-    flags = DisturbanceFlags(**{k: bool(v) for k, v in dist["enable"].items()})
+    flags = DisturbanceFlags(**dist["enable"])
 
     sc = data["scenario"]
     initial = _build(problems, "scenario.initial_state", lambda: QuadState(
@@ -215,7 +230,7 @@ def resolve(data: dict | None) -> Config:
         duration=float(sc["duration"]), dt=float(sc["dt"]), initial_state=initial,
         ref_roll=refs["roll_deg"], ref_pitch=refs["pitch_deg"], ref_yaw=refs["yaw_deg"],
         ref_z=refs["z"], flags=flags, d1_profile=d1_profile,
-        open_loop=bool(sc["open_loop"]), open_loop_u1=open_loop_u1))
+        open_loop=sc["open_loop"], open_loop_u1=open_loop_u1))
 
     tn = data["tuner"]
     weights = _build(problems, "tuner.weights", lambda: CostWeights(**tn["weights"]))
@@ -242,11 +257,18 @@ def resolve(data: dict | None) -> Config:
                             pd_roll=pd["roll"], pd_pitch=pd["pitch"],
                             pd_yaw=pd["yaw"], pd_altitude=pd["altitude"],
                             u_limits=limits)
-    return Config(params=params, gains=gains, dist_params=dist_params,
-                  scenario=scenario, tuner_layout=layout,
-                  tuner_weights=weights, tuner_bounds=tuple(bounds),
-                  tuner_box=box, tuner_initial=init, tuner_options=options,
-                  raw=data)
+    config = Config(params=params, gains=gains, dist_params=dist_params,
+                    scenario=scenario, tuner_layout=layout,
+                    tuner_weights=weights, tuner_bounds=tuple(bounds),
+                    tuner_box=box, tuner_initial=init, tuner_options=options,
+                    raw=data)
+    if init is not None:
+        problem = config.tune_problem()
+        outside = [name for name, x, lo, hi in zip(layout_names(layout), init, problem.box_lower,
+                                                   problem.box_upper) if not lo <= x <= hi]
+        if outside:
+            raise ConfigError([f"tuner.initial: {', '.join(outside)} outside the tuner box"])
+    return config
 
 
 def load(path=None) -> Config:
@@ -255,7 +277,7 @@ def load(path=None) -> Config:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             try:
-                data = yaml.safe_load(fh)
+                data = yaml.load(fh, Loader=_Loader)
             except yaml.YAMLError as exc:
                 raise ConfigError([f"{path}: {exc}"]) from exc
         if data is not None and not isinstance(data, dict):

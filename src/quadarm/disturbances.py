@@ -116,8 +116,8 @@ def wind(t: float, p: WindParams) -> float:
 
 
 def com_terms(s, lagged, z_G: float, m: float) -> tuple:
-    """Float kernel of ``com_effect`` over the 12-state and lagged-acceleration
-    sequences."""
+    """Coupling accelerations induced by the shifted center of mass; the
+    accelerations on the right-hand side are the previous step's ``lagged``."""
     x2, x4, x6, x10, x12 = s[1], s[3], s[5], s[9], s[11]
     d_x2, d_x4, _, _, d_x10, d_x12 = lagged
     mz = m * z_G
@@ -129,15 +129,6 @@ def com_terms(s, lagged, z_G: float, m: float) -> tuple:
         -z_G * (x2 * x6 - d_x4),
         -z_G * (x4 * x6 - d_x2),
     )
-
-
-def com_effect(state: QuadState, z_G: float, m: float) -> np.ndarray:
-    """Coupling accelerations induced by the shifted center of mass.
-
-    Acceleration terms on the right-hand side are taken from the previous
-    step (``state.lagged_accel``), which is zero-initialized.
-    """
-    return np.array(com_terms(state.vector.tolist(), state.lagged_accel.tolist(), z_G, m))
 
 
 def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):

@@ -17,9 +17,6 @@ from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 
 GRAVITY = 9.81
 
-# indices into the 12-state vector
-PHI, DPHI, THETA, DTHETA, PSI, DPSI, Z, DZ, X, DX, Y, DY = range(12)
-
 
 @dataclass
 class QuadState:

@@ -77,9 +77,6 @@ class Scenario:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
-    def references(self, t: float):
-        return (self.ref_roll(t), self.ref_pitch(t), self.ref_yaw(t), self.ref_z(t))
-
 
 STATE_COLUMNS = ["phi", "phi_dot", "theta", "theta_dot", "psi", "psi_dot",
                  "z", "z_dot", "x", "x_dot", "y", "y_dot"]
@@ -156,11 +153,10 @@ class TraceLog:
         return log
 
 
-def _rk4(deriv_fn, t: float, y, lagged, dt: float) -> tuple[list, list]:
-    """Classical fourth-order step over float sequences; returns the new
-    state and the final-stage accelerations."""
+def _rk4(deriv_fn, t: float, y, lagged, dt: float, k1) -> tuple[list, list]:
+    """Classical fourth-order step over float sequences from the first-stage
+    derivative ``k1``; returns the new state and the final-stage accelerations."""
     h = 0.5 * dt
-    k1, _ = deriv_fn(t, y, lagged)
     k2, _ = deriv_fn(t + h, [a + h * b for a, b in zip(y, k1)], lagged)
     k3, _ = deriv_fn(t + h, [a + h * b for a, b in zip(y, k2)], lagged)
     k4, acc = deriv_fn(t + dt, [a + dt * b for a, b in zip(y, k3)], lagged)
@@ -179,18 +175,10 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    vector, acc = _rk4(lambda tau, y, lag: deriv_fn(tau, np.array(y), lag),
-                       t, state.vector, state.lagged_accel, dt)
+    y0, lag = state.vector, state.lagged_accel
+    vector, acc = _rk4(lambda tau, y, lg: deriv_fn(tau, np.array(y), lg), t, y0, lag, dt,
+                       deriv_fn(t, np.array(y0), lag)[0])
     return QuadState(np.array(vector), acc)
-
-
-def subsystem_configs(gains: "ControllerGains", params: QuadParams) -> list:
-    """The four subsystem controller settings, in ``SUBSYSTEMS`` order."""
-    ia = params.inertia
-    b_hats = {ROLL: ia.a6, PITCH: ia.a7, YAW: ia.a8, ALTITUDE: -1.0 / params.m}
-    return [adrc.SubsystemConfig(which=name, b_hat=b_hats[name], eso=gains.eso_for(name),
-                                 pd=gains.pd_for(name), u_limits=gains.u_limits[name])
-            for name in SUBSYSTEMS]
 
 
 @dataclass(frozen=True)
@@ -217,68 +205,102 @@ class ControllerGains:
                 YAW: self.pd_yaw, ALTITUDE: self.pd_altitude}[name]
 
 
+def z_G_source(masses, d1_profile):
+    """``t -> z_G``: the CoM offset of ``masses``, with the arm at ``d1_profile(t)`` if set."""
+    if d1_profile is None:
+        return lambda t, z_G=masses.z_G: z_G
+    return lambda t: masses.z_G_at(d1_profile(t))
+
+
+#: ``step``'s control carry before the first period: no observer has measured
+CONTROL_START = ((None,) * 4, (0.0,) * 5, (0.0,) * 24, False)
+
+
+def loop_kernel(scenario: Scenario, params: QuadParams,
+                dist_params: DisturbanceParams | None = None,
+                gains: ControllerGains | None = None):
+    """Bind the loop's constants once; returns the pure closed-loop period
+    ``step(t, y, lagged, ctrl, final=False) -> (y, lagged, ctrl, row)``.
+
+    ``y`` and ``lagged`` are float sequences.  ``ctrl`` carries the four
+    observers (x1_hat, x2_hat, x3_hat, u), the applied (U1..U4, omega_r),
+    the logged (u, u0, f_hat, x1_hat, x2_hat, sat) per subsystem and the
+    rotor saturation flag.  ``step`` updates the control at ``t``, logs
+    ``row`` and integrates to ``t + dt``; with ``final`` it only logs.
+    """
+    lump_f = lump_kernel(dist_params or DisturbanceParams(), scenario.flags, params.m)
+    deriv_f = derivative_kernel(params)
+    z_G_at = z_G_source(params.masses, scenario.d1_profile)
+    ref_roll, ref_pitch, ref_yaw, ref_z = (scenario.ref_roll, scenario.ref_pitch,
+                                           scenario.ref_yaw, scenario.ref_z)
+    dt, m, mixer, ia = scenario.dt, params.m, params.mixer, params.inertia
+
+    if scenario.open_loop:
+        u1 = scenario.open_loop_u1
+
+        def control(t, y, dist, refs, ctrl):
+            # the open-loop fixture drives the thrust channel directly
+            return ctrl[0], (u1(t), 0.0, 0.0, 0.0, 0.0), ctrl[2], False
+    else:
+        gains, b_att = gains or ControllerGains(), (ia.a6, ia.a7, ia.a8)
+        configs = [adrc.SubsystemConfig(which=name, b_hat=b, eso=gains.eso_for(name),
+                                        pd=gains.pd_for(name), u_limits=gains.u_limits[name])
+                   for name, b in zip(SUBSYSTEMS, (*b_att, -1.0 / m))]
+
+        def control(t, y, dist, refs, ctrl):
+            b_alt, _ = adrc.b_hat_altitude(y[0], y[2], dist[6], m)
+            obs, signals = [], []
+            for o, j, ref, b, cfg in zip(ctrl[0], (0, 2, 4, 6), refs, (*b_att, b_alt), configs):
+                o, u0, sat, _ = adrc.update(o, y[j], ref, 0.0, b, cfg, dt)
+                obs.append(o)
+                signals += o[3], u0, o[2], o[0], o[1], sat
+            U = (obs[3][3], obs[0][3], obs[1][3], obs[2][3])
+            w2, rotor_sat = realize(U, mixer)
+            return (tuple(obs), (*U, relative_speed([math.sqrt(w) for w in w2])),
+                    tuple(signals), rotor_sat)
+
+    def step(t, y, lagged, ctrl, final=False):
+        z_G = z_G_at(t)
+        dist = lump_f(y, lagged, t, z_G)
+        refs = (ref_roll(t), ref_pitch(t), ref_yaw(t), ref_z(t))
+        if not final:
+            ctrl = control(t, y, dist, refs, ctrl)
+        u = ctrl[1]
+        row = (t, *y, *lagged, *refs, *ctrl[2], dist[6], *dist[:6], u[4], ctrl[3])
+        if not final:
+            try:
+                y, lagged = _rk4(lambda tau, s, lag: deriv_f(s, u, lump_f(s, lag, tau, z_G)),
+                                 t, y, lagged, dt, deriv_f(y, u, dist)[0])
+            except OverflowError:  # a square beyond the float range
+                raise IntegrationError(t) from None
+        return y, lagged, ctrl, row
+    return step
+
+
 def run(scenario: Scenario, params: QuadParams,
         dist_params: DisturbanceParams | None = None,
         gains: ControllerGains | None = None) -> TraceLog:
-    """Integrate the closed loop (or the open-loop fixture) and log it.
-
-    State, observers and control are plain floats; the plant, disturbance
-    and controller kernels get their constants once, here.
-    """
-    configs = None if scenario.open_loop else subsystem_configs(gains or ControllerGains(),
-                                                                params)
-    lump_f = lump_kernel(dist_params or DisturbanceParams(), scenario.flags, params.m)
-    deriv_f = derivative_kernel(params)
-    masses, d1_profile = params.masses, scenario.d1_profile
-    dt, n = scenario.dt, scenario.n_steps
+    """Integrate the closed loop (or the open-loop fixture) and log it;
+    each period is one ``loop_kernel`` step."""
+    step = loop_kernel(scenario, params, dist_params, gains)
+    dt, n, ctrl = scenario.dt, scenario.n_steps, CONTROL_START
     y = scenario.initial_state.vector.tolist()
     lagged = scenario.initial_state.lagged_accel.tolist()
     log = TraceLog(capacity=n + 1)
-
-    obs = [None] * 4
-    diags = [0.0] * 24  # (u, u0, f_hat, x1_hat, x2_hat, sat) per subsystem
-    u, rotor_sat = (0.0, 0.0, 0.0, 0.0, 0.0), False  # U1..U4, omega_r
-
-    def deriv_fn(tau, s, lag):
-        return deriv_f(s, u, lump_f(s, lag, tau, z_G))
-
-    for k in range(n + 1):
+    for k in range(n):
         t = k * dt
-        z_G = masses.z_G if d1_profile is None else masses.z_G_at(d1_profile(t))
-        dist = lump_f(y, lagged, t, z_G)
-        refs = scenario.references(t)
-
-        if scenario.open_loop:
-            # the open-loop fixture drives the thrust channel directly
-            u, rotor_sat = (scenario.open_loop_u1(t), 0.0, 0.0, 0.0, 0.0), False
-        elif k < n:
-            b_alt, _ = adrc.b_hat_altitude(y[0], y[2], dist[6], masses.m)
-            for i, cfg in enumerate(configs):
-                obs[i], u0, sat, _ = adrc.update(obs[i], y[2 * i], refs[i], 0.0,
-                                                 b_alt if i == 3 else cfg.b_hat, cfg, dt)
-                x1, x2, x3, ui = obs[i]
-                diags[6 * i:6 * i + 6] = ui, u0, x3, x1, x2, sat
-            U = (obs[3][3], obs[0][3], obs[1][3], obs[2][3])
-            w2, rotor_sat = realize(U, params.mixer)
-            u = (*U, relative_speed([math.sqrt(w) for w in w2]))
-
-        log.append([t, *y, *lagged, *refs, *diags, dist[6], *dist[:6], u[4], rotor_sat])
-        if k == n:
-            break
-        try:
-            y, lagged = _rk4(deriv_fn, t, y, lagged, dt)
-        except OverflowError:  # a square beyond the float range
-            raise IntegrationError(t) from None
+        y, lagged, ctrl, row = step(t, y, lagged, ctrl)
+        log.append(row)
         if not all(map(math.isfinite, y)) or max(map(abs, y)) > DIVERGENCE_LIMIT:
             raise DivergenceError(t + dt)
-
+    log.append(step(n * dt, y, lagged, ctrl, final=True)[3])
     return log
 
 
 def estimation_oracle(trace: TraceLog, params: QuadParams,
                       dist_params: DisturbanceParams | None = None,
                       flags: DisturbanceFlags | None = None,
-                      masses=None, d1_profile=None) -> dict:
+                      d1_profile=None) -> dict:
     """Reconstruct each subsystem's true total disturbance from the log.
 
     The reconstruction repeats the model algebra (everything in the
@@ -289,16 +311,16 @@ def estimation_oracle(trace: TraceLog, params: QuadParams,
     series.
     """
     flags = flags or DisturbanceFlags.all_on()
-    masses = masses or params.masses
-    lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, masses.m)
+    lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, params.m)
     ia = params.inertia
 
     t_col = trace.column("t")
     states = np.column_stack([trace.column(c) for c in STATE_COLUMNS])
     lagged = np.column_stack([trace.column(c) for c in ACCEL_COLUMNS])
     omega_r = trace.column("omega_r")
+    z_G_at = z_G_source(params.masses, d1_profile)
     delta = np.array([
-        lump_f(s, lag, t, masses.z_G if d1_profile is None else masses.z_G_at(d1_profile(t)))
+        lump_f(s, lag, t, z_G_at(t))
         for s, lag, t in zip(states.tolist(), lagged.tolist(), t_col.tolist())
     ]).reshape(-1, 7)
     x2, x4, x6 = states[:, 1], states[:, 3], states[:, 5]

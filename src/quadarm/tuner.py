@@ -10,6 +10,7 @@ are expressed as piecewise bounds whose integrated excess is penalized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,19 @@ class TuneOptions:
     max_backtracks: int = 25
     rel_tol: float = 1e-6
 
+    def __post_init__(self):
+        for name, least in (("max_iterations", 0), ("max_backtracks", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+                raise InvalidParameterError(f"{name} must be an integer >= {least}")
+        for name, zero_ok in (("fd_eps_rel", False), ("fd_eps_floor", False),
+                              ("initial_step", False), ("rel_tol", True)):
+            x = getattr(self, name)
+            if (isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x)
+                    or x < 0 or (x == 0 and not zero_ok)):
+                raise InvalidParameterError(
+                    f"{name} must be a finite number {'>=' if zero_ok else '>'} 0")
+
 
 @dataclass
 class TuneResult:
@@ -242,10 +256,6 @@ class TuneResult:
     history: list  # of (vector, cost) accepted iterates
     iterations: int
     converged: bool
-
-
-def _project(x, lower, upper):
-    return np.minimum(np.maximum(x, lower), upper)
 
 
 def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
@@ -294,7 +304,7 @@ def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
         step = options.initial_step / max(np.max(np.abs(direction / scale)), 1e-300)
         accepted = False
         for _ in range(options.max_backtracks):
-            candidate = _project(x + step * direction, lower, upper)
+            candidate = np.clip(x + step * direction, lower, upper)
             fc, rc = problem.evaluate(candidate)
             if fc < f:
                 x, f, report = candidate, fc, rc

@@ -211,6 +211,22 @@ class TestPlotsCommand:
         assert "f_hat_roll" in result.output
 
 
+def test_yaml_exponents_read_as_numbers(tmp_path):
+    # YAML 1.1 reads 1e-3, 1e+3 and 1.0e180 as strings; the loader reads them as floats
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: {duration: 0.05, dt: 0.005}\n"
+                   "tuner:\n  options: {fd_eps_rel: 1e-3, max_iterations: 1}\n"
+                   "  weights: {bound_penalty: 1e+3}\n"
+                   "controller:\n  u_limits: {yaw: [-1.0e180, 1.0e180]}\n")
+    loaded = load(str(cfg))
+    assert loaded.tuner_options.fd_eps_rel == 0.001
+    assert loaded.tuner_weights.bound_penalty == 1000.0
+    assert loaded.gains.u_limits["yaw"] == (-1e180, 1e180)
+    result = CliRunner().invoke(main, ["tune", "--config", str(cfg),
+                                       "--out", str(tmp_path / "tuned.yaml")])
+    assert result.exit_code == 0, result.output
+
+
 class TestTuneCommand:
     def test_round_trip_into_simulate(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
@@ -275,6 +291,21 @@ class TestTuneCommand:
     ({"controller": {"u_limits": {"roll": 3}}}, "controller.u_limits.roll"),
     ({"controller": {"u_limits": {"roll": [5, -5]}}}, "controller.u_limits.roll"),
     ({"physical": {"g": "abc"}}, "physical"),
+    ({"disturbances": {"enable": {"drag": "false"}}}, "disturbances.enable.drag"),
+    ({"disturbances": {"strict_signs": 0}}, "disturbances.strict_signs"),
+    ({"scenario": {"open_loop": None}}, "scenario.open_loop"),
+    ({"tuner": {"options": {"max_iterations": -3}}}, "tuner.options"),
+    ({"tuner": {"options": {"max_iterations": 2.5}}}, "tuner.options"),
+    ({"tuner": {"options": {"max_backtracks": 0}}}, "tuner.options"),
+    ({"tuner": {"options": {"fd_eps_rel": 0.0}}}, "tuner.options"),
+    ({"tuner": {"options": {"fd_eps_floor": -1e-6}}}, "tuner.options"),
+    ({"tuner": {"options": {"initial_step": math.inf}}}, "tuner.options"),
+    ({"tuner": {"options": {"rel_tol": -1.0}}}, "tuner.options"),
+    ({"tuner": {"initial": [1e6, 2907.0, 3000.0, 90.0, 19.0, 79.0, 21.0, 69.0, 16.0, 10.0, 9.0]}},
+     "tuner.initial"),
+    ({"tuner": {"initial": [29.5659, 2907.0, 3000.0, 90.0, 19.0, 79.0, 21.0, 69.0, 16.0, 10.0,
+                            9.0], "box": {"lower": [1e-3] * 11, "upper": [50.0] * 11}}},
+     "tuner.initial"),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []

@@ -11,7 +11,8 @@ from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassP
                      TraceLog, estimation_oracle, rk4_step, run)
 from quadarm.disturbances import DragParams, lump
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
-from quadarm.sim import ACCEL_COLUMNS, COLUMNS, CSV_CHUNK_ROWS, DELTA_COLUMNS, STATE_COLUMNS
+from quadarm.sim import (ACCEL_COLUMNS, COLUMNS, CONTROL_START, CSV_CHUNK_ROWS, DELTA_COLUMNS,
+                         STATE_COLUMNS, loop_kernel)
 
 
 def built_per_duration(cls, monkeypatch, simulate) -> list:
@@ -219,6 +220,39 @@ class TestRun:
         softer = ControllerGains(pd_altitude=__import__("quadarm").PdGains(2.0, 2.0))
         other = run(Scenario(duration=0.5), params, gains=softer)
         assert not np.allclose(base.column("z"), other.column("z"))
+
+
+class TestLoopKernel:
+    @pytest.mark.parametrize("scenario", [
+        Scenario(duration=0.01),
+        Scenario(duration=0.01, d1_profile=PiecewiseConstant(((0.0, 0.8), (0.002, 0.2)))),
+        hover_scenario(duration=0.01),
+    ], ids=["closed_loop", "arm_profile", "open_loop"])
+    def test_step_is_pure(self, params, scenario):
+        # the same arguments give the same bits, whatever was called in between
+        step = loop_kernel(scenario, params)
+        y0 = scenario.initial_state.vector.tolist()
+        y, lagged, ctrl, _ = step(0.0, y0, [0.0] * 6, CONTROL_START)
+        args = (0.001, y, lagged, ctrl)
+        kept = repr(args)
+        first = step(*args)
+        step(0.004, [v + 0.1 for v in y0], [0.5] * 6, first[2])
+        assert repr(step(*args)) == repr(first)
+        assert repr(args) == kept  # the arguments are left as they were
+
+    def test_run_is_the_loop_over_step(self, params):
+        scenario = Scenario(duration=0.01)
+        step = loop_kernel(scenario, params)
+        y, lagged, ctrl = scenario.initial_state.vector.tolist(), [0.0] * 6, CONTROL_START
+        rows = []
+        for k in range(scenario.n_steps):
+            y, lagged, ctrl, row = step(k * scenario.dt, y, lagged, ctrl)
+            rows.append(row)
+        final = step(scenario.n_steps * scenario.dt, y, lagged, ctrl, final=True)
+        # the final record neither updates the control nor integrates
+        assert final[:3] == (y, lagged, ctrl)
+        rows.append(final[3])
+        assert np.array(rows).tobytes() == run(scenario, params).as_array().tobytes()
 
 
 class TestEstimationOracle:

@@ -1,6 +1,8 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,25 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def traced_targets() -> dict:
+    """``SPANS`` and ``COUNTED`` of the benchmark's tracer, read from ``bench/tracing.py``."""
+    path = PACKAGE.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {**tracing.SPANS, **tracing.COUNTED}
+
+
+TRACED = traced_targets()
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_traced_name_exists(name):
+    # the per-layer benchmark wraps these names; one the package lost is reported absent
+    module, path = TRACED[name]
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
