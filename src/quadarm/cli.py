@@ -26,9 +26,13 @@ def main():
     """Quadrotor-manipulator simulator, ADRC control stack and gain tuner."""
 
 
-def _load_config(path):
+def _load_config(path, tuning=False):
+    """The resolved config at ``path``; for ``tuning`` its start vector lies in the box."""
     try:
-        return config_mod.load(path)
+        cfg = config_mod.load(path)
+        if tuning:
+            cfg.check_tune_start()
+        return cfg
     except config_mod.ConfigError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)
@@ -74,7 +78,7 @@ def simulate(config_path, out_path, seed):
               help="Reserved; the optimizer is deterministic.")
 def tune(config_path, out_path, seed):
     """Optimize the controller gains against the configured scenario."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, tuning=True)
     _check_out_dir(out_path)
     try:
         result = tuner_mod.tune(cfg.tune_problem(), cfg.tune_initial(), cfg.tuner_options)

@@ -8,6 +8,7 @@ and converted to radians on load.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -96,9 +97,18 @@ _Loader.add_implicit_resolver(
     list("-+0123456789."))
 
 
+def _kind(value) -> str | None:
+    """The kind of leaf a default asks for, or None for a free-form one."""
+    if isinstance(value, bool):
+        return "true or false"
+    if isinstance(value, float) or isinstance(value, int) and abs(value) < 2 ** 1024:
+        return "a number"  # an int past the float range is none
+    return "a list" if isinstance(value, list) else None
+
+
 def _merge(defaults, override, path, problems):
-    """Deep-merge override onto defaults, recording unknown keys and
-    switches that are not ``true`` or ``false``."""
+    """Deep-merge override onto defaults, recording unknown keys and leaves
+    of another kind than their default (a switch, a number or a list)."""
     if override is None:
         return defaults
     if not isinstance(defaults, dict):
@@ -116,8 +126,8 @@ def _merge(defaults, override, path, problems):
         sub_default = defaults.get(key)
         if isinstance(sub_default, dict):
             merged[key] = _merge(sub_default, value, child, problems)
-        elif isinstance(sub_default, bool) and not isinstance(value, bool):
-            problems.append(f"{child}: expected true or false")
+        elif _kind(sub_default) not in (None, _kind(value)):
+            problems.append(f"{child}: expected {_kind(sub_default)}")
         else:
             merged[key] = value
     return merged
@@ -129,13 +139,21 @@ def _build(problems, path, make):
         return make()
     except KeyError as exc:
         problems.append(f"{path}: missing {exc}")
-    except (QuadArmError, TypeError, ValueError) as exc:
+    except (QuadArmError, TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{path}: {exc}")
 
 
 def _profile(segments, path, problems, scale=1.0):
     return _build(problems, path, lambda: PiecewiseConstant(
         tuple((float(t), float(v) * scale) for t, v in segments)))
+
+
+def _attitude_b_hat(ia: InertiaParams) -> None:
+    """Raise unless the attitude loops' b_hat (l/I_xx, l/I_yy, 1/I_zz) clear ``adrc.B_MIN``."""
+    weak = [name for name, b in zip(adrc.SUBSYSTEMS, (ia.a6, ia.a7, ia.a8))
+            if not abs(b) >= adrc.B_MIN]
+    if weak:
+        raise InvalidParameterError(f"b_hat of {', '.join(weak)} is below {adrc.B_MIN}")
 
 
 def _limits(pair) -> tuple[float, float]:
@@ -174,6 +192,17 @@ class Config:
             return self.tuner_initial
         return gains_vector(self.gains, self.tuner_layout)
 
+    def check_tune_start(self) -> None:
+        """Raise ``ConfigError`` naming the start parameters outside the tuner box;
+        without ``tuner.initial`` the start is the ``controller`` section's gains."""
+        problem = self.tune_problem()
+        outside = [name for name, x, lo, hi in zip(layout_names(self.tuner_layout),
+                                                   self.tune_initial(), problem.box_lower,
+                                                   problem.box_upper) if not lo <= x <= hi]
+        if outside:
+            path = "controller" if self.tuner_initial is None else "tuner.initial"
+            raise ConfigError([f"{path}: {', '.join(outside)} outside the tuner box"])
+
 
 def resolve(data: dict | None) -> Config:
     """Validate a raw mapping against the schema and build the objects."""
@@ -192,11 +221,15 @@ def resolve(data: dict | None) -> Config:
         return QuadParams(masses=masses, inertia=inertia, mixer=MixerParams(**phys["mixer"]),
                           g=float(phys["g"]))
     params = _build(problems, "physical", physical)
+    if params is not None:
+        _build(problems, "physical.mixer", lambda: params.mixer.inverse)
+        if not data["scenario"]["open_loop"]:
+            _build(problems, "physical.inertia", lambda: _attitude_b_hat(params.inertia))
 
     ctrl = data["controller"]
     eso = _build(problems, "controller.eso", lambda: adrc.EsoGains(**ctrl["eso"]))
     overrides = {}
-    for name, values in (ctrl["eso_overrides"] or {}).items():
+    for name, values in ctrl["eso_overrides"].items():
         if name not in adrc.SUBSYSTEMS:
             problems.append(f"controller.eso_overrides.{name}: unknown subsystem")
             continue
@@ -231,12 +264,16 @@ def resolve(data: dict | None) -> Config:
         ref_roll=refs["roll_deg"], ref_pitch=refs["pitch_deg"], ref_yaw=refs["yaw_deg"],
         ref_z=refs["z"], flags=flags, d1_profile=d1_profile,
         open_loop=sc["open_loop"], open_loop_u1=open_loop_u1))
+    steps = scenario.duration / scenario.dt if scenario else 0.0
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+        problems.append(f"scenario.duration: {scenario.duration} is {steps:.12g} steps "
+                        f"of dt {scenario.dt}, not a whole number")
 
     tn = data["tuner"]
     weights = _build(problems, "tuner.weights", lambda: CostWeights(**tn["weights"]))
     bounds = [_build(problems, f"tuner.bounds[{i}]", lambda: SignalBound(
         b["signal"], tuple(tuple(seg) for seg in b["segments"])))
-        for i, b in enumerate(tn["bounds"] or [])]
+        for i, b in enumerate(tn["bounds"])]
     layout = tn["layout"]
     box = init = None
     if _build(problems, "tuner.layout", lambda: layout_names(layout)):
@@ -263,11 +300,7 @@ def resolve(data: dict | None) -> Config:
                     tuner_box=box, tuner_initial=init, tuner_options=options,
                     raw=data)
     if init is not None:
-        problem = config.tune_problem()
-        outside = [name for name, x, lo, hi in zip(layout_names(layout), init, problem.box_lower,
-                                                   problem.box_upper) if not lo <= x <= hi]
-        if outside:
-            raise ConfigError([f"tuner.initial: {', '.join(outside)} outside the tuner box"])
+        config.check_tune_start()
     return config
 
 

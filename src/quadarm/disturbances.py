@@ -105,14 +105,14 @@ class DisturbanceOutputs:
                          self.delta_d, self.delta_e, self.delta_f])
 
 
-def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
+def ground_effect_factor(z: float, p: GroundEffectParams, maximum=max) -> float:
     """Thrust amplification factor near the ground; ->1 as z -> infinity."""
-    zc = max(z, p.z_min)
+    zc = maximum(z, p.z_min)
     return 1.0 / (1.0 - p.rho * (p.r / (4.0 * zc)) ** 2)
 
 
-def wind(t: float, p: WindParams) -> float:
-    return p.alpha + p.beta * math.sin(p.n * t)
+def wind(t: float, p: WindParams, sin=math.sin) -> float:
+    return p.alpha + p.beta * sin(p.n * t)
 
 
 def com_terms(s, lagged, z_G: float, m: float) -> tuple:
@@ -131,9 +131,15 @@ def com_terms(s, lagged, z_G: float, m: float) -> tuple:
     )
 
 
-def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
-    """Bind the channel constants once; returns the float kernel
-    ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)`` behind ``lump``."""
+def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float,
+                sin=math.sin, maximum=max):
+    """Bind the channel constants once; returns the kernel
+    ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)`` behind ``lump``.
+
+    With the defaults it works on floats.  Bound to ``np.sin`` and
+    ``np.maximum`` it works on whole columns: ``s[j]``, ``lagged[j]``, ``t``
+    and ``z_G`` may then be arrays of one length (``z_G`` also a float).
+    """
     # the CoM and drag contributions enter with -, except the yaw CoM term and
     # the altitude drag under the published signs; a sign times k*v rounds as
     # the signed coefficient times v
@@ -146,8 +152,8 @@ def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
 
     def f(s, lagged, t, z_G):
         q1, q2, q3, q4, q5, q6 = com_terms(s, lagged, z_G, m) if com else (0.0,) * 6
-        w = wind(t, wp) if gust else 0.0
-        G = ground_effect_factor(s[6], ge) if ground else 1.0
+        w = wind(t, wp, sin) if gust else 0.0
+        G = ground_effect_factor(s[6], ge, maximum) if ground else 1.0
         return (-q1 + k1 * s[1] + w, -q2 + k2 * s[3] + w, up * q3 + k3 * s[5] + w,
                 -q4 + k4 * s[7] + w, -q5 + k5 * s[9] + w, -q6 + k6 * s[11] + w, G)
     return f

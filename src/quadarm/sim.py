@@ -68,10 +68,10 @@ class Scenario:
     open_loop_u1: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(0.0))
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidParameterError("dt must be positive")
-        if self.duration < 0:
-            raise InvalidParameterError("duration must be non-negative")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameterError("dt must be positive and finite")
+        if not 0 <= self.duration < math.inf:
+            raise InvalidParameterError("duration must be non-negative and finite")
 
     @property
     def n_steps(self) -> int:
@@ -205,13 +205,6 @@ class ControllerGains:
                 YAW: self.pd_yaw, ALTITUDE: self.pd_altitude}[name]
 
 
-def z_G_source(masses, d1_profile):
-    """``t -> z_G``: the CoM offset of ``masses``, with the arm at ``d1_profile(t)`` if set."""
-    if d1_profile is None:
-        return lambda t, z_G=masses.z_G: z_G
-    return lambda t: masses.z_G_at(d1_profile(t))
-
-
 #: ``step``'s control carry before the first period: no observer has measured
 CONTROL_START = ((None,) * 4, (0.0,) * 5, (0.0,) * 24, False)
 
@@ -230,7 +223,8 @@ def loop_kernel(scenario: Scenario, params: QuadParams,
     """
     lump_f = lump_kernel(dist_params or DisturbanceParams(), scenario.flags, params.m)
     deriv_f = derivative_kernel(params)
-    z_G_at = z_G_source(params.masses, scenario.d1_profile)
+    masses, d1 = params.masses, scenario.d1_profile
+    z_G_at = (lambda t, z_G=masses.z_G: z_G) if d1 is None else (lambda t: masses.z_G_at(d1(t)))
     ref_roll, ref_pitch, ref_yaw, ref_z = (scenario.ref_roll, scenario.ref_pitch,
                                            scenario.ref_yaw, scenario.ref_z)
     dt, m, mixer, ia = scenario.dt, params.m, params.mixer, params.inertia
@@ -304,31 +298,27 @@ def estimation_oracle(trace: TraceLog, params: QuadParams,
     """Reconstruct each subsystem's true total disturbance from the log.
 
     The reconstruction repeats the model algebra (everything in the
-    acceleration row except the b_hat*u term) from the logged states, so
-    it is independent of the observer path it is checked against.  With
-    ``d1_profile`` each row uses the arm position of its time, as ``run``
-    does.  Returns per subsystem: true series, estimated series, error
-    series.
+    acceleration row except the b_hat*u term) from the logged states, with
+    the loop's own lump kernel bound to numpy and applied once to whole
+    columns, so it is independent of the observer path it is checked
+    against.  With ``d1_profile`` each row uses the arm position of its
+    time, as ``run`` does.  Returns per subsystem: true series, estimated
+    series, error series.
     """
     flags = flags or DisturbanceFlags.all_on()
-    lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, params.m)
-    ia = params.inertia
-
-    t_col = trace.column("t")
-    states = np.column_stack([trace.column(c) for c in STATE_COLUMNS])
-    lagged = np.column_stack([trace.column(c) for c in ACCEL_COLUMNS])
-    omega_r = trace.column("omega_r")
-    z_G_at = z_G_source(params.masses, d1_profile)
-    delta = np.array([
-        lump_f(s, lag, t, z_G_at(t))
-        for s, lag, t in zip(states.tolist(), lagged.tolist(), t_col.tolist())
-    ]).reshape(-1, 7)
-    x2, x4, x6 = states[:, 1], states[:, 3], states[:, 5]
+    lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, params.m,
+                         sin=np.sin, maximum=np.maximum)
+    ia, t = params.inertia, trace.column("t")
+    s = [trace.column(c) for c in STATE_COLUMNS]
+    z_G = (params.masses.z_G if d1_profile is None
+           else params.masses.z_G_at(np.array([d1_profile(v) for v in t.tolist()])))
+    delta = lump_f(s, [trace.column(c) for c in ACCEL_COLUMNS], t, z_G)
+    x2, x4, x6, omega_r = s[1], s[3], s[5], trace.column("omega_r")
     f_true = {
-        ROLL: ia.a1 * x4 * x6 - ia.a2 * x4 * omega_r + delta[:, 0],
-        PITCH: ia.a3 * x2 * x6 + ia.a4 * x2 * omega_r + delta[:, 1],
-        YAW: ia.a5 * x2 * x4 + delta[:, 2],
-        ALTITUDE: params.g + delta[:, 3],
+        ROLL: ia.a1 * x4 * x6 - ia.a2 * x4 * omega_r + delta[0],
+        PITCH: ia.a3 * x2 * x6 + ia.a4 * x2 * omega_r + delta[1],
+        YAW: ia.a5 * x2 * x4 + delta[2],
+        ALTITUDE: params.g + delta[3],
     }
 
     result = {}

@@ -9,7 +9,8 @@ import io
 from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassProperties,
                      PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
                      TraceLog, estimation_oracle, rk4_step, run)
-from quadarm.disturbances import DragParams, lump
+from quadarm import sim as sim_mod
+from quadarm.disturbances import DragParams, lump, lump_kernel
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
 from quadarm.sim import (ACCEL_COLUMNS, COLUMNS, CONTROL_START, CSV_CHUNK_ROWS, DELTA_COLUMNS,
                          STATE_COLUMNS, loop_kernel)
@@ -255,7 +256,59 @@ class TestLoopKernel:
         assert np.array(rows).tobytes() == run(scenario, params).as_array().tobytes()
 
 
+def float_and_column_lump(trace, params, dist, flags, d1=None):
+    """The lump kernel on floats row by row and, bound to numpy, once on the
+    trace's columns; both as (rows, 7) arrays."""
+    t = trace.column("t")
+    s = [trace.column(c) for c in STATE_COLUMNS]
+    lagged = [trace.column(c) for c in ACCEL_COLUMNS]
+    z_G = [params.masses.z_G if d1 is None else params.masses.z_G_at(d1(v)) for v in t.tolist()]
+    lump_f = lump_kernel(dist, flags, params.m)
+    rows = np.array([lump_f(*args) for args in zip(np.column_stack(s).tolist(),
+                                                    np.column_stack(lagged).tolist(),
+                                                    t.tolist(), z_G)])
+    lump_np = lump_kernel(dist, flags, params.m, sin=np.sin, maximum=np.maximum)
+    columns = lump_np(s, lagged, t, params.masses.z_G if d1 is None else np.array(z_G))
+    return rows, np.column_stack(np.broadcast_arrays(*columns))
+
+
+ARM = PiecewiseConstant(((0.0, 0.8), (1.0, 0.2), (2.5, 0.5)))
+COM_ONLY = DisturbanceFlags(com=True)
+
+
 class TestEstimationOracle:
+    @pytest.mark.parametrize("scenario, dist, ulps", [
+        (Scenario(duration=10.0), DisturbanceParams(), 0),
+        (Scenario(duration=4.0, d1_profile=ARM), DisturbanceParams(strict_signs=False), 0),
+        (Scenario(duration=5.0, flags=COM_ONLY), DisturbanceParams(), 4),
+        (Scenario(duration=3.0, ref_z=PiecewiseConstant.constant(0.3)), DisturbanceParams(), 4),
+    ], ids=["stock", "arm_profile", "com_only", "low_altitude"])
+    def test_column_kernel_equals_float_kernel(self, params, scenario, dist, ulps):
+        # numpy squares by x * x where a float ** calls pow: a few ulp apart at most
+        trace = run(scenario, params, dist_params=dist)
+        rows, columns = float_and_column_lump(trace, params, dist, scenario.flags,
+                                              scenario.d1_profile)
+        oracle = estimation_oracle(trace, params, dist, scenario.flags, scenario.d1_profile)
+        assert oracle["altitude"]["f_true"].tobytes() == (params.g + columns[:, 3]).tobytes()
+        if ulps == 0:
+            assert columns.tobytes() == rows.tobytes()
+        else:
+            spacing = np.spacing(np.maximum(np.abs(rows), np.abs(columns)))
+            assert np.all(np.abs(columns - rows) <= ulps * spacing)
+
+    @pytest.mark.parametrize("d1", [None, ARM], ids=["fixed_arm", "arm_profile"])
+    def test_kernel_called_once_per_trace(self, params, monkeypatch, d1):
+        trace = run(Scenario(duration=0.5, d1_profile=d1), params)
+        calls, bind = [], sim_mod.lump_kernel
+
+        def counting(*args, **kwargs):
+            f = bind(*args, **kwargs)
+            return lambda *a: calls.append(1) or f(*a)
+
+        monkeypatch.setattr(sim_mod, "lump_kernel", counting)
+        estimation_oracle(trace, params, d1_profile=d1)
+        assert len(calls) == 1
+
     def test_free_fall_truth(self, params):
         sc = Scenario(duration=0.5, open_loop=True,
                       open_loop_u1=PiecewiseConstant.constant(0.0),
