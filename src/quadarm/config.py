@@ -117,13 +117,14 @@ def _merge(defaults, override, path, problems):
         problems.append(f"{path}: expected a mapping")
         return defaults
     merged = dict(defaults)
-    free_form = path in ("controller.eso_overrides",)
+    # overrides are keyed by subsystem (checked in resolve) and shaped like ``eso``
+    free_form = path == "controller.eso_overrides"
     for key, value in override.items():
         child = f"{path}.{key}" if path else str(key)
         if key not in defaults and not free_form:
             problems.append(f"{child}: unknown key")
             continue
-        sub_default = defaults.get(key)
+        sub_default = DEFAULTS["controller"]["eso"] if free_form else defaults.get(key)
         if isinstance(sub_default, dict):
             merged[key] = _merge(sub_default, value, child, problems)
         elif _kind(sub_default) not in (None, _kind(value)):
