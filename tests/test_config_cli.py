@@ -348,6 +348,7 @@ class TestTuneCommand:
     ({"scenario": {"initial_state": [10 ** 400] * 12}}, "scenario.initial_state"),
     ({"tuner": {"bounds": 1}}, "tuner.bounds"),
     ({"scenario": {"duration": 0.0105, "dt": 0.001}}, "scenario.duration"),
+    ({"scenario": {"dt": math.inf}}, "scenario"),
     ({"controller": {"eso_overrides": {"roll": {"p1": "29"}}}}, "controller.eso_overrides.roll.p1"),
     ({"controller": {"eso_overrides": {"roll": {"p4": 1.0}}}}, "controller.eso_overrides.roll.p4"),
 ])
