@@ -78,23 +78,66 @@ class SubsystemConfig:
             raise InvalidParameterError("u_limits must be an increasing pair")
 
 
-def eso_advance(x1: float, x2: float, x3: float, y: float, bu: float,
-                p1: float, p2: float, p3: float, dt: float) -> tuple:
-    """Float kernel of ``eso_step``: the three observer states after one RK4
-    step with the measurement ``y`` and the input term ``bu`` held."""
-    h = 0.5 * dt
-    e = y - x1
-    a1, a2, a3 = x2 + p1 * e, x3 + p2 * e + bu, p3 * e
-    e = y - (x1 + h * a1)
-    b1, b2, b3 = x2 + h * a2 + p1 * e, x3 + h * a3 + p2 * e + bu, p3 * e
-    e = y - (x1 + h * b1)
-    c1, c2, c3 = x2 + h * b2 + p1 * e, x3 + h * b3 + p2 * e + bu, p3 * e
-    e = y - (x1 + dt * c1)
-    d1, d2, d3 = x2 + dt * c2 + p1 * e, x3 + dt * c3 + p2 * e + bu, p3 * e
-    sixth = dt / 6.0
-    return (x1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1),
-            x2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2),
-            x3 + sixth * (a3 + 2 * b3 + 2 * c3 + d3))
+def bank_kernel(configs, dt: float):
+    """Bind a bank of loops once: each loop's observer gains, PD gains and
+    input limits, and the period ``dt``.  Returns the float kernel
+    ``bank(obs, ys, refs, ref_rates, b_hats) -> (obs, signals)`` behind
+    ``update``, ``eso_step`` and ``pd``; the closed loop runs its four
+    subsystems through one such bank.
+
+    Each argument holds one entry per loop.  An ``obs`` entry is
+    (x1_hat, x2_hat, x3_hat, u) after the last period: the observer first
+    advances one RK4 step on the measurement ``y`` with the input term
+    b_hat * u held.  With u None the three estimates are used as they are,
+    and None starts the observer on the first measurement (y, 0, 0) to
+    avoid a large artificial transient.  The PD law on the estimates then
+    gives u0, and the cancellation u = (u0 - x3_hat) / b_hat, held inside
+    the loop's ``u_limits``, the new control.  ``b_hat`` must already be
+    clear of zero (``clamp_b_hat``).  Returns the new entries
+    (x1_hat, x2_hat, x3_hat, u) and, per loop, the signals
+    (u, u0, x3_hat, x1_hat, x2_hat, saturated).
+    """
+    loops = tuple((c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
+                  for c in configs)
+    h, sixth = 0.5 * dt, dt / 6.0
+
+    def bank(obs, ys, refs, ref_rates, b_hats):
+        new, signals = [], []
+        for (p1, p2, p3, kp, kd, lo, hi), o, y, ref, rate, b in zip(
+                loops, obs, ys, refs, ref_rates, b_hats):
+            if o is None:
+                x1, x2, x3 = y, 0.0, 0.0
+            else:
+                x1, x2, x3, u = o
+                if u is not None:
+                    bu = b * u
+                    e = y - x1
+                    a1, a2, a3 = x2 + p1 * e, x3 + p2 * e + bu, p3 * e
+                    e = y - (x1 + h * a1)
+                    b1, b2, b3 = x2 + h * a2 + p1 * e, x3 + h * a3 + p2 * e + bu, p3 * e
+                    e = y - (x1 + h * b1)
+                    c1, c2, c3 = x2 + h * b2 + p1 * e, x3 + h * b3 + p2 * e + bu, p3 * e
+                    e = y - (x1 + dt * c1)
+                    d1, d2, d3 = x2 + dt * c2 + p1 * e, x3 + dt * c3 + p2 * e + bu, p3 * e
+                    x1, x2, x3 = (x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                                  x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                                  x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
+            u0 = kp * (ref - x1) + kd * (rate - x2)
+            u, saturated = (u0 - x3) / b, False
+            if u < lo:
+                u, saturated = lo, True
+            elif u > hi:
+                u, saturated = hi, True
+            new.append((x1, x2, x3, u))
+            signals += u, u0, x3, x1, x2, saturated
+        return tuple(new), tuple(signals)
+    return bank
+
+
+def _single(eso: EsoGains, pd_gains: PdGains, dt: float):
+    """A bank of one loop without input limits."""
+    loop = SubsystemConfig(ALTITUDE, 1.0, eso, pd_gains, (-math.inf, math.inf))
+    return bank_kernel((loop,), dt)
 
 
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
@@ -102,8 +145,10 @@ def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
     """Advance the observer one step (RK4, measurement held over the step)."""
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    return EsoState(*eso_advance(eso.x1_hat, eso.x2_hat, eso.x3_hat, y, b_hat * u,
-                                 gains.p1, gains.p2, gains.p3, dt))
+    # the input term enters as 1.0 * (b_hat * u), which is b_hat * u exactly
+    (obs,), _ = _single(gains, PdGains(1.0, 1.0), dt)(
+        ((eso.x1_hat, eso.x2_hat, eso.x3_hat, b_hat * u),), (y,), (0.0,), (0.0,), (1.0,))
+    return EsoState(*obs[:3])
 
 
 def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
@@ -114,28 +159,13 @@ def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
     return sign * B_MIN, True
 
 
-def cancel(u0: float, f_hat: float, b_hat: float,
-           u_limits: tuple[float, float] | None = None) -> tuple[float, bool, bool]:
-    """Disturbance-cancelling control u = (u0 - f_hat) / b_hat.
-
-    Returns (u, saturated, degenerate_b).
-    """
-    b, degenerate = clamp_b_hat(b_hat)
-    u = (u0 - f_hat) / b
-    saturated = False
-    if u_limits is not None:
-        lo, hi = u_limits
-        if u < lo:
-            u, saturated = lo, True
-        elif u > hi:
-            u, saturated = hi, True
-    return u, saturated, degenerate
-
-
 def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float,
        gains: PdGains) -> float:
-    """PD law on the estimated states of the reduced double integrator."""
-    return gains.kp * (ref - x1_hat) + gains.kd * (ref_rate - x2_hat)
+    """PD law on the estimated states of the reduced double integrator: the
+    u0 of a bank given these estimates."""
+    _, signals = _single(EsoGains(), gains, 1.0)(
+        ((x1_hat, x2_hat, 0.0, None),), (x1_hat,), (ref,), (ref_rate,), (1.0,))
+    return signals[1]
 
 
 def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float, bool]:
@@ -146,23 +176,17 @@ def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float,
 
 def update(obs, y: float, ref: float, ref_rate: float, b_hat: float,
            config: SubsystemConfig, dt: float) -> tuple:
-    """Float kernel of ``AdrcController.step``: observe with the previously
-    applied input, then compute the new cancelling control.
+    """One loop of ``bank_kernel``, with ``b_hat`` clamped first (the
+    observer and the cancellation use the clamped value): observe with the
+    previously applied input, then compute the new cancelling control.
 
     ``obs`` is (x1_hat, x2_hat, x3_hat, u) after the last period, or None
-    before the first, which starts the observer on the first measurement to
-    avoid a large artificial transient.  Returns (obs, u0, saturated,
-    degenerate_b); the new control is obs[3].
+    before the first.  Returns (obs, u0, saturated, degenerate_b); the new
+    control is obs[3].
     """
-    if obs is None:
-        x1, x2, x3 = y, 0.0, 0.0
-    else:
-        e = config.eso
-        x1, x2, x3 = eso_advance(obs[0], obs[1], obs[2], y, b_hat * obs[3],
-                                 e.p1, e.p2, e.p3, dt)
-    u0 = pd(ref, ref_rate, x1, x2, config.pd)
-    u, saturated, degenerate = cancel(u0, x3, b_hat, config.u_limits)
-    return (x1, x2, x3, u), u0, saturated, degenerate
+    b, degenerate = clamp_b_hat(b_hat)
+    (obs,), signals = bank_kernel((config,), dt)((obs,), (y,), (ref,), (ref_rate,), (b,))
+    return obs, signals[1], signals[5], degenerate
 
 
 @dataclass

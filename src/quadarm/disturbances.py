@@ -105,32 +105,6 @@ class DisturbanceOutputs:
                          self.delta_d, self.delta_e, self.delta_f])
 
 
-def ground_effect_factor(z: float, p: GroundEffectParams, maximum=max) -> float:
-    """Thrust amplification factor near the ground; ->1 as z -> infinity."""
-    zc = maximum(z, p.z_min)
-    return 1.0 / (1.0 - p.rho * (p.r / (4.0 * zc)) ** 2)
-
-
-def wind(t: float, p: WindParams, sin=math.sin) -> float:
-    return p.alpha + p.beta * sin(p.n * t)
-
-
-def com_terms(s, lagged, z_G: float, m: float) -> tuple:
-    """Coupling accelerations induced by the shifted center of mass; the
-    accelerations on the right-hand side are the previous step's ``lagged``."""
-    x2, x4, x6, x10, x12 = s[1], s[3], s[5], s[9], s[11]
-    d_x2, d_x4, _, _, d_x10, d_x12 = lagged
-    mz = m * z_G
-    return (
-        -mz * (d_x12 + x10 * x6),
-        mz * (d_x10 - x12 * x6),
-        mz * (x12 * x4 + x4 * x2),
-        z_G * (x2 ** 2 - x4 ** 2),
-        -z_G * (x2 * x6 - d_x4),
-        -z_G * (x4 * x6 - d_x2),
-    )
-
-
 def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float,
                 sin=math.sin, maximum=max):
     """Bind the channel constants once; returns the kernel
@@ -147,16 +121,43 @@ def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float,
     k1, k2, k3, k4, k5, k6 = ([sg * k for sg, k in zip((-1.0, -1.0, -1.0, up, -1.0, -1.0),
                                                        params.drag.k)]
                               if flags.drag else (0.0,) * 6)
-    ge, wp = params.ground_effect, params.wind
+    alpha, beta, n = params.wind.alpha, params.wind.beta, params.wind.n
+    rho, r, z_min = params.ground_effect.rho, params.ground_effect.r, params.ground_effect.z_min
     com, gust, ground = flags.com, flags.wind, flags.ground_effect
 
     def f(s, lagged, t, z_G):
-        q1, q2, q3, q4, q5, q6 = com_terms(s, lagged, z_G, m) if com else (0.0,) * 6
-        w = wind(t, wp, sin) if gust else 0.0
-        G = ground_effect_factor(s[6], ge, maximum) if ground else 1.0
-        return (-q1 + k1 * s[1] + w, -q2 + k2 * s[3] + w, up * q3 + k3 * s[5] + w,
-                -q4 + k4 * s[7] + w, -q5 + k5 * s[9] + w, -q6 + k6 * s[11] + w, G)
+        _, x2, _, x4, _, x6, z, x8, _, x10, _, x12 = s
+        if com:
+            # coupling through the shifted center of mass; the accelerations
+            # on the right-hand side are the previous step's ``lagged``
+            d_x2, d_x4, _, _, d_x10, d_x12 = lagged
+            mz = m * z_G
+            q1, q2, q3 = (-mz * (d_x12 + x10 * x6), mz * (d_x10 - x12 * x6),
+                          mz * (x12 * x4 + x4 * x2))
+            q4, q5, q6 = (z_G * (x2 ** 2 - x4 ** 2), -z_G * (x2 * x6 - d_x4),
+                          -z_G * (x4 * x6 - d_x2))
+        else:
+            q1 = q2 = q3 = q4 = q5 = q6 = 0.0
+        # a sinusoidal gust, and the thrust amplification near the ground
+        w = alpha + beta * sin(n * t) if gust else 0.0
+        G = 1.0 / (1.0 - rho * (r / (4.0 * maximum(z, z_min))) ** 2) if ground else 1.0
+        return (-q1 + k1 * x2 + w, -q2 + k2 * x4 + w, up * q3 + k3 * x6 + w,
+                -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x12 + w, G)
     return f
+
+
+def ground_effect_factor(z: float, p: GroundEffectParams, maximum=max) -> float:
+    """Thrust amplification factor near the ground; ->1 as z -> infinity."""
+    f = lump_kernel(DisturbanceParams(ground_effect=p), DisturbanceFlags(ground_effect=True),
+                    1.0, maximum=maximum)
+    return f((0.0,) * 6 + (z,) + (0.0,) * 5, (0.0,) * 6, 0.0, 0.0)[6]
+
+
+def wind(t: float, p: WindParams, sin=math.sin) -> float:
+    """The gust alpha + beta sin(n t), read off delta_a of a wind-only kernel."""
+    f = lump_kernel(DisturbanceParams(wind=p), DisturbanceFlags(wind=True), 1.0, sin=sin)
+    # on a state of -0.0, the exact identity of float addition, delta_a is the gust itself
+    return f((-0.0,) * 12, (0.0,) * 6, t, 0.0)[0]
 
 
 def lump(state: QuadState, t: float, params: DisturbanceParams,

@@ -7,9 +7,9 @@ Angles are not wrapped; the controller operates in the small-angle regime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -227,13 +227,27 @@ def relative_speed(omega) -> float:
     return -omega[0] + omega[1] - omega[2] + omega[3]
 
 
+def mixer_kernel(params: MixerParams):
+    """Bind the allocation inverse once; returns the float kernel
+    ``f(U1, U2, U3, U4) -> (w2, saturated)`` behind ``realize``."""
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4), (d1, d2, d3, d4) = params.inverse
+
+    def f(U1, U2, U3, U4):
+        w1 = a1 * U1 + a2 * U2 + a3 * U3 + a4 * U4
+        w2 = b1 * U1 + b2 * U2 + b3 * U3 + b4 * U4
+        w3 = c1 * U1 + c2 * U2 + c3 * U3 + c4 * U4
+        w4 = d1 * U1 + d2 * U2 + d3 * U3 + d4 * U4
+        return ((0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2,
+                 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4),
+                w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0)
+    return f
+
+
 def realize(uv, params: MixerParams) -> tuple[list, bool]:
     """Squared rotor speeds realizing U1..U4 (floats in and out), with
     negative squares clamped to zero, and whether any was."""
-    w2 = [r0 * uv[0] + r1 * uv[1] + r2 * uv[2] + r3 * uv[3]
-          for r0, r1, r2, r3 in params.inverse]
-    saturated = w2[0] < 0 or w2[1] < 0 or w2[2] < 0 or w2[3] < 0
-    return [0.0 if w <= 0.0 else w for w in w2], saturated
+    w2, saturated = mixer_kernel(params)(*uv)
+    return list(w2), saturated
 
 
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
@@ -275,11 +289,11 @@ class QuadParams:
 
 def derivative_kernel(params: QuadParams):
     """Bind the plant constants once; returns the float kernel
-    ``f(s, u, dist) -> (derivative, accelerations)`` behind
-    ``state_derivative``.
+    ``f(s, u, dist) -> derivative`` behind ``state_derivative``.
 
     ``s`` is the 12-state sequence, ``u`` is (U1, U2, U3, U4, omega_r) and
-    ``dist`` is (delta_a..delta_f, G); both results are tuples of floats.
+    ``dist`` is (delta_a..delta_f, G); the derivative is a tuple of floats
+    whose odd entries are the six accelerations.
     """
     ia = params.inertia
     a1, a2, a3, a4, a5, a6, a7, a8 = (ia.a1, ia.a2, ia.a3, ia.a4,
@@ -287,23 +301,23 @@ def derivative_kernel(params: QuadParams):
     m, g = params.m, params.g
 
     def f(s, u, dist):
-        if not all(map(math.isfinite, s)):
+        # a float sum is finite only if every addend is; an overflowing sum
+        # of finite entries falls through to the check of each
+        if not isfinite(sum(s)) and not all(map(isfinite, s)):
             raise InvalidInputError("state must be finite")
         x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s
         U1, U2, U3, U4, omega_r = u
         delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist
-        sin1, cos1 = math.sin(x1), math.cos(x1)
-        sin3, cos3 = math.sin(x3), math.cos(x3)
-        sin5, cos5 = math.sin(x5), math.cos(x5)
-
-        acc_phi = U2 * a6 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a
-        acc_theta = U3 * a7 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b
-        acc_psi = U4 * a8 + a5 * x2 * x4 + delta_c
-        acc_z = g - G * (U1 / m) * cos3 * cos1 + delta_d
-        acc_x = -(U1 / m) * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
-        acc_y = -(U1 / m) * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
-        return ((x2, acc_phi, x4, acc_theta, x6, acc_psi, x8, acc_z, x10, acc_x, x12, acc_y),
-                (acc_phi, acc_theta, acc_psi, acc_z, acc_x, acc_y))
+        sin1, cos1 = sin(x1), cos(x1)
+        sin3, cos3 = sin(x3), cos(x3)
+        sin5, cos5 = sin(x5), cos(x5)
+        thrust = U1 / m
+        return (x2, U2 * a6 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a,
+                x4, U3 * a7 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b,
+                x6, U4 * a8 + a5 * x2 * x4 + delta_c,
+                x8, g - G * thrust * cos3 * cos1 + delta_d,
+                x10, -thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e,
+                x12, -thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f)
     return f
 
 
@@ -316,7 +330,7 @@ def state_derivative(state: QuadState, u: ControlInputs, dist,
     returned separately so the caller can store them as the next step's
     lagged values.
     """
-    deriv, accels = derivative_kernel(params)(
+    deriv = derivative_kernel(params)(
         state.vector.tolist(), (u.U1, u.U2, u.U3, u.U4, u.omega_r),
         (*dist.as_vector().tolist(), dist.G))
-    return np.array(deriv), np.array(accels)
+    return np.array(deriv), np.array(deriv[1::2])

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -14,7 +16,8 @@ from . import adrc
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
 from .disturbances import DisturbanceFlags, DisturbanceParams, lump_kernel
 from .errors import DivergenceError, IntegrationError, InvalidParameterError
-from .model import QuadParams, QuadState, derivative_kernel, realize, relative_speed
+from .model import (QuadParams, QuadState, derivative_kernel, mixer_kernel,
+                    relative_speed)
 
 DIVERGENCE_LIMIT = 1e6
 #: rows per block that ``TraceLog.to_csv`` formats at a time
@@ -46,6 +49,11 @@ class PiecewiseConstant:
             else:
                 break
         return value
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """``self(v)`` for each time ``v`` in an array, by one sorted search."""
+        starts, values = np.array(self.segments, dtype=float).T
+        return values[np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)]
 
     @classmethod
     def constant(cls, value: float) -> "PiecewiseConstant":
@@ -98,6 +106,8 @@ class TraceLog:
         self.columns = list(columns) if columns is not None else list(COLUMNS)
         self._data = np.empty((capacity, len(self.columns)))
         self._n = 0
+        # writes a row's floats straight into the array's buffer
+        self._row = struct.Struct(f"{len(self.columns)}d")
 
     @property
     def rows(self) -> np.ndarray:
@@ -111,7 +121,7 @@ class TraceLog:
             raise InvalidParameterError("row width does not match columns")
         if self._n == len(self._data):
             self._data = np.resize(self._data, (2 * self._n + 1, len(self.columns)))
-        self._data[self._n] = row
+        self._row.pack_into(self._data, self._n * self._row.size, *row)
         self._n += 1
 
     def __len__(self):
@@ -143,27 +153,59 @@ class TraceLog:
                 raise InvalidParameterError(f"{path}: empty trace file")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header without records
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                try:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError as exc:  # a ragged or a non-numeric row
+                    raise InvalidParameterError(f"{path}: {exc}") from None
         if data.size == 0:
             data = np.empty((0, len(header)))
         if data.shape[1] != len(header):
-            raise InvalidParameterError("row width does not match columns")
+            raise InvalidParameterError(f"{path}: row width does not match columns")
         log = cls(columns=header)
         log._data, log._n = data, len(data)
         return log
 
 
-def _rk4(deriv_fn, t: float, y, lagged, dt: float, k1) -> tuple[list, list]:
-    """Classical fourth-order step over float sequences from the first-stage
-    derivative ``k1``; returns the new state and the final-stage accelerations."""
-    h = 0.5 * dt
-    k2, _ = deriv_fn(t + h, [a + h * b for a, b in zip(y, k1)], lagged)
-    k3, _ = deriv_fn(t + h, [a + h * b for a, b in zip(y, k2)], lagged)
-    k4, acc = deriv_fn(t + dt, [a + dt * b for a, b in zip(y, k3)], lagged)
-    if not all(map(math.isfinite, chain(k1, k2, k3, k4))):
+def _rk4(stage, t: float, y, dt: float, k1) -> tuple[list, tuple]:
+    """Classical fourth-order step over a 12-state float sequence from the
+    first-stage derivative ``k1``; ``stage(tau, y)`` gives the derivative at
+    a stage.  Returns the new state and the final-stage derivative.
+
+    The combinations are written out per state: a comprehension over the
+    twelve entries costs about as much again as the arithmetic it does.
+    """
+    h, sixth = 0.5 * dt, dt / 6.0
+    y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = k1
+    k2 = stage(t + h, [y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4,
+                       y5 + h * a5, y6 + h * a6, y7 + h * a7, y8 + h * a8,
+                       y9 + h * a9, y10 + h * a10, y11 + h * a11, y12 + h * a12])
+    b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = k2
+    k3 = stage(t + h, [y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4,
+                       y5 + h * b5, y6 + h * b6, y7 + h * b7, y8 + h * b8,
+                       y9 + h * b9, y10 + h * b10, y11 + h * b11, y12 + h * b12])
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = k3
+    k4 = stage(t + dt, [y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
+                        y5 + dt * c5, y6 + dt * c6, y7 + dt * c7, y8 + dt * c8,
+                        y9 + dt * c9, y10 + dt * c10, y11 + dt * c11, y12 + dt * c12])
+    # a float sum is finite only if every addend is; an overflowing sum of
+    # finite entries falls through to the check of each
+    if (not isfinite(sum(k1) + sum(k2) + sum(k3) + sum(k4))
+            and not all(map(isfinite, chain(k1, k2, k3, k4)))):
         raise IntegrationError(t)
-    sixth = dt / 6.0
-    return [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)], acc
+    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = k4
+    return [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+            y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+            y7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+            y8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
+            y9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
+            y10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
+            y11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
+            y12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)], k4
 
 
 def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
@@ -176,8 +218,13 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
     y0, lag = state.vector, state.lagged_accel
-    vector, acc = _rk4(lambda tau, y, lg: deriv_fn(tau, np.array(y), lg), t, y0, lag, dt,
-                       deriv_fn(t, np.array(y0), lag)[0])
+    acc = None
+
+    def stage(tau, y):
+        nonlocal acc
+        derivative, acc = deriv_fn(tau, np.array(y), lag)
+        return derivative
+    vector, _ = _rk4(stage, t, y0.tolist(), dt, stage(t, y0))
     return QuadState(np.array(vector), acc)
 
 
@@ -224,10 +271,13 @@ def loop_kernel(scenario: Scenario, params: QuadParams,
     lump_f = lump_kernel(dist_params or DisturbanceParams(), scenario.flags, params.m)
     deriv_f = derivative_kernel(params)
     masses, d1 = params.masses, scenario.d1_profile
-    z_G_at = (lambda t, z_G=masses.z_G: z_G) if d1 is None else (lambda t: masses.z_G_at(d1(t)))
-    ref_roll, ref_pitch, ref_yaw, ref_z = (scenario.ref_roll, scenario.ref_pitch,
-                                           scenario.ref_yaw, scenario.ref_z)
-    dt, m, mixer, ia = scenario.dt, params.m, params.mixer, params.inertia
+    z_G_fixed, z_G_at = masses.z_G, masses.z_G_at
+    profiles = ref_roll, ref_pitch, ref_yaw, ref_z = (scenario.ref_roll, scenario.ref_pitch,
+                                                       scenario.ref_yaw, scenario.ref_z)
+    # a one-segment profile holds its value at every t
+    fixed_refs = (tuple(p.segments[0][1] for p in profiles)
+                  if all(len(p.segments) == 1 for p in profiles) else None)
+    dt, m, ia = scenario.dt, params.m, params.inertia
 
     if scenario.open_loop:
         u1 = scenario.open_loop_u1
@@ -237,36 +287,34 @@ def loop_kernel(scenario: Scenario, params: QuadParams,
             return ctrl[0], (u1(t), 0.0, 0.0, 0.0, 0.0), ctrl[2], False
     else:
         gains, b_att = gains or ControllerGains(), (ia.a6, ia.a7, ia.a8)
-        configs = [adrc.SubsystemConfig(which=name, b_hat=b, eso=gains.eso_for(name),
-                                        pd=gains.pd_for(name), u_limits=gains.u_limits[name])
-                   for name, b in zip(SUBSYSTEMS, (*b_att, -1.0 / m))]
+        bank = adrc.bank_kernel([
+            adrc.SubsystemConfig(which=name, b_hat=b, eso=gains.eso_for(name),
+                                 pd=gains.pd_for(name), u_limits=gains.u_limits[name])
+            for name, b in zip(SUBSYSTEMS, (*b_att, -1.0 / m))], dt)
+        b_hat_altitude, mixer_f, rates = adrc.b_hat_altitude, mixer_kernel(params.mixer), (0.0,) * 4
 
         def control(t, y, dist, refs, ctrl):
-            b_alt, _ = adrc.b_hat_altitude(y[0], y[2], dist[6], m)
-            obs, signals = [], []
-            for o, j, ref, b, cfg in zip(ctrl[0], (0, 2, 4, 6), refs, (*b_att, b_alt), configs):
-                o, u0, sat, _ = adrc.update(o, y[j], ref, 0.0, b, cfg, dt)
-                obs.append(o)
-                signals += o[3], u0, o[2], o[0], o[1], sat
+            b_alt, _ = b_hat_altitude(y[0], y[2], dist[6], m)
+            obs, signals = bank(ctrl[0], y[0:7:2], refs, rates, (*b_att, b_alt))
             U = (obs[3][3], obs[0][3], obs[1][3], obs[2][3])
-            w2, rotor_sat = realize(U, mixer)
-            return (tuple(obs), (*U, relative_speed([math.sqrt(w) for w in w2])),
-                    tuple(signals), rotor_sat)
+            w2, rotor_sat = mixer_f(*U)
+            return obs, (*U, relative_speed(tuple(map(sqrt, w2)))), signals, rotor_sat
 
     def step(t, y, lagged, ctrl, final=False):
-        z_G = z_G_at(t)
+        z_G = z_G_fixed if d1 is None else z_G_at(d1(t))
         dist = lump_f(y, lagged, t, z_G)
-        refs = (ref_roll(t), ref_pitch(t), ref_yaw(t), ref_z(t))
+        refs = fixed_refs or (ref_roll(t), ref_pitch(t), ref_yaw(t), ref_z(t))
         if not final:
             ctrl = control(t, y, dist, refs, ctrl)
         u = ctrl[1]
         row = (t, *y, *lagged, *refs, *ctrl[2], dist[6], *dist[:6], u[4], ctrl[3])
         if not final:
             try:
-                y, lagged = _rk4(lambda tau, s, lag: deriv_f(s, u, lump_f(s, lag, tau, z_G)),
-                                 t, y, lagged, dt, deriv_f(y, u, dist)[0])
+                y, k4 = _rk4(lambda tau, s: deriv_f(s, u, lump_f(s, lagged, tau, z_G)),
+                             t, y, dt, deriv_f(y, u, dist))
             except OverflowError:  # a square beyond the float range
                 raise IntegrationError(t) from None
+            lagged = k4[1::2]  # the final stage's accelerations
         return y, lagged, ctrl, row
     return step
 
@@ -285,7 +333,9 @@ def run(scenario: Scenario, params: QuadParams,
         t = k * dt
         y, lagged, ctrl, row = step(t, y, lagged, ctrl)
         log.append(row)
-        if not all(map(math.isfinite, y)) or max(map(abs, y)) > DIVERGENCE_LIMIT:
+        # a sum of entries within the limit is finite, so a non-finite sum
+        # means a non-finite or a huge entry: divergence either way
+        if not isfinite(sum(y)) or max(map(abs, y)) > DIVERGENCE_LIMIT:
             raise DivergenceError(t + dt)
     log.append(step(n * dt, y, lagged, ctrl, final=True)[3])
     return log
@@ -305,13 +355,14 @@ def estimation_oracle(trace: TraceLog, params: QuadParams,
     time, as ``run`` does.  Returns per subsystem: true series, estimated
     series, error series.
     """
-    flags = flags or DisturbanceFlags.all_on()
+    # the ground-effect factor G enters no delta, so the kernel skips it
+    flags = replace(flags or DisturbanceFlags.all_on(), ground_effect=False)
     lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, params.m,
                          sin=np.sin, maximum=np.maximum)
     ia, t = params.inertia, trace.column("t")
     s = [trace.column(c) for c in STATE_COLUMNS]
     z_G = (params.masses.z_G if d1_profile is None
-           else params.masses.z_G_at(np.array([d1_profile(v) for v in t.tolist()])))
+           else params.masses.z_G_at(d1_profile.at(t)))
     delta = lump_f(s, [trace.column(c) for c in ACCEL_COLUMNS], t, z_G)
     x2, x4, x6, omega_r = s[1], s[3], s[5], trace.column("omega_r")
     f_true = {

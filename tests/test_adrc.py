@@ -6,11 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadarm import EsoGains, EsoState, PdGains
-from quadarm.adrc import (B_MIN, AdrcController, SubsystemConfig, b_hat_altitude,
-                          cancel, eso_step, is_hurwitz, pd)
+from quadarm.adrc import (B_MIN, SUBSYSTEMS, AdrcController, SubsystemConfig, b_hat_altitude,
+                          bank_kernel, eso_step, is_hurwitz, pd, update)
 from quadarm.errors import ConfigurationError, InvalidParameterError
 
 TABLE_GAINS = EsoGains(29.5659, 2907.0, 3000.0)
+
+
+def cancel(u0, f_hat, b_hat, u_limits=(-math.inf, math.inf)):
+    """The cancellation law through ``update``: on the given estimates
+    (0, 0, f_hat), unit PD gains and the reference u0 make the PD term u0."""
+    config = SubsystemConfig(which="altitude", b_hat=1.0, eso=TABLE_GAINS,
+                             pd=PdGains(1.0, 1.0), u_limits=u_limits)
+    (_, _, _, u), _, saturated, degenerate = update((0.0, 0.0, f_hat, None), 0.0, u0, 0.0,
+                                                    b_hat, config, 1.0)
+    return u, saturated, degenerate
 
 
 def expm(a, t):
@@ -133,6 +143,30 @@ class TestCancel:
     def test_saturation_flag(self):
         u, saturated, _ = cancel(100.0, 0.0, 1.0, u_limits=(-5.0, 5.0))
         assert saturated and u == 5.0
+
+
+class TestBank:
+    def test_loops_are_independent(self):
+        # one bank of four loops gives the bits of four one-loop banks
+        configs = [SubsystemConfig(which=name, b_hat=1.0, eso=EsoGains.from_bandwidth(20.0 + k),
+                                   pd=PdGains(10.0 + k, 5.0 + k), u_limits=(-2.0, 3.0))
+                   for k, name in enumerate(SUBSYSTEMS)]
+        obs = (None, (0.1, -0.2, 0.3, 0.5), (0.0, 0.0, 1.0, None), (1.0, 0.5, -4.0, 2.5))
+        args = (obs, (0.2, -0.1, 0.4, 1.1), (0.5, -0.5, 0.0, 2.0), (0.0, 0.1, 0.0, -0.2),
+                (2.0, -3.0, 0.25, -0.5))
+        new, signals = bank_kernel(configs, 0.01)(*args)
+        for k, config in enumerate(configs):
+            one = bank_kernel([config], 0.01)(*([a[k]] for a in args))
+            assert repr(one) == repr(((new[k],), signals[6 * k:6 * k + 6]))
+
+    def test_signals_follow_the_trace_columns(self):
+        config = SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS,
+                                 pd=PdGains(2.0, 1.0), u_limits=(-1.0, 1.0))
+        (obs,), signals = bank_kernel([config], 0.001)(((0.5, 0.25, 0.0, None),), (0.0,),
+                                                      (1.0,), (0.0,), (0.5,))
+        # u0 = 2 (1 - 0.5) + 1 (0 - 0.25) = 0.75, u = 0.75 / 0.5 held at 1
+        assert obs == (0.5, 0.25, 0.0, 1.0)
+        assert signals == (1.0, 0.75, 0.0, 0.5, 0.25, True)
 
 
 class TestPd:

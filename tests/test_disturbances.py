@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quadarm import (DisturbanceFlags, DisturbanceParams, DragParams,
                      GroundEffectParams, MassProperties, QuadState, WindParams,
                      ground_effect_factor)
-from quadarm.disturbances import com_terms, lump, wind
+from quadarm.disturbances import lump, lump_kernel, wind
 from quadarm.errors import InvalidParameterError
 
 
@@ -84,7 +84,11 @@ class TestComShift:
 
 
 def com_of(state, z_G, m):
-    return np.array(com_terms(state.vector.tolist(), state.lagged_accel.tolist(), z_G, m))
+    """The CoM coupling terms q1..q6, read off a CoM-only lump kernel: under
+    the published signs delta = -q, except the yaw row's +q."""
+    delta = lump_kernel(DisturbanceParams(), DisturbanceFlags(com=True), m)(
+        state.vector.tolist(), state.lagged_accel.tolist(), 0.0, z_G)
+    return np.array(delta[:6]) * np.array([-1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 class TestComEffect:

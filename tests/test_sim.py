@@ -1,10 +1,11 @@
+import csv
+import io
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-
-import csv
-import io
 
 from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassProperties,
                      PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
@@ -63,6 +64,20 @@ class TestPiecewiseConstant:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameterError):
             PiecewiseConstant(((0.0, math.inf),))
+
+    @pytest.mark.parametrize("segments", [
+        ((0.0, 0.8), (1.0, 0.2), (2.5, 0.5)),
+        ((1.0, 7.0),),
+        ((0.5, 1.0), (0.5, 2.0), (3.0, -1.0)),
+    ], ids=["arm", "late_start", "repeated_start"])
+    def test_array_lookup_equals_call(self, segments):
+        # every boundary, just before and after it, and a time before the first start
+        p = PiecewiseConstant(segments)
+        starts = [s[0] for s in segments]
+        grid = sorted({-1.0, *starts, *np.nextafter(starts, -np.inf), *np.nextafter(starts, np.inf),
+                       *np.linspace(-0.5, 4.0, 91)})
+        looked_up = p.at(np.array(grid))
+        assert looked_up.tobytes() == np.array([p(v) for v in grid]).tobytes()
 
 
 def exp_decay(t, y, lagged):
@@ -241,6 +256,29 @@ class TestLoopKernel:
         assert repr(step(*args)) == repr(first)
         assert repr(args) == kept  # the arguments are left as they were
 
+    def test_python_calls_per_period(self, params):
+        """Python-level calls per stock closed-loop period, from the difference
+        of a 0.2 s and a 0.1 s run: a deterministic guard against a slower
+        period, where wall-clock times on a shared machine are not.  The
+        period made 63 calls before the ADRC bank (four ``update`` calls of
+        five functions each), the bound lump and mixer kernels, the bound
+        reference profiles and the RK4 combinations written out per state;
+        it makes 20."""
+        def calls(duration):
+            count = [0]
+
+            def profile(frame, event, arg):
+                count[0] += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                run(Scenario(duration=duration), params)
+            finally:
+                sys.setprofile(None)
+            return count[0]
+
+        assert (calls(0.2) - calls(0.1)) / 100 <= 20
+
     def test_run_is_the_loop_over_step(self, params):
         scenario = Scenario(duration=0.01)
         step = loop_kernel(scenario, params)
@@ -309,6 +347,42 @@ class TestEstimationOracle:
         estimation_oracle(trace, params, d1_profile=d1)
         assert len(calls) == 1
 
+    def test_arm_positions_by_array_lookup(self, params, monkeypatch):
+        # the oracle looks the arm positions up for all rows at once; a lookup
+        # row by row gives the same bits
+        scenario = Scenario(duration=4.0, d1_profile=ARM)
+        dist = DisturbanceParams(strict_signs=False)
+        trace = run(scenario, params, dist_params=dist)
+        fast = estimation_oracle(trace, params, dist, scenario.flags, ARM)
+        monkeypatch.setattr(PiecewiseConstant, "at",
+                            lambda self, t: np.array([self(v) for v in t.tolist()]))
+        slow = estimation_oracle(trace, params, dist, scenario.flags, ARM)
+        for name in fast:
+            for key in ("f_true", "error"):
+                assert fast[name][key].tobytes() == slow[name][key].tobytes()
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(duration=2.0),
+        Scenario(duration=3.0, ref_z=PiecewiseConstant.constant(0.3)),
+    ], ids=["stock", "low_altitude"])
+    def test_ground_effect_is_left_unbound(self, params, monkeypatch, scenario):
+        # G enters no delta, so the oracle binds its kernel without ground
+        # effect; with ground effect bound every output keeps its bits
+        trace = run(scenario, params)
+        lean = estimation_oracle(trace, params)
+        bound, bind = [], sim_mod.lump_kernel
+
+        def with_ground_effect(dist, flags, m, **namespace):
+            bound.append(flags)
+            return bind(dist, replace(flags, ground_effect=True), m, **namespace)
+
+        monkeypatch.setattr(sim_mod, "lump_kernel", with_ground_effect)
+        full = estimation_oracle(trace, params)
+        assert bound == [replace(DisturbanceFlags.all_on(), ground_effect=False)]
+        for name in lean:
+            for key in ("f_true", "error"):
+                assert lean[name][key].tobytes() == full[name][key].tobytes()
+
     def test_free_fall_truth(self, params):
         sc = Scenario(duration=0.5, open_loop=True,
                       open_loop_u1=PiecewiseConstant.constant(0.0),
@@ -375,6 +449,17 @@ class TestTraceLog:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(InvalidParameterError):
+            TraceLog.from_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "t,a\r\n0.0\r\n",
+        "t,a\r\n0.0,1.0\r\n1.0\r\n",
+        "t,a\r\n0.0,abc\r\n",
+    ], ids=["short_row", "ragged", "not_a_number"])
+    def test_malformed_rows_name_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(InvalidParameterError, match="bad.csv"):
             TraceLog.from_csv(path)
 
     def test_unknown_column(self):
