@@ -351,9 +351,10 @@ def estimation_oracle(trace: TraceLog, params: QuadParams,
     acceleration row except the b_hat*u term) from the logged states, with
     the loop's own lump kernel bound to numpy and applied once to whole
     columns, so it is independent of the observer path it is checked
-    against.  With ``d1_profile`` each row uses the arm position of its
-    time, as ``run`` does.  Returns per subsystem: true series, estimated
-    series, error series.
+    against.  With ``d1_profile``, a ``PiecewiseConstant`` as in
+    ``Scenario``, each row uses the arm position of its time, as ``run``
+    does.  Returns per subsystem: true series, estimated series, error
+    series.
     """
     # the ground-effect factor G enters no delta, so the kernel skips it
     flags = replace(flags or DisturbanceFlags.all_on(), ground_effect=False)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import sys
@@ -74,8 +75,8 @@ class TestPiecewiseConstant:
         # every boundary, just before and after it, and a time before the first start
         p = PiecewiseConstant(segments)
         starts = [s[0] for s in segments]
-        grid = sorted({-1.0, *starts, *np.nextafter(starts, -np.inf), *np.nextafter(starts, np.inf),
-                       *np.linspace(-0.5, 4.0, 91)})
+        grid = sorted({-1.0, *starts, *np.nextafter(starts, -np.inf),
+                       *np.nextafter(starts, np.inf), *np.linspace(-0.5, 4.0, 91)})
         looked_up = p.at(np.array(grid))
         assert looked_up.tobytes() == np.array([p(v) for v in grid]).tobytes()
 
@@ -270,11 +271,15 @@ class TestLoopKernel:
             def profile(frame, event, arg):
                 count[0] += event == "call"
 
+            # a collection could run finalizers of earlier tests' objects mid-run
+            gc.collect()
+            gc.disable()
             sys.setprofile(profile)
             try:
                 run(Scenario(duration=duration), params)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             return count[0]
 
         assert (calls(0.2) - calls(0.1)) / 100 <= 20
