@@ -57,7 +57,7 @@ class PdGains:
     kd: float
 
     def __post_init__(self):
-        if self.kp <= 0 or self.kd <= 0:
+        if not (self.kp > 0 and self.kd > 0):
             raise InvalidParameterError("PD gains must be positive")
 
 
@@ -72,18 +72,18 @@ class SubsystemConfig:
     def __post_init__(self):
         if self.which not in SUBSYSTEMS:
             raise InvalidParameterError(f"unknown subsystem {self.which!r}")
-        if self.which != ALTITUDE and abs(self.b_hat) < B_MIN:
+        if self.which != ALTITUDE and not abs(self.b_hat) >= B_MIN:
             raise InvalidParameterError("b_hat too close to zero")
-        if self.u_limits[0] >= self.u_limits[1]:
+        if not self.u_limits[0] < self.u_limits[1]:
             raise InvalidParameterError("u_limits must be an increasing pair")
 
 
 def bank_kernel(configs, dt: float):
     """Bind a bank of loops once: each loop's observer gains, PD gains and
     input limits, and the period ``dt``.  Returns the float kernel
-    ``bank(obs, ys, refs, ref_rates, b_hats) -> (obs, signals)`` behind
-    ``update``, ``eso_step`` and ``pd``; the closed loop runs its four
-    subsystems through one such bank.
+    ``bank(obs, ys, refs, ref_rates, b_hats) -> (obs, signals)``, the only
+    code that runs the control law: the closed loop runs its four subsystems
+    through one bank, and ``AdrcController`` and ``eso_step`` each one loop.
 
     Each argument holds one entry per loop.  An ``obs`` entry is
     (x1_hat, x2_hat, x3_hat, u) after the last period: the observer first
@@ -134,19 +134,14 @@ def bank_kernel(configs, dt: float):
     return bank
 
 
-def _single(eso: EsoGains, pd_gains: PdGains, dt: float):
-    """A bank of one loop without input limits."""
-    loop = SubsystemConfig(ALTITUDE, 1.0, eso, pd_gains, (-math.inf, math.inf))
-    return bank_kernel((loop,), dt)
-
-
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
              gains: EsoGains, dt: float) -> EsoState:
     """Advance the observer one step (RK4, measurement held over the step)."""
-    if dt <= 0:
+    if not dt > 0:
         raise InvalidParameterError("dt must be positive")
-    # the input term enters as 1.0 * (b_hat * u), which is b_hat * u exactly
-    (obs,), _ = _single(gains, PdGains(1.0, 1.0), dt)(
+    # one unlimited loop with unit b_hat: 1.0 * (b_hat * u) is b_hat * u exactly
+    loop = SubsystemConfig(ALTITUDE, 1.0, gains, PdGains(1.0, 1.0), (-math.inf, math.inf))
+    (obs,), _ = bank_kernel((loop,), dt)(
         ((eso.x1_hat, eso.x2_hat, eso.x3_hat, b_hat * u),), (y,), (0.0,), (0.0,), (1.0,))
     return EsoState(*obs[:3])
 
@@ -161,32 +156,15 @@ def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
 
 def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float,
        gains: PdGains) -> float:
-    """PD law on the estimated states of the reduced double integrator: the
-    u0 of a bank given these estimates."""
-    _, signals = _single(EsoGains(), gains, 1.0)(
-        ((x1_hat, x2_hat, 0.0, None),), (x1_hat,), (ref,), (ref_rate,), (1.0,))
-    return signals[1]
+    """PD law on the estimated states of the reduced double integrator,
+    written as the bank's u0 line (a test holds the two bit-equal)."""
+    return gains.kp * (ref - x1_hat) + gains.kd * (ref_rate - x2_hat)
 
 
 def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float, bool]:
     """Altitude control effectiveness -(G/m) cos(theta) cos(phi), clamped."""
     raw = -(G / m) * math.cos(theta) * math.cos(phi)
     return clamp_b_hat(raw)
-
-
-def update(obs, y: float, ref: float, ref_rate: float, b_hat: float,
-           config: SubsystemConfig, dt: float) -> tuple:
-    """One loop of ``bank_kernel``, with ``b_hat`` clamped first (the
-    observer and the cancellation use the clamped value): observe with the
-    previously applied input, then compute the new cancelling control.
-
-    ``obs`` is (x1_hat, x2_hat, x3_hat, u) after the last period, or None
-    before the first.  Returns (obs, u0, saturated, degenerate_b); the new
-    control is obs[3].
-    """
-    b, degenerate = clamp_b_hat(b_hat)
-    (obs,), signals = bank_kernel((config,), dt)((obs,), (y,), (ref,), (ref_rate,), (b,))
-    return obs, signals[1], signals[5], degenerate
 
 
 @dataclass
@@ -202,29 +180,33 @@ class StepDiagnostics:
 
 
 class AdrcController:
-    """One subsystem's controller; owns its observer state across steps."""
+    """One subsystem's controller: a bank of one loop, bound on the first
+    step at each ``dt``, and the bank entry (x1_hat, x2_hat, x3_hat, u) it
+    carries between steps."""
 
     def __init__(self, config: SubsystemConfig):
         self.config = config
         self.eso = EsoState()
-        self._last_u = None  # until the first measurement
+        self._obs = self._bank = self._dt = None  # no measurement, no bank yet
 
     def step(self, y: float, ref: float, ref_rate: float, dt: float,
              b_hat: float | None = None) -> StepDiagnostics:
-        """One control period; see ``update``.
+        """One control period: observe with the previously applied input,
+        then compute the new cancelling control.
 
         ``b_hat`` overrides the configured effectiveness (used by the
         altitude loop, whose effectiveness depends on attitude and the
-        ground-effect factor).
+        ground-effect factor); the observer and the cancellation both use
+        it clamped by ``clamp_b_hat``.
         """
-        if dt <= 0:
+        if not dt > 0:
             raise InvalidParameterError("dt must be positive")
-        b = self.config.b_hat if b_hat is None else b_hat
-        e = self.eso
-        obs = None if self._last_u is None else (e.x1_hat, e.x2_hat, e.x3_hat, self._last_u)
-        (x1, x2, x3, u), u0, saturated, degenerate = update(obs, y, ref, ref_rate, b,
-                                                            self.config, dt)
-        self.eso, self._last_u = EsoState(x1, x2, x3), u
+        if dt != self._dt:
+            self._bank, self._dt = bank_kernel((self.config,), dt), dt
+        b, degenerate = clamp_b_hat(self.config.b_hat if b_hat is None else b_hat)
+        (self._obs,), (u, u0, x3, x1, x2, saturated) = self._bank(
+            (self._obs,), (y,), (ref,), (ref_rate,), (b,))
+        self.eso = EsoState(x1, x2, x3)
         return StepDiagnostics(
             u=u, u0=u0, f_hat=x3, x1_hat=x1, x2_hat=x2, estimation_error=y - x1,
             saturated=saturated, degenerate_b=degenerate,

@@ -38,12 +38,21 @@ def _load_config(path, tuning=False):
         sys.exit(EXIT_CONFIG)
 
 
-def _check_out_dir(path):
-    """Exit before any work when ``path`` cannot be written for lack of its directory."""
+def _check_out_dir(path, is_dir=False):
+    """Exit before any work when the output ``path`` cannot be written: a file
+    path that names a directory or lies in a missing one, or a directory path
+    (``is_dir``) that names a file."""
     directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        click.echo(f"output directory does not exist: {directory}", err=True)
-        sys.exit(EXIT_RUNTIME)
+    if is_dir and os.path.exists(path) and not os.path.isdir(path):
+        message = f"output directory is a file: {path}"
+    elif not is_dir and os.path.isdir(path):
+        message = f"output path is a directory: {path}"
+    elif not is_dir and not os.path.isdir(directory):
+        message = f"output directory does not exist: {directory}"
+    else:
+        return
+    click.echo(message, err=True)
+    sys.exit(EXIT_RUNTIME)
 
 
 @main.command()
@@ -79,7 +88,9 @@ def simulate(config_path, out_path, seed):
 def tune(config_path, out_path, seed):
     """Optimize the controller gains against the configured scenario."""
     cfg = _load_config(config_path, tuning=True)
+    history_path = os.path.splitext(out_path)[0] + "_history.csv"
     _check_out_dir(out_path)
+    _check_out_dir(history_path)
     try:
         result = tuner_mod.tune(cfg.tune_problem(), cfg.tune_initial(), cfg.tuner_options)
     except QuadArmError as exc:
@@ -89,7 +100,6 @@ def tune(config_path, out_path, seed):
     tuned = config_mod.config_with_gains(cfg, result.vector, cfg.tuner_layout)
     config_mod.dump(tuned, out_path)
 
-    history_path = os.path.splitext(out_path)[0] + "_history.csv"
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "cost", *tuner_mod.LAYOUTS[cfg.tuner_layout]])
@@ -125,6 +135,7 @@ FIGURE_SET = [
               show_default=True, help="Directory for the plot scripts.")
 def plots(trace_path, out_dir):
     """Emit one gnuplot script per figure class from a trace CSV."""
+    _check_out_dir(out_dir, is_dir=True)
     # the scripts need only the header; the records stay in the file
     try:
         with open(trace_path, newline="", encoding="utf-8") as fh:

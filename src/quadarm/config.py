@@ -101,8 +101,9 @@ def _kind(value) -> str | None:
     """The kind of leaf a default asks for, or None for a free-form one."""
     if isinstance(value, bool):
         return "true or false"
-    if isinstance(value, float) or isinstance(value, int) and abs(value) < 2 ** 1024:
-        return "a number"  # an int past the float range is none
+    if (isinstance(value, float) and math.isfinite(value)
+            or isinstance(value, int) and abs(value) < 2 ** 1024):
+        return "a finite number"  # nan, inf and an int past the float range are none
     return "a list" if isinstance(value, list) else None
 
 

@@ -24,8 +24,8 @@ class DragParams:
     def __post_init__(self):
         if len(self.k) != 6:
             raise InvalidParameterError("need six drag coefficients")
-        if any(ki < 0 for ki in self.k):
-            raise InvalidParameterError("drag coefficients must be non-negative")
+        if not all(0 <= ki < math.inf for ki in self.k):
+            raise InvalidParameterError("drag coefficients must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,11 @@ class GroundEffectParams:
     z_min: float = 0.2  # altitude clamp floor, m (landing skids keep z > 0)
 
     def __post_init__(self):
-        if self.rho <= 0 or self.r <= 0:
+        if not (self.rho > 0 and self.r > 0):
             raise InvalidParameterError("rho and r must be positive")
         # below r*sqrt(rho)/4 the thrust scaling is singular
         singular = self.r * math.sqrt(self.rho) / 4
-        if self.z_min <= singular:
+        if not self.z_min > singular:
             raise InvalidParameterError(
                 f"z_min={self.z_min} must exceed the singular altitude {singular:.4f}")
 
@@ -61,7 +61,7 @@ class WindParams:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.n)):
             raise InvalidParameterError("wind parameters must be finite")
-        if self.n <= 0:
+        if not self.n > 0:
             raise InvalidParameterError("wind frequency must be positive")
 
 
@@ -146,16 +146,15 @@ def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float,
     return f
 
 
-def ground_effect_factor(z: float, p: GroundEffectParams, maximum=max) -> float:
+def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
     """Thrust amplification factor near the ground; ->1 as z -> infinity."""
-    f = lump_kernel(DisturbanceParams(ground_effect=p), DisturbanceFlags(ground_effect=True),
-                    1.0, maximum=maximum)
+    f = lump_kernel(DisturbanceParams(ground_effect=p), DisturbanceFlags(ground_effect=True), 1.0)
     return f((0.0,) * 6 + (z,) + (0.0,) * 5, (0.0,) * 6, 0.0, 0.0)[6]
 
 
-def wind(t: float, p: WindParams, sin=math.sin) -> float:
+def wind(t: float, p: WindParams) -> float:
     """The gust alpha + beta sin(n t), read off delta_a of a wind-only kernel."""
-    f = lump_kernel(DisturbanceParams(wind=p), DisturbanceFlags(wind=True), 1.0, sin=sin)
+    f = lump_kernel(DisturbanceParams(wind=p), DisturbanceFlags(wind=True), 1.0)
     # on a state of -0.0, the exact identity of float addition, delta_a is the gust itself
     return f((-0.0,) * 12, (0.0,) * 6, t, 0.0)[0]
 

@@ -53,9 +53,9 @@ class MassProperties:
     d1: float = 0.8  # arm CoM distance from d0, m
 
     def __post_init__(self):
-        if self.m_q <= 0:
+        if not self.m_q > 0:
             raise InvalidParameterError("m_q must be positive")
-        if self.m_r < 0:
+        if not self.m_r >= 0:
             raise InvalidParameterError("m_r must be non-negative")
 
     @property
@@ -84,7 +84,7 @@ class GeometryParams:
 
     def __post_init__(self):
         for name in ("R_q", "L_q", "L_r", "W_r", "H_r", "D_r"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidParameterError(f"geometry dimension {name} must be positive")
 
 
@@ -99,7 +99,7 @@ class InertiaParams:
     l: float = 0.45  # arm length of the airframe cross
 
     def __post_init__(self):
-        if min(self.I_xx, self.I_yy, self.I_zz) <= 0:
+        if not (self.I_xx > 0 and self.I_yy > 0 and self.I_zz > 0):
             raise InvalidParameterError("principal inertias must be positive")
 
     @property
@@ -171,7 +171,7 @@ class MixerParams:
     k_m: float = 1.5e-6  # N m s^2 / rad^2
 
     def __post_init__(self):
-        if self.k_f <= 0 or self.k_m <= 0:
+        if not (self.k_f > 0 and self.k_m > 0):
             raise InvalidParameterError("k_f and k_m must be positive")
 
     def matrix(self) -> np.ndarray:
@@ -229,7 +229,8 @@ def relative_speed(omega) -> float:
 
 def mixer_kernel(params: MixerParams):
     """Bind the allocation inverse once; returns the float kernel
-    ``f(U1, U2, U3, U4) -> (w2, saturated)`` behind ``realize``."""
+    ``f(U1, U2, U3, U4) -> (w2, saturated)`` behind ``unmix``, with
+    negative squares clamped to zero and whether any was."""
     (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4), (d1, d2, d3, d4) = params.inverse
 
     def f(U1, U2, U3, U4):
@@ -243,13 +244,6 @@ def mixer_kernel(params: MixerParams):
     return f
 
 
-def realize(uv, params: MixerParams) -> tuple[list, bool]:
-    """Squared rotor speeds realizing U1..U4 (floats in and out), with
-    negative squares clamped to zero, and whether any was."""
-    w2, saturated = mixer_kernel(params)(*uv)
-    return list(w2), saturated
-
-
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     """Invert the allocation: U1..U4 -> squared rotor speeds.
 
@@ -257,7 +251,7 @@ def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     value flags that saturation.
     """
     uv = u.as_vector() if isinstance(u, ControlInputs) else np.asarray(u, dtype=float)
-    w2, saturated = realize(uv.tolist(), params)
+    w2, saturated = mixer_kernel(params)(*uv.tolist())
     return np.array(w2), saturated
 
 

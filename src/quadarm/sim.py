@@ -35,11 +35,11 @@ class PiecewiseConstant:
     def __post_init__(self):
         if not self.segments:
             raise InvalidParameterError("profile needs at least one segment")
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.segments):
+            raise InvalidParameterError("profile times and values must be finite")
         starts = [s[0] for s in self.segments]
         if starts != sorted(starts):
             raise InvalidParameterError("profile segments must be time-sorted")
-        if not all(math.isfinite(v) for _, v in self.segments):
-            raise InvalidParameterError("profile values must be finite")
 
     def __call__(self, t: float) -> float:
         value = self.segments[0][1]

@@ -19,7 +19,7 @@ from . import adrc
 from .disturbances import DisturbanceParams
 from .errors import DivergenceError, InvalidParameterError, QuadArmError
 from .model import QuadParams
-from .sim import ControllerGains, Scenario, estimation_oracle, run
+from .sim import COLUMNS, ControllerGains, Scenario, estimation_oracle, run
 
 #: finite cost assigned to runs that diverge or cannot be constructed
 SENTINEL_COST = 1e12
@@ -94,13 +94,15 @@ class SignalBound:
     segments: tuple  # of (t_start, t_end, lower, upper)
 
     def __post_init__(self):
+        if self.signal not in COLUMNS:
+            raise InvalidParameterError(f"unknown bounded signal {self.signal!r}")
         prev_end = -math.inf
         for t0, t1, lo, hi in self.segments:
-            if t0 >= t1:
+            if not t0 < t1:
                 raise InvalidParameterError("bound segment must have t_start < t_end")
-            if lo > hi:
+            if not lo <= hi:
                 raise InvalidParameterError("bound segment needs lower <= upper")
-            if t0 < prev_end:
+            if not t0 >= prev_end:
                 raise InvalidParameterError("bound segments must not overlap")
             prev_end = t1
 
@@ -123,7 +125,8 @@ class CostWeights:
     bound_penalty: float = 1e3
 
     def __post_init__(self):
-        if min(self.tracking, self.estimation, self.effort, self.bound_penalty) < 0:
+        if not all(w >= 0 for w in (self.tracking, self.estimation, self.effort,
+                                    self.bound_penalty)):
             raise InvalidParameterError("cost weights must be non-negative")
 
 
@@ -210,11 +213,7 @@ def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
 
     violation = 0.0
     for bound in problem.bounds:
-        try:
-            values = trace.column(bound.signal)
-        except KeyError:
-            raise InvalidParameterError(f"unknown bounded signal {bound.signal!r}")
-        vb = bound.violation(t, values, dt)
+        vb = bound.violation(t, trace.column(bound.signal), dt)
         report["bound_violations"][bound.signal] = vb
         violation += vb
 

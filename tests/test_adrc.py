@@ -6,21 +6,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadarm import EsoGains, EsoState, PdGains
+from quadarm import adrc
 from quadarm.adrc import (B_MIN, SUBSYSTEMS, AdrcController, SubsystemConfig, b_hat_altitude,
-                          bank_kernel, eso_step, is_hurwitz, pd, update)
+                          bank_kernel, clamp_b_hat, eso_step, is_hurwitz, pd)
 from quadarm.errors import ConfigurationError, InvalidParameterError
 
 TABLE_GAINS = EsoGains(29.5659, 2907.0, 3000.0)
 
 
 def cancel(u0, f_hat, b_hat, u_limits=(-math.inf, math.inf)):
-    """The cancellation law through ``update``: on the given estimates
-    (0, 0, f_hat), unit PD gains and the reference u0 make the PD term u0."""
+    """The cancellation law of a one-loop bank with ``b_hat`` clamped first:
+    on the given estimates (0, 0, f_hat), unit PD gains and the reference u0
+    make the PD term u0."""
     config = SubsystemConfig(which="altitude", b_hat=1.0, eso=TABLE_GAINS,
                              pd=PdGains(1.0, 1.0), u_limits=u_limits)
-    (_, _, _, u), _, saturated, degenerate = update((0.0, 0.0, f_hat, None), 0.0, u0, 0.0,
-                                                    b_hat, config, 1.0)
-    return u, saturated, degenerate
+    b, degenerate = clamp_b_hat(b_hat)
+    ((_, _, _, u),), signals = bank_kernel((config,), 1.0)(
+        ((0.0, 0.0, f_hat, None),), (0.0,), (u0,), (0.0,), (b,))
+    return u, signals[5], degenerate
 
 
 def expm(a, t):
@@ -191,6 +194,17 @@ class TestPd:
         with pytest.raises(InvalidParameterError):
             PdGains(1.0, 0.0)
 
+    @given(ref=st.floats(-1e6, 1e6), rate=st.floats(-1e6, 1e6), x1=st.floats(-1e6, 1e6),
+           x2=st.floats(-1e6, 1e6), kp=st.floats(1e-3, 1e4), kd=st.floats(1e-3, 1e4))
+    def test_is_the_bank_u0(self, ref, rate, x1, x2, kp, kd):
+        # the reference law of acceptance criterion 3 gives the bits the loop runs
+        gains = PdGains(kp, kd)
+        config = SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS, pd=gains,
+                                 u_limits=(-math.inf, math.inf))
+        _, signals = bank_kernel((config,), 0.001)(((x1, x2, 0.0, None),), (x1,), (ref,),
+                                                    (rate,), (1.0,))
+        assert repr(pd(ref, rate, x1, x2, gains)) == repr(signals[1])
+
 
 class TestBHatAltitude:
     def test_level_attitude(self):
@@ -237,6 +251,37 @@ class TestController:
         diag = ctrl.step(y=0.42, ref=0.42, ref_rate=0.0, dt=0.001)
         assert diag.x1_hat == 0.42
         assert diag.estimation_error == 0.0
+
+    def test_binds_one_bank_per_dt(self, monkeypatch):
+        bound = []
+
+        def counting(configs, dt):
+            bound.append(dt)
+            return bank_kernel(configs, dt)
+
+        monkeypatch.setattr(adrc, "bank_kernel", counting)
+        ctrl = make_controller()
+        for k in range(2000):
+            ctrl.step(0.001 * k, 1.0, 0.0, 0.001)
+        assert bound == [0.001]
+        ctrl.step(0.5, 1.0, 0.0, 0.002)
+        assert bound == [0.001, 0.002]
+
+    def test_steps_run_the_bank(self):
+        # a controller's steps give the bits of a one-loop bank fed the clamped b_hat
+        ctrl = make_controller(b_hat=2.0, limits=(-3.0, 3.0))
+        bank, obs = bank_kernel((ctrl.config,), 0.01), None
+        for k, b_hat in enumerate((None, 1e-6, -0.5, None)):
+            diag = ctrl.step(0.1 * k, 1.0, 0.2, 0.01, b_hat=b_hat)
+            b, degenerate = clamp_b_hat(2.0 if b_hat is None else b_hat)
+            (obs,), signals = bank((obs,), (0.1 * k,), (1.0,), (0.2,), (b,))
+            assert (diag.u, diag.u0, diag.f_hat, diag.x1_hat, diag.x2_hat,
+                    diag.saturated, diag.degenerate_b) == (*signals, degenerate)
+        assert (ctrl.eso.x1_hat, ctrl.eso.x2_hat, ctrl.eso.x3_hat) == obs[:3]
+
+    def test_bad_dt_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            make_controller().step(0.0, 0.0, 0.0, math.nan)
 
     def test_invalid_subsystem_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -166,6 +166,14 @@ class TestSimulateCommand:
             f"output directory does not exist: {tmp_path / 'absent'}"]
         assert calls == []
 
+    def test_out_is_directory_exit_1_before_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        result = CliRunner().invoke(main, ["simulate", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"output path is a directory: {tmp_path}"]
+        assert calls == []
+
     def test_singular_mixer_one_line_exit_1(self, tmp_path, monkeypatch):
         # a config file with such a mixer exits 2 at load; a config built in
         # code meets the check the run keeps for library callers
@@ -217,6 +225,14 @@ class TestPlotsCommand:
             main, ["plots", str(trace), "--out", str(tmp_path / "p")])
         assert result.exit_code == 1
         assert "trace contains no records" in result.output
+
+    def test_out_is_file_exit_1(self, tmp_path):
+        trace, out = tmp_path / "trace.csv", tmp_path / "taken"
+        trace.write_text(",".join(COLUMNS) + "\n")
+        out.write_text("")
+        result = CliRunner().invoke(main, ["plots", str(trace), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"output directory is a file: {out}"]
 
     def test_missing_columns_named(self, tmp_path):
         trace = tmp_path / "thin.csv"
@@ -300,6 +316,24 @@ class TestTuneCommand:
             f"output directory does not exist: {tmp_path / 'absent'}"]
         assert calls == []
 
+    def test_out_is_directory_exit_1_before_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))
+        result = CliRunner().invoke(main, ["tune", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"output path is a directory: {tmp_path}"]
+        assert calls == []
+
+    def test_history_path_is_directory_exit_1_before_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))
+        (tmp_path / "t_history.csv").mkdir()
+        result = CliRunner().invoke(main, ["tune", "--out", str(tmp_path / "t.yaml")])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"output path is a directory: {tmp_path / 't_history.csv'}"]
+        assert calls == []
+
     def test_runtime_error_one_line_exit_1(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise DivergenceError(0.5)
@@ -330,7 +364,7 @@ class TestTuneCommand:
     ({"tuner": {"options": {"max_backtracks": 0}}}, "tuner.options"),
     ({"tuner": {"options": {"fd_eps_rel": 0.0}}}, "tuner.options"),
     ({"tuner": {"options": {"fd_eps_floor": -1e-6}}}, "tuner.options"),
-    ({"tuner": {"options": {"initial_step": math.inf}}}, "tuner.options"),
+    ({"tuner": {"options": {"initial_step": math.inf}}}, "tuner.options.initial_step"),
     ({"tuner": {"options": {"rel_tol": -1.0}}}, "tuner.options"),
     ({"tuner": {"initial": [1e6, 2907.0, 3000.0, 90.0, 19.0, 79.0, 21.0, 69.0, 16.0, 10.0, 9.0]}},
      "tuner.initial"),
@@ -348,9 +382,21 @@ class TestTuneCommand:
     ({"scenario": {"initial_state": [10 ** 400] * 12}}, "scenario.initial_state"),
     ({"tuner": {"bounds": 1}}, "tuner.bounds"),
     ({"scenario": {"duration": 0.0105, "dt": 0.001}}, "scenario.duration"),
-    ({"scenario": {"dt": math.inf}}, "scenario"),
+    ({"scenario": {"dt": math.inf}}, "scenario.dt"),
     ({"controller": {"eso_overrides": {"roll": {"p1": "29"}}}}, "controller.eso_overrides.roll.p1"),
     ({"controller": {"eso_overrides": {"roll": {"p4": 1.0}}}}, "controller.eso_overrides.roll.p4"),
+    ({"tuner": {"bounds": [{"signal": "nope", "segments": [[0.0, 1.0, 0.0, 1.0]]}]}},
+     "tuner.bounds[0]"),
+    ({"controller": {"pd": {"roll": {"kp": math.nan}}}}, "controller.pd.roll.kp"),
+    ({"physical": {"m_q": math.nan}}, "physical.m_q"),
+    ({"physical": {"d1": math.nan}}, "physical.d1"),
+    ({"physical": {"mixer": {"k_f": math.nan}}}, "physical.mixer.k_f"),
+    ({"disturbances": {"ground_effect": {"rho": math.nan}}}, "disturbances.ground_effect.rho"),
+    ({"disturbances": {"drag": {"k": [0.3729] * 5 + [math.nan]}}}, "disturbances"),
+    ({"disturbances": {"drag": {"k": [math.inf] * 6}}}, "disturbances"),
+    ({"scenario": {"references": {"z": [[0.0, 0.0], [math.nan, 5.0]]}}},
+     "scenario.references.z"),
+    ({"physical": {"g": -math.inf}}, "physical.g"),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []

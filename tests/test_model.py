@@ -148,6 +148,19 @@ class TestStateDerivative:
             state_derivative(state, ControlInputs(), DisturbanceOutputs(), params)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MassProperties(m_q=math.nan),
+    lambda: MassProperties(m_r=math.nan),
+    lambda: InertiaParams(I_yy=math.nan),
+    lambda: GeometryParams(R_q=0.1, L_q=0.45, L_r=0.2, W_r=math.nan, H_r=0.05, D_r=0.1),
+    lambda: MixerParams(k_f=math.nan),
+], ids=["m_q", "m_r", "I_yy", "W_r", "k_f"])
+def test_nan_parameter_refused(make):
+    # a comparison with nan is false, so each check asks for the admissible case
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
 def test_quadstate_validation():
     with pytest.raises(InvalidParameterError):
         QuadState(np.zeros(11))

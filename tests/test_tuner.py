@@ -193,9 +193,9 @@ class TestCost:
         assert total > report["tracking"]
 
     def test_unknown_bound_signal_rejected(self):
-        p = short_problem(bounds=(SignalBound("warp", ((0.0, 1.0, 0.0, 1.0),)),))
-        with pytest.raises(InvalidParameterError):
-            cost(table_gains_vector(), p)
+        # refused where the bound is made, before any cost evaluation runs
+        with pytest.raises(InvalidParameterError, match="'warp'"):
+            SignalBound("warp", ((0.0, 1.0, 0.0, 1.0),))
 
 
 class TestSimulationTune:
