@@ -283,7 +283,7 @@ def resolve(data: dict | None) -> Config:
             box = tuple(_build(problems, f"tuner.box.{side}",
                                lambda: layout_vector(tn["box"][side], layout))
                         for side in ("lower", "upper"))
-            if all(b is not None for b in box) and np.any(box[0] > box[1]):
+            if all(b is not None for b in box) and not np.all(box[0] <= box[1]):
                 problems.append("tuner.box: lower bound exceeds upper bound")
         if tn["initial"] is not None:
             init = _build(problems, "tuner.initial",

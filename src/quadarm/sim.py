@@ -20,8 +20,6 @@ from .model import (QuadParams, QuadState, derivative_kernel, mixer_kernel,
                     relative_speed)
 
 DIVERGENCE_LIMIT = 1e6
-#: rows per block that ``TraceLog.to_csv`` formats at a time
-CSV_CHUNK_ROWS = 1024
 
 DEG = math.pi / 180.0
 
@@ -104,9 +102,11 @@ class TraceLog:
 
     def __init__(self, columns=None, capacity: int = 0):
         self.columns = list(columns) if columns is not None else list(COLUMNS)
+        if not self.columns:
+            raise InvalidParameterError("a trace needs at least one column")
         self._data = np.empty((capacity, len(self.columns)))
         self._n = 0
-        # writes a row's floats straight into the array's buffer
+        # packs a row's floats straight into the array's buffer and reads them back
         self._row = struct.Struct(f"{len(self.columns)}d")
 
     @property
@@ -141,9 +141,8 @@ class TraceLog:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(self.columns)
             # a float's repr holds no character that csv.writer would quote
-            for i in range(0, self._n, CSV_CHUNK_ROWS):
-                block = self._data[i:min(i + CSV_CHUNK_ROWS, self._n)].tolist()
-                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+            fh.writelines(",".join(map(repr, row)) + "\r\n"
+                          for row in self._row.iter_unpack(self._data[:self._n]))
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
@@ -215,7 +214,7 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     lagged accelerations are held constant over the step and replaced by
     the final-stage accelerations afterwards.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN too
         raise InvalidParameterError("dt must be positive")
     y0, lag = state.vector, state.lagged_accel
     acc = None

@@ -44,12 +44,12 @@ def layout_names(layout: str) -> tuple:
 
 
 def layout_vector(vector, layout: str) -> np.ndarray:
-    """``vector`` as a float array, checked against the width of ``layout``."""
+    """``vector`` as a finite float array, checked against the width of ``layout``."""
     n = len(layout_names(layout))
     v = np.asarray(vector, dtype=float)
-    if v.shape != (n,):
-        raise InvalidParameterError(f"the {layout} layout needs {n} parameters, "
-                                    f"got shape {v.shape}")
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise InvalidParameterError(f"the {layout} layout needs {n} finite parameters, "
+                                    f"got {v.tolist()}")
     return v
 
 
@@ -149,7 +149,7 @@ class TuneProblem:
                                        else self.box_lower, self.layout)
         self.box_upper = layout_vector(np.full(n, 1e5) if self.box_upper is None
                                        else self.box_upper, self.layout)
-        if np.any(self.box_lower > self.box_upper):
+        if not np.all(self.box_lower <= self.box_upper):
             raise InvalidParameterError("box lower bound exceeds upper bound")
 
     def evaluate(self, vector) -> tuple[float, dict]:

@@ -397,6 +397,9 @@ class TestTuneCommand:
     ({"scenario": {"references": {"z": [[0.0, 0.0], [math.nan, 5.0]]}}},
      "scenario.references.z"),
     ({"physical": {"g": -math.inf}}, "physical.g"),
+    ({"tuner": {"box": {"lower": [math.nan] * 11, "upper": [1e5] * 11}}}, "tuner.box.lower"),
+    ({"tuner": {"box": {"lower": [-math.inf] * 11, "upper": [1e5] * 11}}}, "tuner.box.lower"),
+    ({"tuner": {"box": {"lower": [1e-3] * 11, "upper": [math.nan] * 11}}}, "tuner.box.upper"),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []

@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassP
 from quadarm import sim as sim_mod
 from quadarm.disturbances import DragParams, lump, lump_kernel
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
-from quadarm.sim import (ACCEL_COLUMNS, COLUMNS, CONTROL_START, CSV_CHUNK_ROWS, DELTA_COLUMNS,
-                         STATE_COLUMNS, loop_kernel)
+from quadarm.sim import (ACCEL_COLUMNS, COLUMNS, CONTROL_START, DELTA_COLUMNS, STATE_COLUMNS,
+                         loop_kernel)
 
 
 def built_per_duration(cls, monkeypatch, simulate) -> list:
@@ -116,6 +117,11 @@ class TestRk4:
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidParameterError):
             rk4_step(QuadState(), exp_decay, 0.0, 0.0)
+
+    def test_nan_dt_rejected(self):
+        # refused before a stage runs, not later as a non-finite derivative
+        with pytest.raises(InvalidParameterError, match="dt must be positive"):
+            rk4_step(QuadState(), exp_decay, 0.0, math.nan)
 
     def test_non_finite_derivative_raises(self):
         def blow_up(t, y, lagged):
@@ -282,6 +288,7 @@ class TestLoopKernel:
                 gc.enable()
             return count[0]
 
+        params.mixer.inverse  # a cached property: its one-off evaluation is no period's
         assert (calls(0.2) - calls(0.1)) / 100 <= 20
 
     def test_run_is_the_loop_over_step(self, params):
@@ -421,9 +428,8 @@ class TestEstimationOracle:
 
 
 class TestTraceLog:
-    def test_csv_bytes_in_chunks(self, params, tmp_path):
+    def test_csv_bytes_match_csv_writer(self, params, tmp_path):
         trace = run(Scenario(duration=2.1), params)
-        assert len(trace) > CSV_CHUNK_ROWS and len(trace) % CSV_CHUNK_ROWS != 0
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         expected = io.StringIO(newline="")
@@ -435,6 +441,18 @@ class TestTraceLog:
         back = TraceLog.from_csv(path)
         assert back.as_array().tobytes() == trace.as_array().tobytes()
 
+    @pytest.mark.parametrize("duration", [0.5, 4.0])
+    def test_csv_write_holds_one_record(self, params, tmp_path, duration):
+        # a 1024-row block of formatted values peaked at 1.9 MB (0.5 s) and
+        # 4.0 MB (4 s); one record at a time stays near 134 KiB at any length
+        trace = run(Scenario(duration=duration), params)
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_csv_round_trip_exact(self, params, tmp_path):
         trace = run(Scenario(duration=0.05), params)
@@ -471,6 +489,11 @@ class TestTraceLog:
         log = TraceLog()
         with pytest.raises(KeyError):
             log.column("nope")
+
+    def test_no_columns_rejected(self):
+        # as from_csv refuses a file without a header
+        with pytest.raises(InvalidParameterError, match="at least one column"):
+            TraceLog(columns=[])
 
     def test_row_width_checked(self):
         log = TraceLog(columns=["a", "b"])

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -191,6 +192,17 @@ class TestCost:
         # the 5 m climb must leave the tight band and get penalized
         assert report["bound_violations"]["z"] > 0
         assert total > report["tracking"]
+
+    @pytest.mark.parametrize("box", [
+        {"box_lower": [math.nan] * 11},
+        {"box_lower": [-math.inf] * 11},
+        {"box_upper": [math.nan] * 11},
+        {"box_upper": [math.inf] * 11},
+        {"box_lower": [1.0] * 11, "box_upper": [0.5] * 11},
+    ], ids=["nan_lower", "infinite_lower", "nan_upper", "infinite_upper", "crossed"])
+    def test_inadmissible_box_rejected(self, box):
+        with pytest.raises(InvalidParameterError):
+            short_problem(**box)
 
     def test_unknown_bound_signal_rejected(self):
         # refused where the bound is made, before any cost evaluation runs
