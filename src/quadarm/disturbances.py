@@ -105,15 +105,9 @@ class DisturbanceOutputs:
                          self.delta_d, self.delta_e, self.delta_f])
 
 
-def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float,
-                sin=math.sin, maximum=max):
-    """Bind the channel constants once; returns the kernel
-    ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)`` behind ``lump``.
-
-    With the defaults it works on floats.  Bound to ``np.sin`` and
-    ``np.maximum`` it works on whole columns: ``s[j]``, ``lagged[j]``, ``t``
-    and ``z_G`` may then be arrays of one length (``z_G`` also a float).
-    """
+def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
+    """Bind the channel constants once; returns the float kernel
+    ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)`` behind ``lump``."""
     # the CoM and drag contributions enter with -, except the yaw CoM term and
     # the altitude drag under the published signs; a sign times k*v rounds as
     # the signed coefficient times v
@@ -139,8 +133,8 @@ def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float,
         else:
             q1 = q2 = q3 = q4 = q5 = q6 = 0.0
         # a sinusoidal gust, and the thrust amplification near the ground
-        w = alpha + beta * sin(n * t) if gust else 0.0
-        G = 1.0 / (1.0 - rho * (r / (4.0 * maximum(z, z_min))) ** 2) if ground else 1.0
+        w = alpha + beta * math.sin(n * t) if gust else 0.0
+        G = 1.0 / (1.0 - rho * (r / (4.0 * max(z, z_min))) ** 2) if ground else 1.0
         return (-q1 + k1 * x2 + w, -q2 + k2 * x4 + w, up * q3 + k3 * x6 + w,
                 -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x12 + w, G)
     return f
@@ -150,13 +144,6 @@ def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
     """Thrust amplification factor near the ground; ->1 as z -> infinity."""
     f = lump_kernel(DisturbanceParams(ground_effect=p), DisturbanceFlags(ground_effect=True), 1.0)
     return f((0.0,) * 6 + (z,) + (0.0,) * 5, (0.0,) * 6, 0.0, 0.0)[6]
-
-
-def wind(t: float, p: WindParams) -> float:
-    """The gust alpha + beta sin(n t), read off delta_a of a wind-only kernel."""
-    f = lump_kernel(DisturbanceParams(wind=p), DisturbanceFlags(wind=True), 1.0)
-    # on a state of -0.0, the exact identity of float addition, delta_a is the gust itself
-    return f((-0.0,) * 12, (0.0,) * 6, t, 0.0)[0]
 
 
 def lump(state: QuadState, t: float, params: DisturbanceParams,

@@ -6,7 +6,7 @@ import csv
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from math import isfinite, sqrt
 
@@ -47,11 +47,6 @@ class PiecewiseConstant:
             else:
                 break
         return value
-
-    def at(self, t: np.ndarray) -> np.ndarray:
-        """``self(v)`` for each time ``v`` in an array, by one sorted search."""
-        starts, values = np.array(self.segments, dtype=float).T
-        return values[np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)]
 
     @classmethod
     def constant(cls, value: float) -> "PiecewiseConstant":
@@ -342,34 +337,25 @@ def run(scenario: Scenario, params: QuadParams,
 
 def estimation_oracle(trace: TraceLog, params: QuadParams,
                       dist_params: DisturbanceParams | None = None,
-                      flags: DisturbanceFlags | None = None,
-                      d1_profile=None) -> dict:
+                      flags: DisturbanceFlags | None = None) -> dict:
     """Reconstruct each subsystem's true total disturbance from the log.
 
-    The reconstruction repeats the model algebra (everything in the
-    acceleration row except the b_hat*u term) from the logged states, with
-    the loop's own lump kernel bound to numpy and applied once to whole
-    columns, so it is independent of the observer path it is checked
-    against.  With ``d1_profile``, a ``PiecewiseConstant`` as in
-    ``Scenario``, each row uses the arm position of its time, as ``run``
-    does.  Returns per subsystem: true series, estimated series, error
-    series.
+    The truth is the model algebra (everything in the acceleration row
+    except the b_hat*u term) on the logged rates and rotor speed, plus the
+    lumped disturbances delta_a..delta_d that the loop's lump kernel logged
+    at each record's state, time and arm position; no term passes through
+    the observers it is checked against.  ``dist_params`` and ``flags`` are
+    unread, since the logged disturbances already carry them.  Returns per
+    subsystem: true series, estimated series, error series.
     """
-    # the ground-effect factor G enters no delta, so the kernel skips it
-    flags = replace(flags or DisturbanceFlags.all_on(), ground_effect=False)
-    lump_f = lump_kernel(dist_params or DisturbanceParams(), flags, params.m,
-                         sin=np.sin, maximum=np.maximum)
-    ia, t = params.inertia, trace.column("t")
-    s = [trace.column(c) for c in STATE_COLUMNS]
-    z_G = (params.masses.z_G if d1_profile is None
-           else params.masses.z_G_at(d1_profile.at(t)))
-    delta = lump_f(s, [trace.column(c) for c in ACCEL_COLUMNS], t, z_G)
-    x2, x4, x6, omega_r = s[1], s[3], s[5], trace.column("omega_r")
+    ia = params.inertia
+    x2, x4, x6, omega_r, delta_a, delta_b, delta_c, delta_d = map(trace.column, (
+        "phi_dot", "theta_dot", "psi_dot", "omega_r", *DELTA_COLUMNS[:4]))
     f_true = {
-        ROLL: ia.a1 * x4 * x6 - ia.a2 * x4 * omega_r + delta[0],
-        PITCH: ia.a3 * x2 * x6 + ia.a4 * x2 * omega_r + delta[1],
-        YAW: ia.a5 * x2 * x4 + delta[2],
-        ALTITUDE: params.g + delta[3],
+        ROLL: ia.a1 * x4 * x6 - ia.a2 * x4 * omega_r + delta_a,
+        PITCH: ia.a3 * x2 * x6 + ia.a4 * x2 * omega_r + delta_b,
+        YAW: ia.a5 * x2 * x4 + delta_c,
+        ALTITUDE: params.g + delta_d,
     }
 
     result = {}

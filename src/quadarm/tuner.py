@@ -200,9 +200,7 @@ def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
 
     estimation = 0.0
     if w.estimation > 0:
-        oracle = estimation_oracle(trace, problem.params, problem.dist_params,
-                                   problem.scenario.flags,
-                                   d1_profile=problem.scenario.d1_profile)
+        oracle = estimation_oracle(trace, problem.params)
         for name in adrc.SUBSYSTEMS:
             estimation += float(np.sum(oracle[name]["error"] ** 2) * dt)
 

@@ -443,3 +443,36 @@ def test_resolve_resolves_or_raises_config_error(data):
         resolve(data)
     except ConfigError:
         pass
+
+
+def leaf_paths(tree, path=()):
+    """Key paths of the leaves of a default mapping (an empty mapping is a leaf)."""
+    if not isinstance(tree, dict) or not tree:
+        return [path]
+    return [leaf for key, value in tree.items() for leaf in leaf_paths(value, (*path, key))]
+
+
+# scenario.duration stays at 0.01 s, so no example integrates more than ten steps
+FUZZED_LEAVES = [p for p in leaf_paths(DEFAULTS) if p != ("scenario", "duration")]
+BAD_VALUES = ["abc", True, None, {"x": 1.0}, math.nan, math.inf, -math.inf, 1e300, -1e300,
+              1e180, [-1e200, 1e200], [], [0.5], [1.0] * 25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZED_LEAVES), st.sampled_from(BAD_VALUES)),
+                min_size=1, max_size=3))
+def test_simulate_exits_cleanly_on_any_leaf(tmp_path_factory, leaves):
+    # CliRunner turns an escaped exception into exit code 1 and prints no
+    # traceback, so the exception itself is what tells an escape apart
+    data = {"scenario": {"duration": 0.01}}
+    for path, value in leaves:
+        node = data
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    result = CliRunner().invoke(main, ["simulate", "--config", write_yaml(tmp / "c.yaml", data),
+                                       "--out", str(tmp / "trace.csv")])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quadarm import (DisturbanceFlags, DisturbanceParams, DragParams,
                      GroundEffectParams, MassProperties, QuadState, WindParams,
                      ground_effect_factor)
-from quadarm.disturbances import lump, lump_kernel, wind
+from quadarm.disturbances import lump, lump_kernel
 from quadarm.errors import InvalidParameterError
 
 
@@ -54,20 +54,26 @@ class TestGroundEffect:
             assert g1 >= g2
 
 
+def gust(t, p):
+    """delta_a of a wind-only lump on the zero state: exactly the gust."""
+    return lump(QuadState(), t, DisturbanceParams(wind=p), DisturbanceFlags(wind=True),
+                MassProperties()).delta_a
+
+
 class TestWind:
     def test_values(self):
         p = WindParams(alpha=0.1, beta=1.0, n=1.0)
-        assert wind(0.0, p) == pytest.approx(0.1)
-        assert wind(math.pi / 2, p) == pytest.approx(1.1)
+        assert gust(0.0, p) == pytest.approx(0.1)
+        assert gust(math.pi / 2, p) == pytest.approx(1.1)
 
     def test_zero_amplitude_is_constant(self):
         p = WindParams(alpha=0.3, beta=0.0, n=2.0)
-        assert wind(0.0, p) == wind(17.3, p) == 0.3
+        assert gust(0.0, p) == gust(17.3, p) == 0.3
 
     @given(st.floats(0.0, 100.0))
     def test_periodicity(self, t):
         p = WindParams(alpha=0.1, beta=1.0, n=0.7)
-        assert abs(wind(t, p) - wind(t + 2 * math.pi / p.n, p)) < 1e-12
+        assert abs(gust(t, p) - gust(t + 2 * math.pi / p.n, p)) < 1e-12
 
 
 class TestComShift:

@@ -13,8 +13,10 @@ from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassP
                      PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
                      TraceLog, estimation_oracle, rk4_step, run)
 from quadarm import sim as sim_mod
-from quadarm.disturbances import DragParams, lump, lump_kernel
+from quadarm.adrc import SUBSYSTEMS
+from quadarm.disturbances import DragParams, lump
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
+from quadarm.model import derivative_kernel
 from quadarm.sim import (ACCEL_COLUMNS, COLUMNS, CONTROL_START, DELTA_COLUMNS, STATE_COLUMNS,
                          loop_kernel)
 
@@ -67,23 +69,38 @@ class TestPiecewiseConstant:
         with pytest.raises(InvalidParameterError):
             PiecewiseConstant(((0.0, math.inf),))
 
-    @pytest.mark.parametrize("segments", [
-        ((0.0, 0.8), (1.0, 0.2), (2.5, 0.5)),
-        ((1.0, 7.0),),
-        ((0.5, 1.0), (0.5, 2.0), (3.0, -1.0)),
-    ], ids=["arm", "late_start", "repeated_start"])
-    def test_array_lookup_equals_call(self, segments):
-        # every boundary, just before and after it, and a time before the first start
-        p = PiecewiseConstant(segments)
-        starts = [s[0] for s in segments]
-        grid = sorted({-1.0, *starts, *np.nextafter(starts, -np.inf),
-                       *np.nextafter(starts, np.inf), *np.linspace(-0.5, 4.0, 91)})
-        looked_up = p.at(np.array(grid))
-        assert looked_up.tobytes() == np.array([p(v) for v in grid]).tobytes()
-
 
 def exp_decay(t, y, lagged):
     return -y, np.zeros(6)
+
+
+ARM = PiecewiseConstant(((0.0, 0.8), (1.0, 0.2), (2.5, 0.5)))
+ARM_DIST = DisturbanceParams(strict_signs=False)
+
+
+@pytest.fixture(scope="module")
+def arm_trace(params):
+    return run(Scenario(duration=4.0, d1_profile=ARM), params, dist_params=ARM_DIST)
+
+
+def logged_rows(trace):
+    """G and the lumped disturbances as the loop logged them, one row per record."""
+    cols = trace.columns
+    return trace.as_array()[:, [cols.index(c) for c in ["G", *DELTA_COLUMNS]]]
+
+
+def lumped_rows(trace, dist, masses_at):
+    """G and the lumped disturbances rebuilt by ``lump`` at each record's
+    state, time and the mass properties ``masses_at(t)``."""
+    cols = trace.columns
+    arr = trace.as_array()
+    states = arr[:, [cols.index(c) for c in STATE_COLUMNS]]
+    lagged = arr[:, [cols.index(c) for c in ACCEL_COLUMNS]]
+    return np.array([
+        [d.G, *d.as_vector()]
+        for d in (lump(QuadState(s, a), t, dist, DisturbanceFlags.all_on(), masses_at(t))
+                  for s, a, t in zip(states, lagged, arr[:, cols.index("t")].tolist()))
+    ])
 
 
 class TestRk4:
@@ -218,25 +235,29 @@ class TestRun:
 
         def simulate(duration):
             trace = run(Scenario(duration=duration, d1_profile=d1), params)
-            estimation_oracle(trace, params, d1_profile=d1)
+            estimation_oracle(trace, params)
 
         counts = built_per_duration(MassProperties, monkeypatch, simulate)
         assert counts[0] == counts[1]
 
-    def test_logged_disturbances_equal_public_lump(self, standard_trace, params):
-        # the loop's kernel and the public wrapper agree bit for bit
-        cols = standard_trace.columns
-        arr = standard_trace.as_array()
-        states = arr[:, [cols.index(c) for c in STATE_COLUMNS]]
-        lagged = arr[:, [cols.index(c) for c in ACCEL_COLUMNS]]
-        logged = arr[:, [cols.index(c) for c in ["G", *DELTA_COLUMNS]]]
-        rebuilt = np.array([
-            [d.G, *d.as_vector()]
-            for d in (lump(QuadState(s, a), t, DisturbanceParams(), DisturbanceFlags.all_on(),
-                           params.masses)
-                      for s, a, t in zip(states, lagged, arr[:, cols.index("t")]))
-        ])
-        assert rebuilt.tobytes() == logged.tobytes()
+    def test_logged_disturbances_equal_public_lump(self, standard_trace, arm_trace, params):
+        # the loop's kernel and the public wrapper agree bit for bit, also
+        # where each record has the arm position of its time
+        for trace, dist, masses_at in (
+                (standard_trace, DisturbanceParams(), lambda t: params.masses),
+                (arm_trace, ARM_DIST, lambda t: replace(params.masses, d1=ARM(t)))):
+            rebuilt = lumped_rows(trace, dist, masses_at)
+            assert rebuilt.tobytes() == logged_rows(trace).tobytes()
+
+    def test_logged_disturbances_follow_arm_profile(self, arm_trace, params):
+        # the stock arm is ARM's first position: rebuilt with it, the rows
+        # agree before the arm first moves at t = 1 s and not after
+        assert params.masses.d1 == ARM(0.0)
+        fixed = lumped_rows(arm_trace, ARM_DIST, lambda t: params.masses)
+        logged = logged_rows(arm_trace)
+        moved = arm_trace.column("t") >= 1.0
+        assert fixed[~moved].tobytes() == logged[~moved].tobytes()
+        assert np.all(np.any(fixed[moved] != logged[moved], axis=1))
 
     def test_gain_argument_changes_output(self, params):
         base = run(Scenario(duration=0.5), params)
@@ -306,91 +327,65 @@ class TestLoopKernel:
         assert np.array(rows).tobytes() == run(scenario, params).as_array().tobytes()
 
 
-def float_and_column_lump(trace, params, dist, flags, d1=None):
-    """The lump kernel on floats row by row and, bound to numpy, once on the
-    trace's columns; both as (rows, 7) arrays."""
-    t = trace.column("t")
-    s = [trace.column(c) for c in STATE_COLUMNS]
-    lagged = [trace.column(c) for c in ACCEL_COLUMNS]
-    z_G = [params.masses.z_G if d1 is None else params.masses.z_G_at(d1(v)) for v in t.tolist()]
-    lump_f = lump_kernel(dist, flags, params.m)
-    rows = np.array([lump_f(*args) for args in zip(np.column_stack(s).tolist(),
-                                                    np.column_stack(lagged).tolist(),
-                                                    t.tolist(), z_G)])
-    lump_np = lump_kernel(dist, flags, params.m, sin=np.sin, maximum=np.maximum)
-    columns = lump_np(s, lagged, t, params.masses.z_G if d1 is None else np.array(z_G))
-    return rows, np.column_stack(np.broadcast_arrays(*columns))
-
-
-ARM = PiecewiseConstant(((0.0, 0.8), (1.0, 0.2), (2.5, 0.5)))
-COM_ONLY = DisturbanceFlags(com=True)
-
-
 class TestEstimationOracle:
-    @pytest.mark.parametrize("scenario, dist, ulps", [
-        (Scenario(duration=10.0), DisturbanceParams(), 0),
-        (Scenario(duration=4.0, d1_profile=ARM), DisturbanceParams(strict_signs=False), 0),
-        (Scenario(duration=5.0, flags=COM_ONLY), DisturbanceParams(), 4),
-        (Scenario(duration=3.0, ref_z=PiecewiseConstant.constant(0.3)), DisturbanceParams(), 4),
+    @pytest.mark.parametrize("scenario, dist", [
+        (Scenario(duration=2.0), DisturbanceParams()),
+        (Scenario(duration=4.0, d1_profile=ARM), DisturbanceParams(strict_signs=False)),
+        (Scenario(duration=2.0, flags=DisturbanceFlags(com=True)), DisturbanceParams()),
+        (Scenario(duration=2.0, ref_z=PiecewiseConstant.constant(0.3)), DisturbanceParams()),
     ], ids=["stock", "arm_profile", "com_only", "low_altitude"])
-    def test_column_kernel_equals_float_kernel(self, params, scenario, dist, ulps):
-        # numpy squares by x * x where a float ** calls pow: a few ulp apart at most
+    def test_truth_is_the_uncontrolled_acceleration(self, params, scenario, dist):
+        # each loop's truth is the model's acceleration of that loop with no
+        # input, at the logged state, rotor speed and disturbances
         trace = run(scenario, params, dist_params=dist)
-        rows, columns = float_and_column_lump(trace, params, dist, scenario.flags,
-                                              scenario.d1_profile)
-        oracle = estimation_oracle(trace, params, dist, scenario.flags, scenario.d1_profile)
-        assert oracle["altitude"]["f_true"].tobytes() == (params.g + columns[:, 3]).tobytes()
-        if ulps == 0:
-            assert columns.tobytes() == rows.tobytes()
-        else:
-            spacing = np.spacing(np.maximum(np.abs(rows), np.abs(columns)))
-            assert np.all(np.abs(columns - rows) <= ulps * spacing)
+        oracle = estimation_oracle(trace, params)
+        cols, arr = trace.columns, trace.as_array()
+        deriv_f = derivative_kernel(params)
+        uncontrolled = np.array([
+            deriv_f(s, (0.0, 0.0, 0.0, 0.0, omega_r), logged)[1:8:2]
+            for s, omega_r, logged in zip(
+                arr[:, [cols.index(c) for c in STATE_COLUMNS]].tolist(),
+                arr[:, cols.index("omega_r")].tolist(),
+                arr[:, [cols.index(c) for c in [*DELTA_COLUMNS, "G"]]].tolist())])
+        truth = np.column_stack([oracle[name]["f_true"] for name in SUBSYSTEMS])
+        # the oracle and the model add the same terms in another order: a few ulp apart
+        np.testing.assert_allclose(truth, uncontrolled, rtol=1e-13, atol=1e-13)
+        assert truth[:, 3].tobytes() == uncontrolled[:, 3].tobytes()
 
     @pytest.mark.parametrize("d1", [None, ARM], ids=["fixed_arm", "arm_profile"])
-    def test_kernel_called_once_per_trace(self, params, monkeypatch, d1):
+    def test_binds_no_lump_kernel(self, params, monkeypatch, d1):
+        # the truth is read off the logged disturbances: the oracle binds no
+        # lump kernel, and other ``dist_params`` and ``flags`` change nothing
         trace = run(Scenario(duration=0.5, d1_profile=d1), params)
-        calls, bind = [], sim_mod.lump_kernel
 
-        def counting(*args, **kwargs):
-            f = bind(*args, **kwargs)
-            return lambda *a: calls.append(1) or f(*a)
+        def unbound(*args, **kwargs):
+            raise AssertionError("the oracle bound a lump kernel")
 
-        monkeypatch.setattr(sim_mod, "lump_kernel", counting)
-        estimation_oracle(trace, params, d1_profile=d1)
-        assert len(calls) == 1
-
-    def test_arm_positions_by_array_lookup(self, params, monkeypatch):
-        # the oracle looks the arm positions up for all rows at once; a lookup
-        # row by row gives the same bits
-        scenario = Scenario(duration=4.0, d1_profile=ARM)
-        dist = DisturbanceParams(strict_signs=False)
-        trace = run(scenario, params, dist_params=dist)
-        fast = estimation_oracle(trace, params, dist, scenario.flags, ARM)
-        monkeypatch.setattr(PiecewiseConstant, "at",
-                            lambda self, t: np.array([self(v) for v in t.tolist()]))
-        slow = estimation_oracle(trace, params, dist, scenario.flags, ARM)
-        for name in fast:
+        monkeypatch.setattr(sim_mod, "lump_kernel", unbound)
+        lean = estimation_oracle(trace, params)
+        other = estimation_oracle(trace, params, DisturbanceParams(strict_signs=False),
+                                  DisturbanceFlags())
+        for name in lean:
             for key in ("f_true", "error"):
-                assert fast[name][key].tobytes() == slow[name][key].tobytes()
+                assert lean[name][key].tobytes() == other[name][key].tobytes()
 
     @pytest.mark.parametrize("scenario", [
         Scenario(duration=2.0),
         Scenario(duration=3.0, ref_z=PiecewiseConstant.constant(0.3)),
     ], ids=["stock", "low_altitude"])
     def test_ground_effect_is_left_unbound(self, params, monkeypatch, scenario):
-        # G enters no delta, so the oracle binds its kernel without ground
-        # effect; with ground effect bound every output keeps its bits
+        # G enters no delta, and the oracle binds no kernel that could add
+        # ground effect: with it flagged on or off every output keeps its bits
         trace = run(scenario, params)
-        lean = estimation_oracle(trace, params)
-        bound, bind = [], sim_mod.lump_kernel
 
-        def with_ground_effect(dist, flags, m, **namespace):
-            bound.append(flags)
-            return bind(dist, replace(flags, ground_effect=True), m, **namespace)
+        def unbound(*args, **kwargs):
+            raise AssertionError("the oracle bound a lump kernel")
 
-        monkeypatch.setattr(sim_mod, "lump_kernel", with_ground_effect)
-        full = estimation_oracle(trace, params)
-        assert bound == [replace(DisturbanceFlags.all_on(), ground_effect=False)]
+        monkeypatch.setattr(sim_mod, "lump_kernel", unbound)
+        flags = DisturbanceFlags.all_on()
+        assert flags.ground_effect
+        full = estimation_oracle(trace, params, flags=flags)
+        lean = estimation_oracle(trace, params, flags=replace(flags, ground_effect=False))
         for name in lean:
             for key in ("f_true", "error"):
                 assert lean[name][key].tobytes() == full[name][key].tobytes()
@@ -421,7 +416,7 @@ class TestEstimationOracle:
         # the arm position of each row, as the run does
         d1 = PiecewiseConstant(((0.0, 0.8), (1.0, 0.2)))
         trace = run(Scenario(duration=4.0, d1_profile=d1), params)
-        oracle = estimation_oracle(trace, params, d1_profile=d1)
+        oracle = estimation_oracle(trace, params)
         late = trace.column("t") >= 2.0
         rms = np.sqrt(np.mean(oracle["pitch"]["error"][late] ** 2))
         assert rms < 0.05

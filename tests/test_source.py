@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,50 @@ def test_traced_name_exists(name):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def package_calls(source: str) -> list:
+    """Calls ``q.<module>.<name>(...)`` and ``self.q.<module>.<name>(...)``, ``q``
+    being the package: (dotted path below the package, positional count,
+    keyword names, line)."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, owner = [], node.func
+        while isinstance(owner, ast.Attribute):
+            parts.insert(0, owner.attr)
+            owner = owner.value
+        if isinstance(owner, ast.Name) and owner.id == "self" and parts[:1] == ["q"]:
+            parts = parts[1:]
+        elif not (isinstance(owner, ast.Name) and owner.id == "q"):
+            continue
+        if len(parts) < 2:
+            continue
+        calls.append((".".join(parts), len(node.args), tuple(k.arg for k in node.keywords),
+                      node.lineno))
+    return sorted(calls, key=lambda call: call[3])
+
+
+def test_detects_package_calls():
+    source = "q.sim.run(a, b, gains=g)\nself.q.tuner.tune(x)\nq.run(a)\nother.sim.run(a)\n"
+    assert package_calls(source) == [("sim.run", 2, ("gains",), 1), ("tuner.tune", 1, (), 2)]
+
+
+BENCH_CALLS = package_calls((PACKAGE.parent.parent / "bench" / "run.py").read_text(
+    encoding="utf-8"))
+
+
+def test_bench_calls_found():
+    assert BENCH_CALLS
+
+
+@pytest.mark.parametrize("path, n_args, keywords, line", BENCH_CALLS,
+                         ids=[f"{c[0]}@{c[3]}" for c in BENCH_CALLS])
+def test_bench_call_binds(path, n_args, keywords, line):
+    # the benchmark's program calls would otherwise fail only when it runs
+    module, *attrs = path.split(".")
+    target = importlib.import_module(f"quadarm.{module}")
+    for attr in attrs:
+        target = getattr(target, attr)
+    inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
