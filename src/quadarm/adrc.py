@@ -80,10 +80,11 @@ class SubsystemConfig:
 
 def bank_kernel(configs, dt: float):
     """Bind a bank of loops once: each loop's observer gains, PD gains and
-    input limits, and the period ``dt``.  Returns the float kernel
-    ``bank(obs, ys, refs, ref_rates, b_hats) -> (obs, signals)``, the only
-    code that runs the control law: the closed loop runs its four subsystems
-    through one bank, and ``AdrcController`` and ``eso_step`` each one loop.
+    input limits, and the period ``dt``, checked here only.  Returns the
+    float kernel ``bank(obs, ys, refs, ref_rates, b_hats) -> (obs, signals)``,
+    the only code that runs the control law: the closed loop runs its four
+    subsystems through one bank, and ``AdrcController`` and ``eso_step`` each
+    one loop.
 
     Each argument holds one entry per loop.  An ``obs`` entry is
     (x1_hat, x2_hat, x3_hat, u) after the last period: the observer first
@@ -97,6 +98,8 @@ def bank_kernel(configs, dt: float):
     (x1_hat, x2_hat, x3_hat, u) and, per loop, the signals
     (u, u0, x3_hat, x1_hat, x2_hat, saturated).
     """
+    if not dt > 0:  # NaN too
+        raise InvalidParameterError("dt must be positive")
     loops = tuple((c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
                   for c in configs)
     h, sixth = 0.5 * dt, dt / 6.0
@@ -137,8 +140,6 @@ def bank_kernel(configs, dt: float):
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
              gains: EsoGains, dt: float) -> EsoState:
     """Advance the observer one step (RK4, measurement held over the step)."""
-    if not dt > 0:
-        raise InvalidParameterError("dt must be positive")
     # one unlimited loop with unit b_hat: 1.0 * (b_hat * u) is b_hat * u exactly
     loop = SubsystemConfig(ALTITUDE, 1.0, gains, PdGains(1.0, 1.0), (-math.inf, math.inf))
     (obs,), _ = bank_kernel((loop,), dt)(
@@ -194,13 +195,9 @@ class AdrcController:
         """One control period: observe with the previously applied input,
         then compute the new cancelling control.
 
-        ``b_hat`` overrides the configured effectiveness (used by the
-        altitude loop, whose effectiveness depends on attitude and the
-        ground-effect factor); the observer and the cancellation both use
-        it clamped by ``clamp_b_hat``.
+        ``b_hat`` overrides the configured effectiveness for this step; the
+        observer and the cancellation both use it clamped by ``clamp_b_hat``.
         """
-        if not dt > 0:
-            raise InvalidParameterError("dt must be positive")
         if dt != self._dt:
             self._bank, self._dt = bank_kernel((self.config,), dt), dt
         b, degenerate = clamp_b_hat(self.config.b_hat if b_hat is None else b_hat)

@@ -26,6 +26,9 @@ from .tuner import (CostWeights, SignalBound, TuneOptions, TuneProblem, gains_fr
                     gains_vector, layout_names, layout_vector)
 
 
+MAX_STEPS = 10 ** 7  #: most steps a scenario may ask for: 4.5 GB of trace at 448 B a record
+
+
 class ConfigError(ConfigurationError):
     """Invalid configuration file; carries the offending key paths."""
 
@@ -267,9 +270,9 @@ def resolve(data: dict | None) -> Config:
         ref_z=refs["z"], flags=flags, d1_profile=d1_profile,
         open_loop=sc["open_loop"], open_loop_u1=open_loop_u1))
     steps = scenario.duration / scenario.dt if scenario else 0.0
-    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+    if not (steps <= MAX_STEPS and abs(steps - round(steps)) <= 1e-9 * steps):  # NaN, inf too
         problems.append(f"scenario.duration: {scenario.duration} is {steps:.12g} steps "
-                        f"of dt {scenario.dt}, not a whole number")
+                        f"of dt {scenario.dt}, not a whole number of at most {MAX_STEPS}")
 
     tn = data["tuner"]
     weights = _build(problems, "tuner.weights", lambda: CostWeights(**tn["weights"]))

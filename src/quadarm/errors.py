@@ -26,7 +26,7 @@ class DivergenceError(QuadArmError):
 
 
 class IntegrationError(QuadArmError):
-    """The integrator was handed a non-finite derivative."""
+    """A period produced a non-finite state."""
 
     def __init__(self, time, message=None):
         self.time = time

@@ -185,11 +185,11 @@ class MixerParams:
 
     @cached_property
     def inverse(self) -> tuple:
-        """Rows of the allocation matrix's inverse, singularity-checked once."""
-        m = self.matrix()
-        if abs(np.linalg.det(m)) < 1e-300:
+        """Rows of the allocation matrix's inverse, singularity-checked once on
+        its |det| = 8 k_f^3 k_m as a product, which goes to inf where det overflows."""
+        if 8.0 * self.k_f * self.k_f * self.k_f * self.k_m < 1e-300:
             raise ConfigurationError("allocation matrix is singular")
-        return tuple(map(tuple, np.linalg.inv(m).tolist()))
+        return tuple(map(tuple, np.linalg.inv(self.matrix()).tolist()))
 
 
 @dataclass
@@ -287,7 +287,9 @@ def derivative_kernel(params: QuadParams):
 
     ``s`` is the 12-state sequence, ``u`` is (U1, U2, U3, U4, omega_r) and
     ``dist`` is (delta_a..delta_f, G); the derivative is a tuple of floats
-    whose odd entries are the six accelerations.
+    whose odd entries are the six accelerations.  It checks nothing:
+    ``sim._rk4`` checks the state a period makes, and ``sin`` of an
+    infinite angle raises ``ValueError``.
     """
     ia = params.inertia
     a1, a2, a3, a4, a5, a6, a7, a8 = (ia.a1, ia.a2, ia.a3, ia.a4,
@@ -295,10 +297,6 @@ def derivative_kernel(params: QuadParams):
     m, g = params.m, params.g
 
     def f(s, u, dist):
-        # a float sum is finite only if every addend is; an overflowing sum
-        # of finite entries falls through to the check of each
-        if not isfinite(sum(s)) and not all(map(isfinite, s)):
-            raise InvalidInputError("state must be finite")
         x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s
         U1, U2, U3, U4, omega_r = u
         delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist
@@ -324,7 +322,10 @@ def state_derivative(state: QuadState, u: ControlInputs, dist,
     returned separately so the caller can store them as the next step's
     lagged values.
     """
+    s = state.vector.tolist()  # the vector may have changed since it was built
+    if not all(map(isfinite, s)):
+        raise InvalidInputError("state must be finite")
     deriv = derivative_kernel(params)(
-        state.vector.tolist(), (u.U1, u.U2, u.U3, u.U4, u.omega_r),
+        s, (u.U1, u.U2, u.U3, u.U4, u.omega_r),
         (*dist.as_vector().tolist(), dist.G))
     return np.array(deriv), np.array(deriv[1::2])

@@ -7,7 +7,6 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from math import isfinite, sqrt
 
 import numpy as np
@@ -163,7 +162,8 @@ class TraceLog:
 def _rk4(stage, t: float, y, dt: float, k1) -> tuple[list, tuple]:
     """Classical fourth-order step over a 12-state float sequence from the
     first-stage derivative ``k1``; ``stage(tau, y)`` gives the derivative at
-    a stage.  Returns the new state and the final-stage derivative.
+    a stage.  Returns the new state, checked finite (``IntegrationError``),
+    and the final-stage derivative.
 
     The combinations are written out per state: a comprehension over the
     twelve entries costs about as much again as the arithmetic it does.
@@ -182,24 +182,24 @@ def _rk4(stage, t: float, y, dt: float, k1) -> tuple[list, tuple]:
     k4 = stage(t + dt, [y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
                         y5 + dt * c5, y6 + dt * c6, y7 + dt * c7, y8 + dt * c8,
                         y9 + dt * c9, y10 + dt * c10, y11 + dt * c11, y12 + dt * c12])
-    # a float sum is finite only if every addend is; an overflowing sum of
-    # finite entries falls through to the check of each
-    if (not isfinite(sum(k1) + sum(k2) + sum(k3) + sum(k4))
-            and not all(map(isfinite, chain(k1, k2, k3, k4)))):
-        raise IntegrationError(t)
     d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = k4
-    return [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-            y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-            y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-            y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
-            y7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
-            y8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
-            y9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
-            y10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
-            y11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
-            y12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)], k4
+    y = [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+         y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+         y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+         y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+         y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+         y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+         y7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+         y8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
+         y9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
+         y10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
+         y11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
+         y12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)]
+    # a non-finite slope of any stage leaves a non-finite entry here; a float
+    # sum is finite only if every addend is, and an overflowing one falls through
+    if not isfinite(sum(y)) and not all(map(isfinite, y)):
+        raise IntegrationError(t)
+    return y, k4
 
 
 def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
@@ -306,7 +306,7 @@ def loop_kernel(scenario: Scenario, params: QuadParams,
             try:
                 y, k4 = _rk4(lambda tau, s: deriv_f(s, u, lump_f(s, lagged, tau, z_G)),
                              t, y, dt, deriv_f(y, u, dist))
-            except OverflowError:  # a square beyond the float range
+            except (OverflowError, ValueError):  # x ** 2 past the float range, sin(inf)
                 raise IntegrationError(t) from None
             lagged = k4[1::2]  # the final stage's accelerations
         return y, lagged, ctrl, row
@@ -327,9 +327,7 @@ def run(scenario: Scenario, params: QuadParams,
         t = k * dt
         y, lagged, ctrl, row = step(t, y, lagged, ctrl)
         log.append(row)
-        # a sum of entries within the limit is finite, so a non-finite sum
-        # means a non-finite or a huge entry: divergence either way
-        if not isfinite(sum(y)) or max(map(abs, y)) > DIVERGENCE_LIMIT:
+        if max(map(abs, y)) > DIVERGENCE_LIMIT:  # y is finite: step checked it
             raise DivergenceError(t + dt)
     log.append(step(n * dt, y, lagged, ctrl, final=True)[3])
     return log

@@ -196,6 +196,17 @@ class TestSimulateCommand:
         assert len(result.output.strip().splitlines()) == 1
         assert "non-finite derivative at t=0.25" in result.output
 
+    def test_infinite_stage_state_one_line_exit_1(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "controller": {"pd": {"roll": {"kp": 1.0e300}},
+                           "u_limits": {"roll": [-1.0e308, 1.0e308]}},
+            "disturbances": {"enable": {"com": False}}, "scenario": {"duration": 0.01}})
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                           "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "simulation failed: non-finite derivative at t=0 s"]
+
 
 class TestPlotsCommand:
     def test_emits_figure_scripts(self, tmp_path):
@@ -400,6 +411,7 @@ class TestTuneCommand:
     ({"tuner": {"box": {"lower": [math.nan] * 11, "upper": [1e5] * 11}}}, "tuner.box.lower"),
     ({"tuner": {"box": {"lower": [-math.inf] * 11, "upper": [1e5] * 11}}}, "tuner.box.lower"),
     ({"tuner": {"box": {"lower": [1e-3] * 11, "upper": [math.nan] * 11}}}, "tuner.box.upper"),
+    ({"scenario": {"duration": 1.0e300}}, "scenario.duration"),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []

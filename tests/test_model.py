@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestMixer:
         # tolerance scaled by the largest component: the inverse mixes
         # magnitudes across the whole vector
         assert np.allclose(back, w2, rtol=1e-10, atol=1e-10 * max(w2))
+
+    @pytest.mark.parametrize("k_f, k_m", [(1e-5, 1.5e-6), (2.0, 3.0), (0.7, 1e-3)])
+    def test_singularity_check_is_the_determinant(self, k_f, k_m):
+        p = MixerParams(k_f, k_m)
+        assert abs(np.linalg.det(p.matrix())) == pytest.approx(8 * k_f ** 3 * k_m, rel=1e-12)
+
+    def test_huge_k_f_inverts_without_warning(self):
+        # the determinant of this matrix overflows; its closed form goes to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = MixerParams(k_f=1e300).inverse
+        assert np.all(np.isfinite(rows))
 
     def test_clamp_sets_flag(self):
         p = MixerParams()

@@ -209,6 +209,17 @@ class TestRun:
         with pytest.raises(IntegrationError):
             run(Scenario(duration=0.01), params, gains=gains)
 
+    def test_infinite_stage_state_is_integration_error(self, params):
+        # a huge roll command makes the pitch rate infinite inside the first
+        # period; sin of the infinite pitch angle raises ValueError in a later
+        # stage, which the period reports as an IntegrationError at its start
+        gains = ControllerGains(pd_roll=PdGains(1e300, 19.6321),
+                                u_limits={**ControllerGains().u_limits, "roll": (-1e308, 1e308)})
+        flags = replace(DisturbanceFlags.all_on(), com=False)
+        with pytest.raises(IntegrationError) as exc_info:
+            run(Scenario(duration=0.01, flags=flags), params, gains=gains)
+        assert exc_info.value.time == 0.0
+
     def test_divergence_raises(self, params):
         # strict altitude drag sign is anti-damping; a large coefficient
         # blows the open-loop fall up exponentially
@@ -284,19 +295,16 @@ class TestLoopKernel:
         assert repr(step(*args)) == repr(first)
         assert repr(args) == kept  # the arguments are left as they were
 
-    def test_python_calls_per_period(self, params):
-        """Python-level calls per stock closed-loop period, from the difference
+    @staticmethod
+    def calls_per_period(params, event):
+        """Profiler ``event``s per stock closed-loop period, from the difference
         of a 0.2 s and a 0.1 s run: a deterministic guard against a slower
-        period, where wall-clock times on a shared machine are not.  The
-        period made 63 calls before the ADRC bank (four ``update`` calls of
-        five functions each), the bound lump and mixer kernels, the bound
-        reference profiles and the RK4 combinations written out per state;
-        it makes 20."""
+        period, where wall-clock times on a shared machine are not."""
         def calls(duration):
             count = [0]
 
-            def profile(frame, event, arg):
-                count[0] += event == "call"
+            def profile(frame, kind, arg):
+                count[0] += kind == event
 
             # a collection could run finalizers of earlier tests' objects mid-run
             gc.collect()
@@ -310,7 +318,21 @@ class TestLoopKernel:
             return count[0]
 
         params.mixer.inverse  # a cached property: its one-off evaluation is no period's
-        assert (calls(0.2) - calls(0.1)) / 100 <= 20
+        return (calls(0.2) - calls(0.1)) / 100
+
+    def test_python_calls_per_period(self, params):
+        """The period made 63 Python-level calls before the ADRC bank (four
+        ``update`` calls of five functions each), the bound lump and mixer
+        kernels, the bound reference profiles and the RK4 combinations
+        written out per state; it makes 20."""
+        assert self.calls_per_period(params, "call") <= 20
+
+    def test_c_calls_per_period(self, params):
+        """C-level calls (builtins such as ``sum``, ``isfinite``, ``sin``) per
+        period.  The period made 59 while the derivative kernel checked each
+        stage state, ``_rk4`` the 48 slopes and ``run`` the new state again;
+        checking only the new state, once, it makes 46."""
+        assert self.calls_per_period(params, "c_call") <= 46
 
     def test_run_is_the_loop_over_step(self, params):
         scenario = Scenario(duration=0.01)
