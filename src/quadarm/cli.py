@@ -1,7 +1,10 @@
 """Command-line interface: simulate, tune, plots.
 
-Exit codes: 0 success, 1 runtime failure (divergence, infeasible start),
-2 configuration error.
+Exit codes: 0 success, 1 runtime failure (divergence, infeasible start, an
+unreadable trace, a failed output write), 2 configuration error (including an
+unreadable config file). The commands only raise; the group's ``invoke`` alone
+turns an error into its exit code and message, so a programming error still
+shows its traceback.
 """
 
 from __future__ import annotations
@@ -14,45 +17,53 @@ import click
 
 from . import config as config_mod
 from . import tuner as tuner_mod
-from .errors import DivergenceError, QuadArmError
+from .errors import QuadArmError
 from .sim import run
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
+# the label that opens each command's one-line runtime failure
+FAILURE_LABELS = {"simulate": "simulation failed", "tune": "tuning failed",
+                  "plots": "plotting failed"}
 
-@click.group()
+
+def _fail(message, code=EXIT_RUNTIME):
+    """Print ``message`` to stderr and exit with ``code``: the CLI's only exit."""
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
+class _Commands(click.Group):
+    """The command group; its ``invoke`` turns a command's error into an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except config_mod.ConfigError as exc:
+            _fail(str(exc), EXIT_CONFIG)
+        except (QuadArmError, OSError, UnicodeDecodeError, csv.Error) as exc:
+            _fail(f"{FAILURE_LABELS[ctx.invoked_subcommand]}: {exc}")
+
+
+@click.group(cls=_Commands)
 def main():
     """Quadrotor-manipulator simulator, ADRC control stack and gain tuner."""
 
 
-def _load_config(path, tuning=False):
-    """The resolved config at ``path``; for ``tuning`` its start vector lies in the box."""
-    try:
-        cfg = config_mod.load(path)
-        if tuning:
-            cfg.check_tune_start()
-        return cfg
-    except config_mod.ConfigError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-
 def _check_out_dir(path, is_dir=False):
-    """Exit before any work when the output ``path`` cannot be written: a file
-    path that names a directory or lies in a missing one, or a directory path
-    (``is_dir``) that names a file."""
+    """Exit before any work when the output ``path`` cannot be written: an empty
+    path, a file path that ends in a separator, names a directory or lies in a
+    missing one, or a directory path (``is_dir``) that names a file."""
     directory = os.path.dirname(os.path.abspath(path))
     if is_dir and os.path.exists(path) and not os.path.isdir(path):
-        message = f"output directory is a file: {path}"
+        _fail(f"output directory is a file: {path}")
     elif not is_dir and os.path.isdir(path):
-        message = f"output path is a directory: {path}"
+        _fail(f"output path is a directory: {path}")
+    elif not path or not is_dir and path.endswith(os.sep):
+        _fail(f"output path names no {'directory' if is_dir else 'file'}: '{path}'")
     elif not is_dir and not os.path.isdir(directory):
-        message = f"output directory does not exist: {directory}"
-    else:
-        return
-    click.echo(message, err=True)
-    sys.exit(EXIT_RUNTIME)
+        _fail(f"output directory does not exist: {directory}")
 
 
 @main.command()
@@ -64,16 +75,9 @@ def _check_out_dir(path, is_dir=False):
               help="Reserved; the simulation is deterministic.")
 def simulate(config_path, out_path, seed):
     """Run one scenario and write the trace log as CSV."""
-    cfg = _load_config(config_path)
+    cfg = config_mod.load(config_path)
     _check_out_dir(out_path)
-    try:
-        trace = run(cfg.scenario, cfg.params, cfg.dist_params, cfg.gains)
-    except DivergenceError as exc:
-        click.echo(f"simulation diverged at t={exc.time:.4f} s", err=True)
-        sys.exit(EXIT_RUNTIME)
-    except QuadArmError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
+    trace = run(cfg.scenario, cfg.params, cfg.dist_params, cfg.gains)
     trace.to_csv(out_path)
     click.echo(f"wrote {len(trace)} records to {out_path}")
 
@@ -87,16 +91,12 @@ def simulate(config_path, out_path, seed):
               help="Reserved; the optimizer is deterministic.")
 def tune(config_path, out_path, seed):
     """Optimize the controller gains against the configured scenario."""
-    cfg = _load_config(config_path, tuning=True)
+    cfg = config_mod.load(config_path)
+    cfg.check_tune_start()
     history_path = os.path.splitext(out_path)[0] + "_history.csv"
     _check_out_dir(out_path)
     _check_out_dir(history_path)
-    try:
-        result = tuner_mod.tune(cfg.tune_problem(), cfg.tune_initial(), cfg.tuner_options)
-    except QuadArmError as exc:
-        click.echo(f"tuning failed: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-
+    result = tuner_mod.tune(cfg.tune_problem(), cfg.tune_initial(), cfg.tuner_options)
     tuned = config_mod.config_with_gains(cfg, result.vector, cfg.tuner_layout)
     config_mod.dump(tuned, out_path)
 
@@ -137,27 +137,22 @@ def plots(trace_path, out_dir):
     """Emit one gnuplot script per figure class from a trace CSV."""
     _check_out_dir(out_dir, is_dir=True)
     # the scripts need only the header; the records stay in the file
-    try:
-        with open(trace_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            columns, first = next(reader, None), next(reader, None)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        click.echo(f"cannot read trace: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
+    with open(trace_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        columns, first = next(reader, None), next(reader, None)
     if not columns:
-        click.echo(f"cannot read trace: {trace_path}: empty trace file", err=True)
-        sys.exit(EXIT_RUNTIME)
+        _fail(f"cannot read trace: {trace_path}: empty trace file")
     if not first:
-        click.echo("trace contains no records", err=True)
-        sys.exit(EXIT_RUNTIME)
+        _fail("trace contains no records")
 
     needed = {"t"} | {c for _, cols, _ in FIGURE_SET for c in cols}
     missing = sorted(needed - set(columns))
     if missing:
-        click.echo("trace is missing columns: " + ", ".join(missing), err=True)
-        sys.exit(EXIT_RUNTIME)
+        _fail("trace is missing columns: " + ", ".join(missing))
 
     os.makedirs(out_dir, exist_ok=True)
+    # a gnuplot single-quoted string doubles each quote it holds
+    quoted = "'" + os.path.abspath(trace_path).replace("'", "''") + "'"
     t_idx = columns.index("t") + 1  # gnuplot columns are 1-based
     for name, cols, ylabel in FIGURE_SET:
         lines = [
@@ -167,10 +162,7 @@ def plots(trace_path, out_dir):
             f"set ylabel '{ylabel}'",
             "set key autotitle columnhead",
         ]
-        plot_parts = [
-            f"'{os.path.abspath(trace_path)}' using {t_idx}:{columns.index(c) + 1} with lines"
-            for c in cols
-        ]
+        plot_parts = [f"{quoted} using {t_idx}:{columns.index(c) + 1} with lines" for c in cols]
         lines.append("plot " + ", \\\n     ".join(plot_parts))
         with open(os.path.join(out_dir, f"{name}.gp"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

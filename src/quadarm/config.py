@@ -310,14 +310,17 @@ def resolve(data: dict | None) -> Config:
 
 
 def load(path=None) -> Config:
-    """Load and resolve a config file; None or empty file means defaults."""
+    """Load and resolve a config file; None or empty file means defaults. A file
+    that cannot be read or parsed is a ``ConfigError`` naming it."""
     data = None
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 data = yaml.load(fh, Loader=_Loader)
-            except yaml.YAMLError as exc:
-                raise ConfigError([f"{path}: {exc}"]) from exc
+        except OSError as exc:
+            raise ConfigError([f"{path}: {exc.strerror}"]) from exc
+        except (UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigError([f"{path}: {exc}"]) from exc
         if data is not None and not isinstance(data, dict):
             raise ConfigError([f"{path}: top level must be a mapping"])
     return resolve(data)

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from quadarm.adrc import SUBSYSTEMS
 from quadarm.config import DEFAULTS, ConfigError, config_with_gains, load, resolve
 from quadarm.errors import DivergenceError, IntegrationError
 from quadarm.model import MixerParams, QuadParams
-from quadarm.sim import COLUMNS, Scenario
+from quadarm.sim import COLUMNS, Scenario, TraceLog
 from quadarm.tuner import table_gains_vector
 
 DEG = math.pi / 180.0
@@ -245,6 +247,16 @@ class TestPlotsCommand:
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [f"output directory is a file: {out}"]
 
+    def test_trace_path_quoted_for_gnuplot(self, tmp_path):
+        trace = tmp_path / "it's.csv"
+        trace.write_text(",".join(COLUMNS) + "\n" + ",".join("0" * len(COLUMNS)) + "\n")
+        result = CliRunner().invoke(main, ["plots", str(trace), "--out", str(tmp_path / "p")])
+        assert result.exit_code == 0, result.output
+        body = (tmp_path / "p" / "openloop_altitude.gp").read_text()
+        quoted = os.path.abspath(trace).replace("'", "''")
+        t, z = COLUMNS.index("t") + 1, COLUMNS.index("z") + 1
+        assert f"plot '{quoted}' using {t}:{z} with lines" in body
+
     def test_missing_columns_named(self, tmp_path):
         trace = tmp_path / "thin.csv"
         trace.write_text("t,z\n0.0,0.0\n")
@@ -354,6 +366,74 @@ class TestTuneCommand:
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [
             "tuning failed: simulation diverged at t=0.5 s"]
+
+
+def enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# id: (command, its arguments in the scratch directory ``d``, the function made
+# to fail with ENOSPC or None, exit code, refused before the run)
+BAD_PATHS = {
+    "simulate-out-empty": ("simulate", lambda d: ["--out", ""], None, 1, True),
+    "simulate-out-ends-in-separator":
+        ("simulate", lambda d: ["--out", f"{d / 'nodir'}{os.sep}"], None, 1, True),
+    "simulate-out-name-too-long":
+        ("simulate", lambda d: ["--out", str(d / ("n" * 300))], None, 1, False),
+    "simulate-out-disk-full":
+        ("simulate", lambda d: ["--out", str(d / "t.csv")], (TraceLog, "to_csv"), 1, False),
+    "simulate-config-directory": ("simulate", lambda d: ["--config", str(d)], None, 2, True),
+    "simulate-config-not-utf8":
+        ("simulate", lambda d: ["--config", str(d / "bom.yaml")], None, 2, True),
+    "tune-out-empty": ("tune", lambda d: ["--out", ""], None, 1, True),
+    "tune-out-ends-in-separator":
+        ("tune", lambda d: ["--out", f"{d / 'nodir'}{os.sep}"], None, 1, True),
+    "tune-out-name-too-long": ("tune", lambda d: ["--out", str(d / ("n" * 300))], None, 1, False),
+    "tune-out-disk-full":
+        ("tune", lambda d: ["--out", str(d / "t.yaml")], (config_mod, "dump"), 1, False),
+    "tune-config-directory": ("tune", lambda d: ["--config", str(d)], None, 2, True),
+    "tune-config-not-utf8": ("tune", lambda d: ["--config", str(d / "bom.yaml")], None, 2, True),
+    "plots-out-empty": ("plots", lambda d: [str(d / "trace.csv"), "--out", ""], None, 1, True),
+    "plots-out-name-too-long":
+        ("plots", lambda d: [str(d / "trace.csv"), "--out", str(d / ("n" * 300))], None, 1,
+         False),
+    "plots-trace-directory": ("plots", lambda d: [str(d), "--out", str(d / "p")], None, 1, False),
+    "plots-trace-not-utf8":
+        ("plots", lambda d: [str(d / "bom.yaml"), "--out", str(d / "p")], None, 1, False),
+}
+
+
+@pytest.mark.parametrize("command, args, failing, code, refused", BAD_PATHS.values(),
+                         ids=BAD_PATHS)
+def test_bad_path_exits_with_one_line(tmp_path, monkeypatch, command, args, failing, code,
+                                      refused):
+    calls = []
+    real_run, real_tune = cli.run, tuner_mod.tune
+    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a) or real_run(*a, **k))
+    monkeypatch.setattr(tuner_mod, "tune", lambda *a, **k: calls.append(a) or real_tune(*a, **k))
+    if failing:
+        monkeypatch.setattr(*failing, enospc)
+    (tmp_path / "bom.yaml").write_bytes(b"\xff\xfe" + "scenario: {}\n".encode("utf-16-le"))
+    (tmp_path / "trace.csv").write_text(",".join(COLUMNS) + "\n" + ",".join("0" * len(COLUMNS))
+                                        + "\n")
+    argv = args(tmp_path)
+    if command != "plots" and "--config" not in argv:
+        argv += ["--config", write_yaml(tmp_path / "short.yaml", {
+            "scenario": {"duration": 0.01}, "tuner": {"options": {"max_iterations": 1}}})]
+    result = CliRunner().invoke(main, [command, *argv])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception))
+    lines = result.output.splitlines()
+    if code == cli.EXIT_CONFIG:
+        # a config error prints its header, then here the one problem: the file
+        config_path = argv[argv.index("--config") + 1]
+        assert lines[0] == "invalid configuration:"
+        assert len(lines) == 2 and lines[1].startswith(f"  {config_path}: "), result.output
+    else:
+        assert len(lines) == 1, result.output
+    if refused:
+        assert calls == []
 
 
 @pytest.mark.parametrize("data, path", [

@@ -36,6 +36,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def exit_callers(source: str) -> list:
+    """The functions whose own bodies call ``sys.exit``; ``<module>`` for a call
+    outside every function."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "sys.exit":
+                callers.add(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(callers)
+
+
+def test_detects_exit_callers():
+    source = ("import sys\ndef f():\n    def g():\n        sys.exit(1)\n    sys.exit(2)\n"
+              "def h():\n    g()\nsys.exit(0)\n")
+    assert exit_callers(source) == ["<module>", "f", "g"]
+
+
+def test_cli_exits_in_one_function():
+    # the commands raise; one helper turns an error into the exit code
+    assert exit_callers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == ["_fail"]
+
+
 def traced_targets() -> dict:
     """``SPANS`` and ``COUNTED`` of the benchmark's tracer, read from ``bench/tracing.py``."""
     path = PACKAGE.parent.parent / "bench" / "tracing.py"
