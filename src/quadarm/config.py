@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -110,6 +110,12 @@ def _kind(value) -> str | None:
     return "a list" if isinstance(value, list) else None
 
 
+#: the keys of the sections whose default names none; ``bounds`` is a list of them
+_SECTION_KEYS = {"physical.geometry": [f.name for f in fields(GeometryParams)],
+                 "tuner.box": ["lower", "upper"],
+                 "tuner.bounds": [f.name for f in fields(SignalBound)]}
+
+
 def _merge(defaults, override, path, problems):
     """Deep-merge override onto defaults, recording unknown keys and leaves
     of another kind than their default (a switch, a number or a list)."""
@@ -135,6 +141,11 @@ def _merge(defaults, override, path, problems):
             problems.append(f"{child}: expected {_kind(sub_default)}")
         else:
             merged[key] = value
+            if child in _SECTION_KEYS:  # its mappings are checked for unknown keys, not merged
+                entries = ([(f"{child}[{i}]", e) for i, e in enumerate(value)]
+                           if child == "tuner.bounds" else [(child, value)])
+                for where, entry in entries:
+                    _merge(dict.fromkeys(_SECTION_KEYS[child]), entry, where, problems)
     return merged
 
 

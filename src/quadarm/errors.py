@@ -20,14 +20,14 @@ class ConfigurationError(QuadArmError):
 class DivergenceError(QuadArmError):
     """The simulation state left the finite envelope."""
 
-    def __init__(self, time, message=None):
+    def __init__(self, time):
         self.time = time
-        super().__init__(message or f"simulation diverged at t={time:.6g} s")
+        super().__init__(f"simulation diverged at t={time:.6g} s")
 
 
 class IntegrationError(QuadArmError):
     """A period produced a non-finite state."""
 
-    def __init__(self, time, message=None):
+    def __init__(self, time):
         self.time = time
-        super().__init__(message or f"non-finite derivative at t={time:.6g} s")
+        super().__init__(f"non-finite derivative at t={time:.6g} s")

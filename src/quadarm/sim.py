@@ -85,36 +85,25 @@ REF_COLUMNS = ["ref_roll", "ref_pitch", "ref_yaw", "ref_z"]
 PER_SUBSYSTEM = ["u", "u0", "f_hat", "x1_hat", "x2_hat", "sat"]
 DELTA_COLUMNS = ["delta_a", "delta_b", "delta_c", "delta_d", "delta_e", "delta_f"]
 
-COLUMNS = (["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
-           + [f"{f}_{s}" for s in SUBSYSTEMS for f in PER_SUBSYSTEM]
-           + ["G"] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
+COLUMNS = tuple(["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
+                + [f"{f}_{s}" for s in SUBSYSTEMS for f in PER_SUBSYSTEM]
+                + ["G"] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
 
 
 class TraceLog:
-    """Uniform-grid record of one simulation run: one float64 array
-    (``rows``, one row per record) under named columns."""
+    """Record of one simulation run: ``n_records`` rows of the ``COLUMNS``
+    layout in one float64 array, filled in order by ``append``."""
 
-    def __init__(self, columns=None, capacity: int = 0):
-        self.columns = list(columns) if columns is not None else list(COLUMNS)
-        if not self.columns:
-            raise InvalidParameterError("a trace needs at least one column")
-        self._data = np.empty((capacity, len(self.columns)))
+    columns = COLUMNS
+    # packs a row's floats straight into the array's buffer and reads them back
+    _row = struct.Struct(f"{len(COLUMNS)}d")
+    _index = {name: i for i, name in enumerate(COLUMNS)}
+
+    def __init__(self, n_records: int):
+        self._data = np.empty((n_records, len(COLUMNS)))
         self._n = 0
-        # packs a row's floats straight into the array's buffer and reads them back
-        self._row = struct.Struct(f"{len(self.columns)}d")
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Read-only view of the records; ``column`` and ``as_array`` slice it."""
-        view = self._data[:self._n]
-        view.flags.writeable = False
-        return view
 
     def append(self, row):
-        if len(row) != len(self.columns):
-            raise InvalidParameterError("row width does not match columns")
-        if self._n == len(self._data):
-            self._data = np.resize(self._data, (2 * self._n + 1, len(self.columns)))
         self._row.pack_into(self._data, self._n * self._row.size, *row)
         self._n += 1
 
@@ -122,18 +111,17 @@ class TraceLog:
         return self._n
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return self.rows[:, idx]
+        return self.as_array()[:, self._index[name]]
 
     def as_array(self) -> np.ndarray:
-        return self.rows
+        """Read-only view of the records, one row each."""
+        view = self._data[:self._n]
+        view.flags.writeable = False
+        return view
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(self.columns)
+            csv.writer(fh).writerow(COLUMNS)
             # a float's repr holds no character that csv.writer would quote
             fh.writelines(",".join(map(repr, row)) + "\r\n"
                           for row in self._row.iter_unpack(self._data[:self._n]))
@@ -144,18 +132,18 @@ class TraceLog:
             header = next(csv.reader(fh), None)
             if not header:
                 raise InvalidParameterError(f"{path}: empty trace file")
+            if tuple(header) != COLUMNS:
+                raise InvalidParameterError(f"{path}: header is not the trace's columns")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header without records
                 try:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
                 except ValueError as exc:  # a ragged or a non-numeric row
                     raise InvalidParameterError(f"{path}: {exc}") from None
-        if data.size == 0:
-            data = np.empty((0, len(header)))
-        if data.shape[1] != len(header):
+        if data.size and data.shape[1] != len(COLUMNS):  # a header alone loads as (0, 1)
             raise InvalidParameterError(f"{path}: row width does not match columns")
-        log = cls(columns=header)
-        log._data, log._n = data, len(data)
+        log = cls(0)
+        log._data, log._n = data.reshape(-1, len(COLUMNS)), len(data)
         return log
 
 
@@ -322,7 +310,7 @@ def run(scenario: Scenario, params: QuadParams,
     dt, n, ctrl = scenario.dt, scenario.n_steps, CONTROL_START
     y = scenario.initial_state.vector.tolist()
     lagged = scenario.initial_state.lagged_accel.tolist()
-    log = TraceLog(capacity=n + 1)
+    log = TraceLog(n + 1)
     for k in range(n):
         t = k * dt
         y, lagged, ctrl, row = step(t, y, lagged, ctrl)

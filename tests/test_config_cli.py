@@ -492,6 +492,12 @@ def test_bad_path_exits_with_one_line(tmp_path, monkeypatch, command, args, fail
     ({"tuner": {"box": {"lower": [-math.inf] * 11, "upper": [1e5] * 11}}}, "tuner.box.lower"),
     ({"tuner": {"box": {"lower": [1e-3] * 11, "upper": [math.nan] * 11}}}, "tuner.box.upper"),
     ({"scenario": {"duration": 1.0e300}}, "scenario.duration"),
+    ({"tuner": {"box": {"lower": [1e-3] * 11, "upper": [1e5] * 11, "uper": 1}}},
+     "tuner.box.uper"),
+    ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, 0.0, 10.0]], "bogus": 1}]}},
+     "tuner.bounds[0].bogus"),
+    ({"physical": {"geometry": {"R_q": 0.1, "L_q": 0.1, "L_r": 0.1, "W_r": 0.1, "H_r": 0.1,
+                                "D_r": 0.1, "x": 1}}}, "physical.geometry.x"),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -169,7 +170,7 @@ class TestRun:
     def test_columns_match_schema(self, params):
         trace = run(Scenario(duration=0.0), params)
         assert trace.columns == COLUMNS
-        assert len(trace.rows[0]) == len(COLUMNS)
+        assert len(trace.as_array()[0]) == len(COLUMNS)
 
     def test_deterministic(self, params):
         a = run(Scenario(duration=0.5), params).as_array()
@@ -491,30 +492,37 @@ class TestTraceLog:
         with pytest.raises(InvalidParameterError):
             TraceLog.from_csv(path)
 
-    @pytest.mark.parametrize("text", [
-        "t,a\r\n0.0\r\n",
-        "t,a\r\n0.0,1.0\r\n1.0\r\n",
-        "t,a\r\n0.0,abc\r\n",
-    ], ids=["short_row", "ragged", "not_a_number"])
-    def test_malformed_rows_name_the_file(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_text(text, newline="")
-        with pytest.raises(InvalidParameterError, match="bad.csv"):
+    @pytest.mark.parametrize("header", [["t", "z"], ["time", *COLUMNS[1:]]],
+                             ids=["two_columns", "renamed_column"])
+    def test_foreign_header_rejected(self, tmp_path, header):
+        # a CSV that is not a trace would load, then fail wherever a column is read
+        path = tmp_path / "foreign.csv"
+        path.write_text(",".join(header) + "\r\n" + ",".join(["0.0"] * len(header)) + "\r\n",
+                        newline="")
+        with pytest.raises(InvalidParameterError, match="foreign.csv: header"):
             TraceLog.from_csv(path)
 
-    def test_unknown_column(self):
-        log = TraceLog()
+    @pytest.mark.parametrize("rows", [
+        "0.0\r\n",
+        ",".join(["0.0"] * len(COLUMNS)) + "\r\n1.0\r\n",
+        ",".join(["0.0"] * (len(COLUMNS) - 1) + ["abc"]) + "\r\n",
+    ], ids=["short_row", "ragged", "not_a_number"])
+    def test_malformed_rows_name_the_file(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(COLUMNS) + "\r\n" + rows, newline="")
+        with pytest.raises(InvalidParameterError, match="bad.csv") as refused:
+            TraceLog.from_csv(path)
+        assert "header" not in str(refused.value)  # the rows reached the parser
+
+    def test_unknown_column(self, params):
+        trace = run(Scenario(duration=0.0), params)
         with pytest.raises(KeyError):
-            log.column("nope")
+            trace.column("nope")
 
-    def test_no_columns_rejected(self):
-        # as from_csv refuses a file without a header
-        with pytest.raises(InvalidParameterError, match="at least one column"):
-            TraceLog(columns=[])
-
-    def test_row_width_checked(self):
-        log = TraceLog(columns=["a", "b"])
-        with pytest.raises(InvalidParameterError):
-            log.append([1.0])
-        log.append([1.0, 2.0])
-        assert log.column("b") == pytest.approx([2.0])
+    def test_columns_cannot_change_the_layout(self, params):
+        trace = run(Scenario(duration=0.0), params)
+        layout = list(COLUMNS)
+        with contextlib.suppress(AttributeError):
+            trace.columns.append("extra")
+        trace.columns += ("extra",)
+        assert list(sim_mod.COLUMNS) == layout and list(TraceLog(0).columns) == layout

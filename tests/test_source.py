@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from quadarm.config import Config
+from quadarm.sim import TraceLog
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadarm"
 # __init__.py imports names to re-export them through __all__
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -130,3 +133,47 @@ def test_bench_call_binds(path, n_args, keywords, line):
     for attr in attrs:
         target = getattr(target, attr)
     inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+def owner_reads(source: str, owners) -> list:
+    """Attributes read off the names ``owners`` and off ``self.<owner>``:
+    (owner, attribute, line)."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                and owner.value.id == "self"):
+            name = owner.attr
+        elif isinstance(owner, ast.Name):
+            name = owner.id
+        else:
+            continue
+        if name in owners:
+            reads.add((name, node.attr, node.lineno))
+    return sorted(reads, key=lambda read: (read[2], read[1]))
+
+
+def test_detects_owner_reads():
+    source = "cfg.a.b\nself.cfg.c()\nx = trace.d\nself.trace\nother.cfg.e\n"
+    assert owner_reads(source, {"cfg", "trace"}) == [
+        ("cfg", "a", 1), ("cfg", "c", 2), ("trace", "d", 3)]
+
+
+#: the benchmark's names for a loaded config and for a trace
+BENCH_OWNERS = {"cfg": Config, "trace": TraceLog, "fresh": TraceLog}
+BENCH_READS = owner_reads((PACKAGE.parent.parent / "bench" / "run.py").read_text(
+    encoding="utf-8"), BENCH_OWNERS)
+
+
+def test_bench_reads_found():
+    assert {owner for owner, _, _ in BENCH_READS} == set(BENCH_OWNERS)
+
+
+@pytest.mark.parametrize("owner, attr, line", BENCH_READS,
+                         ids=[f"{o}.{a}@{n}" for o, a, n in BENCH_READS])
+def test_bench_read_exists(owner, attr, line):
+    # a config field or trace member the package lost would fail only when the benchmark runs
+    cls = BENCH_OWNERS[owner]
+    assert attr in {*dir(cls), *getattr(cls, "__dataclass_fields__", ())}
