@@ -18,7 +18,7 @@ import click
 from . import config as config_mod
 from . import tuner as tuner_mod
 from .errors import QuadArmError
-from .sim import run
+from .sim import COLUMNS, TraceLog, run
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -42,7 +42,7 @@ class _Commands(click.Group):
             return super().invoke(ctx)
         except config_mod.ConfigError as exc:
             _fail(str(exc), EXIT_CONFIG)
-        except (QuadArmError, OSError, UnicodeDecodeError, csv.Error) as exc:
+        except (QuadArmError, OSError, UnicodeDecodeError) as exc:
             _fail(f"{FAILURE_LABELS[ctx.invoked_subcommand]}: {exc}")
 
 
@@ -111,7 +111,7 @@ def tune(config_path, out_path, seed):
     click.echo(f"wrote {out_path} and {history_path}")
 
 
-# each entry: (script name, plotted columns, y-axis label)
+# each entry: (script name, plotted columns of ``COLUMNS``, y-axis label)
 FIGURE_SET = [
     ("openloop_altitude", ["z"], "altitude [m]"),
     ("tracking_roll", ["ref_roll", "phi", "x1_hat_roll"], "roll [rad]"),
@@ -138,22 +138,14 @@ def plots(trace_path, out_dir):
     _check_out_dir(out_dir, is_dir=True)
     # the scripts need only the header; the records stay in the file
     with open(trace_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        columns, first = next(reader, None), next(reader, None)
-    if not columns:
-        _fail(f"cannot read trace: {trace_path}: empty trace file")
-    if not first:
-        _fail("trace contains no records")
-
-    needed = {"t"} | {c for _, cols, _ in FIGURE_SET for c in cols}
-    missing = sorted(needed - set(columns))
-    if missing:
-        _fail("trace is missing columns: " + ", ".join(missing))
+        TraceLog.read_header(fh, trace_path)
+        if not fh.read(1):
+            _fail("trace contains no records")
 
     os.makedirs(out_dir, exist_ok=True)
     # a gnuplot single-quoted string doubles each quote it holds
     quoted = "'" + os.path.abspath(trace_path).replace("'", "''") + "'"
-    t_idx = columns.index("t") + 1  # gnuplot columns are 1-based
+    t_idx = COLUMNS.index("t") + 1  # gnuplot columns are 1-based
     for name, cols, ylabel in FIGURE_SET:
         lines = [
             "set datafile separator ','",
@@ -162,7 +154,7 @@ def plots(trace_path, out_dir):
             f"set ylabel '{ylabel}'",
             "set key autotitle columnhead",
         ]
-        plot_parts = [f"{quoted} using {t_idx}:{columns.index(c) + 1} with lines" for c in cols]
+        plot_parts = [f"{quoted} using {t_idx}:{COLUMNS.index(c) + 1} with lines" for c in cols]
         lines.append("plot " + ", \\\n     ".join(plot_parts))
         with open(os.path.join(out_dir, f"{name}.gp"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

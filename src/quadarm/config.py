@@ -110,10 +110,11 @@ def _kind(value) -> str | None:
     return "a list" if isinstance(value, list) else None
 
 
-#: the keys of the sections whose default names none; ``bounds`` is a list of them
-_SECTION_KEYS = {"physical.geometry": [f.name for f in fields(GeometryParams)],
-                 "tuner.box": ["lower", "upper"],
-                 "tuner.bounds": [f.name for f in fields(SignalBound)]}
+#: the leaves of the sections whose default names none, each with a value of
+#: the kind it asks for (None: free-form); ``bounds`` is a list of them
+_SECTION_KEYS = {"physical.geometry": dict.fromkeys([f.name for f in fields(GeometryParams)], 1.0),
+                 "tuner.box": {"lower": [], "upper": []},
+                 "tuner.bounds": {"signal": None, "segments": []}}
 
 
 def _merge(defaults, override, path, problems):
@@ -145,7 +146,7 @@ def _merge(defaults, override, path, problems):
                 entries = ([(f"{child}[{i}]", e) for i, e in enumerate(value)]
                            if child == "tuner.bounds" else [(child, value)])
                 for where, entry in entries:
-                    _merge(dict.fromkeys(_SECTION_KEYS[child]), entry, where, problems)
+                    _merge(_SECTION_KEYS[child], entry, where, problems)
     return merged
 
 
@@ -227,16 +228,20 @@ def resolve(data: dict | None) -> Config:
     if problems:
         raise ConfigError(problems)
 
-    phys = data["physical"]
+    phys, geometry = data["physical"], None
+    if phys["geometry"] is not None:
+        geometry = _build(problems, "physical.geometry", lambda: GeometryParams(
+            *(phys["geometry"][name] for name in _SECTION_KEYS["physical.geometry"])))
 
     def physical():
         masses = MassProperties(phys["m_q"], phys["m_r"], phys["d0"], phys["d1"])
-        inertia = (InertiaParams(**phys["inertia"]) if phys["geometry"] is None
-                   else compose_inertia(GeometryParams(**phys["geometry"]), masses,
+        inertia = (InertiaParams(**phys["inertia"]) if geometry is None
+                   else compose_inertia(geometry, masses,
                                         J_r=phys["inertia"]["J_r"], l=phys["inertia"]["l"]))
         return QuadParams(masses=masses, inertia=inertia, mixer=MixerParams(**phys["mixer"]),
                           g=float(phys["g"]))
-    params = _build(problems, "physical", physical)
+    params = (_build(problems, "physical", physical)
+              if geometry or phys["geometry"] is None else None)
     if params is not None:
         _build(problems, "physical.mixer", lambda: params.mixer.inverse)
         if not data["scenario"]["open_loop"]:
@@ -288,7 +293,7 @@ def resolve(data: dict | None) -> Config:
     tn = data["tuner"]
     weights = _build(problems, "tuner.weights", lambda: CostWeights(**tn["weights"]))
     bounds = [_build(problems, f"tuner.bounds[{i}]", lambda: SignalBound(
-        b["signal"], tuple(tuple(seg) for seg in b["segments"])))
+        b["signal"], tuple(tuple(map(float, seg)) for seg in b["segments"])))
         for i, b in enumerate(tn["bounds"])]
     layout = tn["layout"]
     box = init = None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 import warnings
@@ -98,6 +97,7 @@ class TraceLog:
     # packs a row's floats straight into the array's buffer and reads them back
     _row = struct.Struct(f"{len(COLUMNS)}d")
     _index = {name: i for i, name in enumerate(COLUMNS)}
+    _header = ",".join(COLUMNS)  # csv.writer's line: no name needs quoting
 
     def __init__(self, n_records: int):
         self._data = np.empty((n_records, len(COLUMNS)))
@@ -121,19 +121,25 @@ class TraceLog:
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(COLUMNS)
+            fh.write(self._header + "\r\n")
             # a float's repr holds no character that csv.writer would quote
             fh.writelines(",".join(map(repr, row)) + "\r\n"
                           for row in self._row.iter_unpack(self._data[:self._n]))
 
     @classmethod
+    def read_header(cls, fh, path) -> None:
+        """Read the first line of the trace file ``fh`` opened at ``path``;
+        raise ``InvalidParameterError`` naming ``path`` unless it is the header."""
+        line = fh.readline(len(cls._header) + 2)  # a longer line cannot match
+        if not line:
+            raise InvalidParameterError(f"{path}: empty trace file")
+        if line.rstrip("\r\n") != cls._header:
+            raise InvalidParameterError(f"{path}: header is not the trace's columns")
+
+    @classmethod
     def from_csv(cls, path) -> "TraceLog":
         with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            if not header:
-                raise InvalidParameterError(f"{path}: empty trace file")
-            if tuple(header) != COLUMNS:
-                raise InvalidParameterError(f"{path}: header is not the trace's columns")
+            cls.read_header(fh, path)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header without records
                 try:

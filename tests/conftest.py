@@ -5,8 +5,24 @@ import pytest
 
 from quadarm import (DisturbanceFlags, PiecewiseConstant, QuadParams, QuadState,
                      Scenario, run)
+from quadarm.sim import COLUMNS
 
 DEG = math.pi / 180.0
+
+#: files that hold a trace's header but not as their first line: after a UTF-8
+#: byte-order mark, and as the start of one newline-less line
+FOREIGN_TRACES = {
+    "after_bom": "\ufeff" + ",".join(COLUMNS) + "\r\n" + ",".join(["0.0"] * len(COLUMNS)),
+    "long_line": ",".join(COLUMNS * 100),
+}
+
+
+@pytest.fixture(params=list(FOREIGN_TRACES.values()), ids=list(FOREIGN_TRACES))
+def foreign_trace(request, tmp_path):
+    """Path of a CSV file whose first line is not a trace's header."""
+    path = tmp_path / "foreign.csv"
+    path.write_text(request.param, encoding="utf-8", newline="")
+    return path
 
 
 @pytest.fixture(scope="session")

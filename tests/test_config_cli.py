@@ -230,6 +230,7 @@ class TestPlotsCommand:
         trace.write_text("")
         result = CliRunner().invoke(main, ["plots", str(trace)])
         assert result.exit_code == 1
+        assert result.output.splitlines() == [f"plotting failed: {trace}: empty trace file"]
 
     def test_header_only_trace_exit_1(self, tmp_path):
         trace = tmp_path / "header.csv"
@@ -258,12 +259,27 @@ class TestPlotsCommand:
         assert f"plot '{quoted}' using {t}:{z} with lines" in body
 
     def test_missing_columns_named(self, tmp_path):
+        # a CSV without the trace's columns is refused by its path, not by the columns
         trace = tmp_path / "thin.csv"
         trace.write_text("t,z\n0.0,0.0\n")
         result = CliRunner().invoke(
             main, ["plots", str(trace), "--out", str(tmp_path / "p")])
         assert result.exit_code == 1
-        assert "f_hat_roll" in result.output
+        assert result.output.splitlines() == [
+            f"plotting failed: {trace}: header is not the trace's columns"]
+        assert not (tmp_path / "p").exists()
+
+    def test_foreign_file_refused(self, tmp_path, foreign_trace):
+        out = tmp_path / "p"
+        result = CliRunner().invoke(main, ["plots", str(foreign_trace), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"plotting failed: {foreign_trace}: header is not the trace's columns"]
+        assert not out.exists()
+
+    def test_figures_plot_trace_columns(self):
+        # plots reads its column indices off COLUMNS, which a checked header matches
+        assert {c for _, cols, _ in FIGURE_SET for c in cols} <= set(COLUMNS)
 
 
 def test_yaml_exponents_read_as_numbers(tmp_path):
@@ -436,6 +452,25 @@ def test_bad_path_exits_with_one_line(tmp_path, monkeypatch, command, args, fail
         assert calls == []
 
 
+GEOMETRY = {"R_q": 0.1, "L_q": 0.1, "L_r": 0.1, "W_r": 0.1, "H_r": 0.1, "D_r": 0.1}
+#: a bad leaf of a section whose default names no keys, and the problem it reads as
+FREE_FORM_LEAF_ERRORS = [
+    ({"physical": {"geometry": {**GEOMETRY, "D_r": "abc"}}},
+     "physical.geometry.D_r: expected a finite number"),
+    ({"physical": {"geometry": {k: v for k, v in GEOMETRY.items() if k != "D_r"}}},
+     "physical.geometry: missing 'D_r'"),
+    ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, "a", 10.0]]}]}},
+     "tuner.bounds[0]: could not convert string to float: 'a'"),
+]
+
+
+@pytest.mark.parametrize("data, message", FREE_FORM_LEAF_ERRORS)
+def test_free_form_leaf_named(data, message):
+    with pytest.raises(ConfigError) as refused:
+        resolve(data)
+    assert refused.value.problems == [message]
+
+
 @pytest.mark.parametrize("data, path", [
     ({"tuner": {"layout": "foo"}}, "tuner.layout"),
     ({"tuner": {"box": {"lower": [1e-3] * 2, "upper": [1e5] * 11}}}, "tuner.box.lower"),
@@ -498,6 +533,7 @@ def test_bad_path_exits_with_one_line(tmp_path, monkeypatch, command, args, fail
      "tuner.bounds[0].bogus"),
     ({"physical": {"geometry": {"R_q": 0.1, "L_q": 0.1, "L_r": 0.1, "W_r": 0.1, "H_r": 0.1,
                                 "D_r": 0.1, "x": 1}}}, "physical.geometry.x"),
+    *((data, message.split(": ")[0]) for data, message in FREE_FORM_LEAF_ERRORS),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []

@@ -482,7 +482,11 @@ class TestTraceLog:
 
     def test_header_only_file_has_no_records(self, tmp_path):
         path = tmp_path / "header.csv"
-        path.write_text(",".join(COLUMNS) + "\r\n")
+        TraceLog(0).to_csv(path)
+        # the hand-written header line is csv.writer's: no column name needs quoting
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerow(COLUMNS)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
         trace = TraceLog.from_csv(path)
         assert trace.columns == COLUMNS and trace.as_array().shape == (0, len(COLUMNS))
 
@@ -501,6 +505,11 @@ class TestTraceLog:
                         newline="")
         with pytest.raises(InvalidParameterError, match="foreign.csv: header"):
             TraceLog.from_csv(path)
+
+    def test_foreign_file_rejected(self, foreign_trace):
+        with pytest.raises(InvalidParameterError) as refused:
+            TraceLog.from_csv(foreign_trace)
+        assert str(refused.value) == f"{foreign_trace}: header is not the trace's columns"
 
     @pytest.mark.parametrize("rows", [
         "0.0\r\n",
