@@ -9,7 +9,6 @@ shows its traceback.
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 
@@ -101,10 +100,10 @@ def tune(config_path, out_path, seed):
     config_mod.dump(tuned, out_path)
 
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "cost", *tuner_mod.LAYOUTS[cfg.tuner_layout]])
-        for i, (vec, cost) in enumerate(result.history):
-            writer.writerow([i, repr(cost), *[repr(float(v)) for v in vec]])
+        # csv.writer's lines: no name or float repr needs quoting
+        fh.write(",".join(["iteration", "cost", *tuner_mod.LAYOUTS[cfg.tuner_layout]]) + "\r\n")
+        fh.writelines(",".join([str(i), repr(cost), *map(repr, vec.tolist())]) + "\r\n"
+                      for i, (vec, cost) in enumerate(result.history))
 
     click.echo(f"final cost {result.cost:.6g} after {result.iterations} iterations "
                f"({'converged' if result.converged else 'iteration limit'})")

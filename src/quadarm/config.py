@@ -26,9 +26,6 @@ from .tuner import (CostWeights, SignalBound, TuneOptions, TuneProblem, gains_fr
                     gains_vector, layout_names, layout_vector)
 
 
-MAX_STEPS = 10 ** 7  #: most steps a scenario may ask for: 4.5 GB of trace at 448 B a record
-
-
 class ConfigError(ConfigurationError):
     """Invalid configuration file; carries the offending key paths."""
 
@@ -111,42 +108,40 @@ def _kind(value) -> str | None:
 
 
 #: the leaves of the sections whose default names none, each with a value of
-#: the kind it asks for (None: free-form); ``bounds`` is a list of them
+#: the kind it asks for (None: free-form); a list section's items are each such a mapping
 _SECTION_KEYS = {"physical.geometry": dict.fromkeys([f.name for f in fields(GeometryParams)], 1.0),
+                 "controller.eso_overrides": dict.fromkeys(adrc.SUBSYSTEMS,
+                                                           DEFAULTS["controller"]["eso"]),
                  "tuner.box": {"lower": [], "upper": []},
                  "tuner.bounds": {"signal": None, "segments": []}}
 
 
 def _merge(defaults, override, path, problems):
-    """Deep-merge override onto defaults, recording unknown keys and leaves
-    of another kind than their default (a switch, a number or a list)."""
-    if override is None:
-        return defaults
-    if not isinstance(defaults, dict):
-        return override
+    """Deep-merge the mapping override onto defaults, recording unknown keys
+    and leaves of another kind than their default (a switch, a number or a
+    list).  The entries of a ``_SECTION_KEYS`` section are checked, not merged."""
     if not isinstance(override, dict):
         problems.append(f"{path}: expected a mapping")
         return defaults
     merged = dict(defaults)
-    # overrides are keyed by subsystem (checked in resolve) and shaped like ``eso``
-    free_form = path == "controller.eso_overrides"
     for key, value in override.items():
         child = f"{path}.{key}" if path else str(key)
-        if key not in defaults and not free_form:
+        if key not in defaults:
             problems.append(f"{child}: unknown key")
-            continue
-        sub_default = DEFAULTS["controller"]["eso"] if free_form else defaults.get(key)
-        if isinstance(sub_default, dict):
-            merged[key] = _merge(sub_default, value, child, problems)
-        elif _kind(sub_default) not in (None, _kind(value)):
-            problems.append(f"{child}: expected {_kind(sub_default)}")
+        elif _kind(defaults[key]) not in (None, _kind(value)):
+            problems.append(f"{child}: expected {_kind(defaults[key])}")
+        elif value is None:  # a mapping or a free-form leaf: its default stays
+            pass
+        elif child in _SECTION_KEYS:
+            entries = ({f"{child}[{i}]": e for i, e in enumerate(value)}
+                       if isinstance(defaults[key], list) else {child: value})
+            for where, entry in entries.items():
+                _merge(_SECTION_KEYS[child], entry, where, problems)
+            merged[key] = value
+        elif isinstance(defaults[key], dict):
+            merged[key] = _merge(defaults[key], value, child, problems)
         else:
             merged[key] = value
-            if child in _SECTION_KEYS:  # its mappings are checked for unknown keys, not merged
-                entries = ([(f"{child}[{i}]", e) for i, e in enumerate(value)]
-                           if child == "tuner.bounds" else [(child, value)])
-                for where, entry in entries:
-                    _merge(_SECTION_KEYS[child], entry, where, problems)
     return merged
 
 
@@ -249,13 +244,10 @@ def resolve(data: dict | None) -> Config:
 
     ctrl = data["controller"]
     eso = _build(problems, "controller.eso", lambda: adrc.EsoGains(**ctrl["eso"]))
-    overrides = {}
-    for name, values in ctrl["eso_overrides"].items():
-        if name not in adrc.SUBSYSTEMS:
-            problems.append(f"controller.eso_overrides.{name}: unknown subsystem")
-            continue
-        overrides[name] = _build(problems, f"controller.eso_overrides.{name}",
-                                 lambda: adrc.EsoGains(**values))
+    # an override's unset gains take the stock ``eso`` values, ``EsoGains``' defaults
+    overrides = {name: _build(problems, f"controller.eso_overrides.{name}",
+                              lambda: adrc.EsoGains(**(values or {})))
+                 for name, values in ctrl["eso_overrides"].items()}
     pd = {name: _build(problems, f"controller.pd.{name}",
                        lambda: adrc.PdGains(**ctrl["pd"][name])) for name in adrc.SUBSYSTEMS}
     limits = {name: _build(problems, f"controller.u_limits.{name}",
@@ -285,16 +277,14 @@ def resolve(data: dict | None) -> Config:
         ref_roll=refs["roll_deg"], ref_pitch=refs["pitch_deg"], ref_yaw=refs["yaw_deg"],
         ref_z=refs["z"], flags=flags, d1_profile=d1_profile,
         open_loop=sc["open_loop"], open_loop_u1=open_loop_u1))
-    steps = scenario.duration / scenario.dt if scenario else 0.0
-    if not (steps <= MAX_STEPS and abs(steps - round(steps)) <= 1e-9 * steps):  # NaN, inf too
-        problems.append(f"scenario.duration: {scenario.duration} is {steps:.12g} steps "
-                        f"of dt {scenario.dt}, not a whole number of at most {MAX_STEPS}")
+    if scenario:
+        _build(problems, "scenario.duration", lambda: scenario.n_steps)
 
     tn = data["tuner"]
     weights = _build(problems, "tuner.weights", lambda: CostWeights(**tn["weights"]))
-    bounds = [_build(problems, f"tuner.bounds[{i}]", lambda: SignalBound(
-        b["signal"], tuple(tuple(map(float, seg)) for seg in b["segments"])))
-        for i, b in enumerate(tn["bounds"])]
+    bounds = [_build(problems, f"tuner.bounds[{i}]",
+                     lambda: SignalBound(b["signal"], b["segments"]))
+              for i, b in enumerate(tn["bounds"])]
     layout = tn["layout"]
     box = init = None
     if _build(problems, "tuner.layout", lambda: layout_names(layout)):

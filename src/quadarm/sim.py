@@ -18,6 +18,7 @@ from .model import (QuadParams, QuadState, derivative_kernel, mixer_kernel,
                     relative_speed)
 
 DIVERGENCE_LIMIT = 1e6
+MAX_STEPS = 10 ** 7  #: most steps a scenario may ask for: 4.5 GB of trace at 448 B a record
 
 DEG = math.pi / 180.0
 
@@ -74,7 +75,13 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.duration / self.dt))
+        """Steps of ``dt`` in ``duration``; ``InvalidParameterError`` unless
+        that is a whole number of at most ``MAX_STEPS``."""
+        steps = self.duration / self.dt
+        if not (steps <= MAX_STEPS and abs(steps - round(steps)) <= 1e-9 * steps):  # inf too
+            raise InvalidParameterError(f"{self.duration} is {steps:.12g} steps of dt {self.dt}, "
+                                        f"not a whole number of at most {MAX_STEPS}")
+        return round(steps)
 
 
 STATE_COLUMNS = ["phi", "phi_dot", "theta", "theta_dot", "psi", "psi_dot",
@@ -312,8 +319,8 @@ def run(scenario: Scenario, params: QuadParams,
         gains: ControllerGains | None = None) -> TraceLog:
     """Integrate the closed loop (or the open-loop fixture) and log it;
     each period is one ``loop_kernel`` step."""
-    step = loop_kernel(scenario, params, dist_params, gains)
     dt, n, ctrl = scenario.dt, scenario.n_steps, CONTROL_START
+    step = loop_kernel(scenario, params, dist_params, gains)
     y = scenario.initial_state.vector.tolist()
     lagged = scenario.initial_state.lagged_accel.tolist()
     log = TraceLog(n + 1)

@@ -91,13 +91,19 @@ class SignalBound:
     """Piecewise requirement band on one logged signal."""
 
     signal: str
-    segments: tuple  # of (t_start, t_end, lower, upper)
+    segments: tuple  # of (t_start, t_end, lower, upper), stored as floats
 
     def __post_init__(self):
         if self.signal not in COLUMNS:
             raise InvalidParameterError(f"unknown bounded signal {self.signal!r}")
-        prev_end = -math.inf
-        for t0, t1, lo, hi in self.segments:
+        prev_end, segments = -math.inf, []
+        for segment in self.segments:
+            try:
+                t0, t1, lo, hi = segment
+            except (TypeError, ValueError):  # not four entries
+                raise InvalidParameterError(
+                    "bound segment needs [t_start, t_end, lower, upper]") from None
+            t0, t1, lo, hi = float(t0), float(t1), float(lo), float(hi)
             if not t0 < t1:
                 raise InvalidParameterError("bound segment must have t_start < t_end")
             if not lo <= hi:
@@ -105,6 +111,8 @@ class SignalBound:
             if not t0 >= prev_end:
                 raise InvalidParameterError("bound segments must not overlap")
             prev_end = t1
+            segments.append((t0, t1, lo, hi))
+        object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats
 
     def violation(self, t: np.ndarray, values: np.ndarray, dt: float) -> float:
         """Integrated excess of the signal outside the band."""

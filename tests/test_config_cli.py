@@ -77,6 +77,11 @@ class TestConfig:
         assert cfg.gains.eso_for("yaw").p3 == 8.0
         assert cfg.gains.eso_for("roll").p3 == 3000.0
 
+    @pytest.mark.parametrize("overrides", [None, {"yaw": None}], ids=["section", "entry"])
+    def test_null_eso_override_keeps_stock_gains(self, overrides):
+        gains = resolve({"controller": {"eso_overrides": overrides}}).gains
+        assert gains.eso_for("yaw") == resolve(None).gains.eso
+
     def test_unknown_override_subsystem_rejected(self):
         with pytest.raises(ConfigError):
             resolve({"controller": {"eso_overrides": {
@@ -461,6 +466,13 @@ FREE_FORM_LEAF_ERRORS = [
      "physical.geometry: missing 'D_r'"),
     ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, "a", 10.0]]}]}},
      "tuner.bounds[0]: could not convert string to float: 'a'"),
+    ({"tuner": {"bounds": [None]}}, "tuner.bounds[0]: expected a mapping"),
+    ({"tuner": {"bounds": [{"signal": "z", "segments": [1]}]}},
+     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
+    ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, 2.0]]}]}},
+     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
+    ({"controller": {"eso_overrides": {"bogus": {"p1": 1.0}}}},
+     "controller.eso_overrides.bogus: unknown key"),
 ]
 
 

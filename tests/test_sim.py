@@ -163,6 +163,17 @@ class TestRun:
         assert len(trace) == 101
         assert trace.column("t")[-1] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("duration", [0.0105, 1e300], ids=["half_step", "past_array_size"])
+    def test_step_count_refused(self, params, duration):
+        # refused before a trace is allocated, not cut short or left to numpy
+        with pytest.raises(InvalidParameterError, match="not a whole number of at most 10000000"):
+            run(Scenario(duration=duration), params)
+
+    def test_step_count_bounded(self):
+        assert Scenario(duration=10000.0).n_steps == 10 ** 7
+        with pytest.raises(InvalidParameterError, match="10001000 steps of dt 0.001"):
+            Scenario(duration=10001.0).n_steps
+
     def test_zero_duration_single_record(self, params):
         trace = run(Scenario(duration=0.0), params)
         assert len(trace) == 1

@@ -39,6 +39,48 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def module_imports(source: str) -> set:
+    """Top-level names of the modules a source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detects_module_imports():
+    assert module_imports("import csv.x as c\nfrom os import path\nfrom . import csv\n") == {
+        "csv", "os"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_csv_module(path):
+    # a trace and a tune history are written by one rule: comma-joined reprs, CRLF ends
+    assert "csv" not in module_imports(path.read_text(encoding="utf-8"))
+
+
+def compared_strings(source: str, function: str) -> list:
+    """String literals that ``function``'s body compares anything with."""
+    tree = ast.parse(source)
+    body = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return [operand.value for node in ast.walk(body) if isinstance(node, ast.Compare)
+            for operand in (node.left, *node.comparators)
+            if isinstance(operand, ast.Constant) and isinstance(operand.value, str)]
+
+
+def test_detects_compared_strings():
+    source = "def f(p):\n    if p == 'a' or 'b' in p or p is None:\n        return 'c'\n"
+    assert compared_strings(source, "f") == ["a", "b"]
+
+
+def test_merge_has_no_per_path_branch():
+    # a section's own check belongs in ``_SECTION_KEYS``, not in a branch on its key path
+    assert compared_strings((PACKAGE / "config.py").read_text(encoding="utf-8"), "_merge") == []
+
+
 def exit_callers(source: str) -> list:
     """The functions whose own bodies call ``sys.exit``; ``<module>`` for a call
     outside every function."""

@@ -108,6 +108,18 @@ class TestSignalBound:
         with pytest.raises(InvalidParameterError):
             SignalBound("z", ((0.0, 2.0, -1.0, 1.0), (1.0, 3.0, -1.0, 1.0)))
 
+    @pytest.mark.parametrize("segment", [(0.0, 1.0, 2.0), 1.0, (0.0, 1.0, -1.0, 1.0, 2.0)],
+                             ids=["three_numbers", "number", "five_numbers"])
+    def test_misshaped_segment_rejected(self, segment):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^bound segment needs \[t_start, t_end, lower, upper\]$"):
+            SignalBound("z", (segment,))
+
+    def test_segments_stored_as_floats(self):
+        b = SignalBound("z", [[0, 1, -1, 1]])
+        assert b.segments == ((0.0, 1.0, -1.0, 1.0),)
+        assert all(type(x) is float for x in b.segments[0])
+
 
 class TestQuadraticFixture:
     def test_interior_minimum_found(self):
@@ -171,6 +183,14 @@ class TestCost:
         v = table_gains_vector()
         v[4] = -19.6321
         total, report = cost(v, short_problem())
+        assert total == SENTINEL_COST
+        assert not report["feasible"]
+
+    def test_oversized_scenario_sentinel(self):
+        # the step count is refused before any trace is allocated
+        p = short_problem()
+        p.scenario = Scenario(duration=1e300)
+        total, report = cost(table_gains_vector(), p)
         assert total == SENTINEL_COST
         assert not report["feasible"]
 
