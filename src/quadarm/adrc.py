@@ -61,6 +61,14 @@ class PdGains:
             raise InvalidParameterError("PD gains must be positive")
 
 
+def limits(pair) -> tuple[float, float]:
+    """``pair`` as an increasing (lower, upper) pair of floats."""
+    lower, upper = (float(x) for x in pair)
+    if not lower < upper:
+        raise InvalidParameterError("expected an increasing [lower, upper] pair")
+    return lower, upper
+
+
 @dataclass(frozen=True)
 class SubsystemConfig:
     which: str
@@ -73,9 +81,8 @@ class SubsystemConfig:
         if self.which not in SUBSYSTEMS:
             raise InvalidParameterError(f"unknown subsystem {self.which!r}")
         if self.which != ALTITUDE and not abs(self.b_hat) >= B_MIN:
-            raise InvalidParameterError("b_hat too close to zero")
-        if not self.u_limits[0] < self.u_limits[1]:
-            raise InvalidParameterError("u_limits must be an increasing pair")
+            raise InvalidParameterError(f"b_hat of {self.which} is below {B_MIN}")
+        limits(self.u_limits)
 
 
 def bank_kernel(configs, dt: float):

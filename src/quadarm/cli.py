@@ -91,17 +91,17 @@ def simulate(config_path, out_path, seed):
 def tune(config_path, out_path, seed):
     """Optimize the controller gains against the configured scenario."""
     cfg = config_mod.load(config_path)
-    cfg.check_tune_start()
+    problem, x0 = cfg.tune_problem(), cfg.tune_initial()
     history_path = os.path.splitext(out_path)[0] + "_history.csv"
     _check_out_dir(out_path)
     _check_out_dir(history_path)
-    result = tuner_mod.tune(cfg.tune_problem(), cfg.tune_initial(), cfg.tuner_options)
-    tuned = config_mod.config_with_gains(cfg, result.vector, cfg.tuner_layout)
+    result = tuner_mod.tune(problem, x0, cfg.tuner_options)
+    tuned = config_mod.config_with_gains(cfg, result.vector, problem.layout)
     config_mod.dump(tuned, out_path)
 
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         # csv.writer's lines: no name or float repr needs quoting
-        fh.write(",".join(["iteration", "cost", *tuner_mod.LAYOUTS[cfg.tuner_layout]]) + "\r\n")
+        fh.write(",".join(["iteration", "cost", *tuner_mod.LAYOUTS[problem.layout]]) + "\r\n")
         fh.writelines(",".join([str(i), repr(cost), *map(repr, vec.tolist())]) + "\r\n"
                       for i, (vec, cost) in enumerate(result.history))
 

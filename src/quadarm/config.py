@@ -18,7 +18,7 @@ import yaml
 from . import adrc
 from .disturbances import (DisturbanceFlags, DisturbanceParams, DragParams,
                            GroundEffectParams, WindParams)
-from .errors import ConfigurationError, InvalidParameterError, QuadArmError
+from .errors import ConfigurationError, QuadArmError
 from .model import (GeometryParams, InertiaParams, MassProperties, MixerParams,
                     QuadParams, QuadState, compose_inertia)
 from .sim import DEG, ControllerGains, PiecewiseConstant, Scenario
@@ -160,21 +160,6 @@ def _profile(segments, path, problems, scale=1.0):
         tuple((float(t), float(v) * scale) for t, v in segments)))
 
 
-def _attitude_b_hat(ia: InertiaParams) -> None:
-    """Raise unless the attitude loops' b_hat (l/I_xx, l/I_yy, 1/I_zz) clear ``adrc.B_MIN``."""
-    weak = [name for name, b in zip(adrc.SUBSYSTEMS, (ia.a6, ia.a7, ia.a8))
-            if not abs(b) >= adrc.B_MIN]
-    if weak:
-        raise InvalidParameterError(f"b_hat of {', '.join(weak)} is below {adrc.B_MIN}")
-
-
-def _limits(pair) -> tuple[float, float]:
-    lower, upper = (float(x) for x in pair)
-    if not lower < upper:
-        raise InvalidParameterError("expected an increasing [lower, upper] pair")
-    return lower, upper
-
-
 @dataclass
 class Config:
     """Fully resolved configuration."""
@@ -183,37 +168,28 @@ class Config:
     gains: ControllerGains
     dist_params: DisturbanceParams
     scenario: Scenario
-    tuner_layout: str
+    tuner_problem: TuneProblem
     tuner_weights: CostWeights
-    tuner_bounds: tuple
-    tuner_box: tuple | None
     tuner_initial: np.ndarray | None
     tuner_options: TuneOptions
     raw: dict = field(repr=False, default_factory=dict)
 
     def tune_problem(self) -> TuneProblem:
-        lower, upper = self.tuner_box or (None, None)
-        return TuneProblem(scenario=self.scenario, params=self.params,
-                           dist_params=self.dist_params, weights=self.tuner_weights,
-                           bounds=self.tuner_bounds, layout=self.tuner_layout,
-                           box_lower=lower, box_upper=upper)
+        """The tuner section's problem, built once by ``resolve``."""
+        return self.tuner_problem
 
     def tune_initial(self) -> np.ndarray:
-        """``tuner.initial``, or the controller section's gains in the tuner layout."""
-        if self.tuner_initial is not None:
-            return self.tuner_initial
-        return gains_vector(self.gains, self.tuner_layout)
-
-    def check_tune_start(self) -> None:
-        """Raise ``ConfigError`` naming the start parameters outside the tuner box;
-        without ``tuner.initial`` the start is the ``controller`` section's gains."""
-        problem = self.tune_problem()
-        outside = [name for name, x, lo, hi in zip(layout_names(self.tuner_layout),
-                                                   self.tune_initial(), problem.box_lower,
-                                                   problem.box_upper) if not lo <= x <= hi]
+        """``tuner.initial``, or the controller section's gains in the tuner layout;
+        a ``ConfigError`` names the start's parameters outside the tuner box."""
+        problem, given = self.tuner_problem, self.tuner_initial
+        x0 = gains_vector(self.gains, problem.layout) if given is None else given
+        outside = [name for name, x, lo, hi in zip(layout_names(problem.layout), x0,
+                                                   problem.box_lower, problem.box_upper)
+                   if not lo <= x <= hi]
         if outside:
-            path = "controller" if self.tuner_initial is None else "tuner.initial"
+            path = "controller" if given is None else "tuner.initial"
             raise ConfigError([f"{path}: {', '.join(outside)} outside the tuner box"])
+        return x0
 
 
 def resolve(data: dict | None) -> Config:
@@ -239,19 +215,17 @@ def resolve(data: dict | None) -> Config:
               if geometry or phys["geometry"] is None else None)
     if params is not None:
         _build(problems, "physical.mixer", lambda: params.mixer.inverse)
-        if not data["scenario"]["open_loop"]:
-            _build(problems, "physical.inertia", lambda: _attitude_b_hat(params.inertia))
 
     ctrl = data["controller"]
     eso = _build(problems, "controller.eso", lambda: adrc.EsoGains(**ctrl["eso"]))
-    # an override's unset gains take the stock ``eso`` values, ``EsoGains``' defaults
+    # an override's unset gains take the configured ``eso`` values
     overrides = {name: _build(problems, f"controller.eso_overrides.{name}",
-                              lambda: adrc.EsoGains(**(values or {})))
+                              lambda: adrc.EsoGains(**{**ctrl["eso"], **(values or {})}))
                  for name, values in ctrl["eso_overrides"].items()}
     pd = {name: _build(problems, f"controller.pd.{name}",
                        lambda: adrc.PdGains(**ctrl["pd"][name])) for name in adrc.SUBSYSTEMS}
     limits = {name: _build(problems, f"controller.u_limits.{name}",
-                           lambda: _limits(ctrl["u_limits"][name]))
+                           lambda: adrc.limits(ctrl["u_limits"][name]))
               for name in adrc.SUBSYSTEMS}
 
     dist = data["disturbances"]
@@ -292,8 +266,6 @@ def resolve(data: dict | None) -> Config:
             box = tuple(_build(problems, f"tuner.box.{side}",
                                lambda: layout_vector(tn["box"][side], layout))
                         for side in ("lower", "upper"))
-            if all(b is not None for b in box) and not np.all(box[0] <= box[1]):
-                problems.append("tuner.box: lower bound exceeds upper bound")
         if tn["initial"] is not None:
             init = _build(problems, "tuner.initial",
                           lambda: layout_vector(tn["initial"], layout))
@@ -305,13 +277,20 @@ def resolve(data: dict | None) -> Config:
                             pd_roll=pd["roll"], pd_pitch=pd["pitch"],
                             pd_yaw=pd["yaw"], pd_altitude=pd["altitude"],
                             u_limits=limits)
-    config = Config(params=params, gains=gains, dist_params=dist_params,
-                    scenario=scenario, tuner_layout=layout,
-                    tuner_weights=weights, tuner_bounds=tuple(bounds),
-                    tuner_box=box, tuner_initial=init, tuner_options=options,
-                    raw=data)
+    # the rules that span sections, once every section resolves on its own
+    if not scenario.open_loop:
+        _build(problems, "physical.inertia", lambda: gains.loops(params))
+    lower, upper = box or (None, None)
+    tune_problem = _build(problems, "tuner.box", lambda: TuneProblem(
+        scenario=scenario, params=params, dist_params=dist_params, weights=weights,
+        bounds=tuple(bounds), layout=layout, box_lower=lower, box_upper=upper))
+    if problems:
+        raise ConfigError(problems)
+    config = Config(params=params, gains=gains, dist_params=dist_params, scenario=scenario,
+                    tuner_problem=tune_problem, tuner_weights=weights, tuner_initial=init,
+                    tuner_options=options, raw=data)
     if init is not None:
-        config.check_tune_start()
+        config.tune_initial()
     return config
 
 

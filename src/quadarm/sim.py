@@ -246,6 +246,14 @@ class ControllerGains:
         return {ROLL: self.pd_roll, PITCH: self.pd_pitch,
                 YAW: self.pd_yaw, ALTITUDE: self.pd_altitude}[name]
 
+    def loops(self, params: QuadParams) -> tuple:
+        """The four loops' ``SubsystemConfig``s, in ``SUBSYSTEMS`` order: the
+        attitude b_hat (l/I_xx, l/I_yy, 1/I_zz) from the inertia, altitude -1/m."""
+        ia = params.inertia
+        return tuple(adrc.SubsystemConfig(which=name, b_hat=b, eso=self.eso_for(name),
+                                          pd=self.pd_for(name), u_limits=self.u_limits[name])
+                     for name, b in zip(SUBSYSTEMS, (ia.a6, ia.a7, ia.a8, -1.0 / params.m)))
+
 
 #: ``step``'s control carry before the first period: no observer has measured
 CONTROL_START = ((None,) * 4, (0.0,) * 5, (0.0,) * 24, False)
@@ -272,7 +280,7 @@ def loop_kernel(scenario: Scenario, params: QuadParams,
     # a one-segment profile holds its value at every t
     fixed_refs = (tuple(p.segments[0][1] for p in profiles)
                   if all(len(p.segments) == 1 for p in profiles) else None)
-    dt, m, ia = scenario.dt, params.m, params.inertia
+    dt, m = scenario.dt, params.m
 
     if scenario.open_loop:
         u1 = scenario.open_loop_u1
@@ -281,11 +289,8 @@ def loop_kernel(scenario: Scenario, params: QuadParams,
             # the open-loop fixture drives the thrust channel directly
             return ctrl[0], (u1(t), 0.0, 0.0, 0.0, 0.0), ctrl[2], False
     else:
-        gains, b_att = gains or ControllerGains(), (ia.a6, ia.a7, ia.a8)
-        bank = adrc.bank_kernel([
-            adrc.SubsystemConfig(which=name, b_hat=b, eso=gains.eso_for(name),
-                                 pd=gains.pd_for(name), u_limits=gains.u_limits[name])
-            for name, b in zip(SUBSYSTEMS, (*b_att, -1.0 / m))], dt)
+        loops = (gains or ControllerGains()).loops(params)
+        bank, b_att = adrc.bank_kernel(loops, dt), tuple(c.b_hat for c in loops[:3])
         b_hat_altitude, mixer_f, rates = adrc.b_hat_altitude, mixer_kernel(params.mixer), (0.0,) * 4
 
         def control(t, y, dist, refs, ctrl):

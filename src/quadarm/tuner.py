@@ -158,7 +158,7 @@ class TuneProblem:
         self.box_upper = layout_vector(np.full(n, 1e5) if self.box_upper is None
                                        else self.box_upper, self.layout)
         if not np.all(self.box_lower <= self.box_upper):
-            raise InvalidParameterError("box lower bound exceeds upper bound")
+            raise InvalidParameterError("lower bound exceeds upper bound")
 
     def evaluate(self, vector) -> tuple[float, dict]:
         return cost(vector, self)

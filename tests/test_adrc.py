@@ -287,3 +287,10 @@ class TestController:
         with pytest.raises(InvalidParameterError):
             SubsystemConfig(which="surge", b_hat=1.0, eso=TABLE_GAINS,
                             pd=PdGains(1.0, 1.0), u_limits=(-1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match=r"^b_hat of pitch is below 0\.05$"):
+            SubsystemConfig(which="pitch", b_hat=-0.01, eso=TABLE_GAINS,
+                            pd=PdGains(1.0, 1.0), u_limits=(-1.0, 1.0))
+        with pytest.raises(InvalidParameterError,
+                           match=r"^expected an increasing \[lower, upper\] pair$"):
+            SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS,
+                            pd=PdGains(1.0, 1.0), u_limits=(1.0, 1.0))

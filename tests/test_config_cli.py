@@ -13,7 +13,7 @@ from quadarm import cli
 from quadarm import config as config_mod
 from quadarm import tuner as tuner_mod
 from quadarm.cli import FIGURE_SET, main
-from quadarm.adrc import SUBSYSTEMS
+from quadarm.adrc import SUBSYSTEMS, EsoGains
 from quadarm.config import DEFAULTS, ConfigError, config_with_gains, load, resolve
 from quadarm.errors import DivergenceError, IntegrationError
 from quadarm.model import MixerParams, QuadParams
@@ -82,6 +82,14 @@ class TestConfig:
         gains = resolve({"controller": {"eso_overrides": overrides}}).gains
         assert gains.eso_for("yaw") == resolve(None).gains.eso
 
+    @pytest.mark.parametrize("overrides, name, expected", [
+        ({"roll": {"p2": 2900}}, "roll", (40, 2900, 3000.0)),
+        ({"yaw": None}, "yaw", (40, 2907.0, 3000.0)),
+    ], ids=["partial", "null"])
+    def test_eso_override_patches_configured_eso(self, overrides, name, expected):
+        gains = resolve({"controller": {"eso": {"p1": 40}, "eso_overrides": overrides}}).gains
+        assert gains.eso_for(name) == EsoGains(*expected)
+
     def test_unknown_override_subsystem_rejected(self):
         with pytest.raises(ConfigError):
             resolve({"controller": {"eso_overrides": {
@@ -97,6 +105,39 @@ class TestConfig:
     def test_whole_step_durations_load(self, duration, dt):
         sc = resolve({"scenario": {"duration": duration, "dt": dt}}).scenario
         assert sc.n_steps == round(duration / dt)
+
+    def test_cross_section_rules_follow_the_sections(self):
+        # b_hat and the box order are checked once every section resolves on its own
+        weak, reversed_box = ({"physical": {"inertia": {"l": 0.0005}}},
+                              {"tuner": {"box": {"lower": [1e5] * 11, "upper": [1e-3] * 11}}})
+        with pytest.raises(ConfigError) as refused:
+            resolve({**weak, **reversed_box, "controller": {"pd": {"roll": {"kp": -1.0}}}})
+        assert refused.value.problems == ["controller.pd.roll: PD gains must be positive"]
+        with pytest.raises(ConfigError) as refused:
+            resolve({**weak, **reversed_box})
+        assert refused.value.problems == ["physical.inertia: b_hat of roll is below 0.05",
+                                          "tuner.box: lower bound exceeds upper bound"]
+
+    def test_limits_message(self):
+        with pytest.raises(ConfigError) as refused:
+            resolve({"controller": {"u_limits": {"yaw": [5, -5]}}})
+        assert refused.value.problems == [
+            "controller.u_limits.yaw: expected an increasing [lower, upper] pair"]
+
+    def test_tune_problem_built_once(self):
+        cfg = resolve({"tuner": {"layout": "per_subsystem",
+                                 "bounds": [{"signal": "z", "segments": [[0, 1, 0, 10]]}]}})
+        problem = cfg.tune_problem()
+        assert problem is cfg.tune_problem()
+        assert (problem.layout, problem.scenario, problem.params, problem.weights) == (
+            "per_subsystem", cfg.scenario, cfg.params, cfg.tuner_weights)
+        assert [b.signal for b in problem.bounds] == ["z"]
+
+    def test_tune_initial_checks_the_controller_start(self):
+        cfg = resolve({"controller": {"pd": {"roll": {"kp": 1.0e180}}}})
+        with pytest.raises(ConfigError) as refused:
+            cfg.tune_initial()
+        assert refused.value.problems == ["controller: kp_roll outside the tuner box"]
 
     def test_open_loop_needs_no_attitude_b_hat(self):
         # the attitude loops do not run open loop, so a small arm length loads

@@ -27,6 +27,15 @@ class TestDrag:
             DragParams(k=(-0.1,) * 6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DragParams(k=(0.1,) * 5),
+    lambda: GroundEffectParams(rho=-1.0),
+], ids=["drag_count", "rho"])
+def test_invalid_parameter_refused(make):
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
 class TestGroundEffect:
     def test_reference_altitudes(self):
         p = GroundEffectParams()

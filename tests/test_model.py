@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadarm import (ControlInputs, DisturbanceOutputs, GeometryParams,
                      InertiaParams, MassProperties, MixerParams, QuadParams,
-                     QuadState, compose_inertia, mix, state_derivative, unmix)
+                     QuadState, WindParams, compose_inertia, mix, state_derivative, unmix)
 from quadarm.errors import InvalidInputError, InvalidParameterError
 from quadarm.model import rotor_speeds
 
@@ -79,6 +79,10 @@ class TestMixer:
     def test_negative_speed_rejected(self):
         with pytest.raises(InvalidInputError):
             mix([1, 1, -1, 1], MixerParams())
+
+    def test_three_speeds_rejected(self):
+        with pytest.raises(InvalidInputError):
+            mix(np.ones(3), MixerParams())
 
     def test_hover_inverse(self):
         p = MixerParams()
@@ -167,7 +171,8 @@ class TestStateDerivative:
     lambda: InertiaParams(I_yy=math.nan),
     lambda: GeometryParams(R_q=0.1, L_q=0.45, L_r=0.2, W_r=math.nan, H_r=0.05, D_r=0.1),
     lambda: MixerParams(k_f=math.nan),
-], ids=["m_q", "m_r", "I_yy", "W_r", "k_f"])
+    lambda: WindParams(alpha=math.nan),
+], ids=["m_q", "m_r", "I_yy", "W_r", "k_f", "wind_alpha"])
 def test_nan_parameter_refused(make):
     # a comparison with nan is false, so each check asks for the admissible case
     with pytest.raises(InvalidParameterError):
@@ -179,6 +184,8 @@ def test_quadstate_validation():
         QuadState(np.zeros(11))
     with pytest.raises(InvalidParameterError):
         QuadState(np.full(12, math.nan))
+    with pytest.raises(InvalidParameterError):
+        QuadState(lagged_accel=np.zeros(5))
 
 
 def test_mass_properties_com():

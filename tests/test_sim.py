@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, MassProperties,
-                     PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
-                     TraceLog, estimation_oracle, rk4_step, run)
+from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, EsoGains,
+                     InertiaParams, MassProperties, PdGains, PiecewiseConstant, QuadParams,
+                     QuadState, Scenario, TraceLog, estimation_oracle, rk4_step, run)
 from quadarm import sim as sim_mod
 from quadarm.adrc import SUBSYSTEMS
 from quadarm.disturbances import DragParams, lump
@@ -173,6 +173,12 @@ class TestRun:
         assert Scenario(duration=10000.0).n_steps == 10 ** 7
         with pytest.raises(InvalidParameterError, match="10001000 steps of dt 0.001"):
             Scenario(duration=10001.0).n_steps
+
+    @pytest.mark.parametrize("fields", [{"dt": 0.0}, {"dt": math.nan}, {"duration": -1.0}],
+                             ids=["zero_dt", "nan_dt", "negative_duration"])
+    def test_invalid_scenario_refused(self, fields):
+        with pytest.raises(InvalidParameterError):
+            Scenario(**fields)
 
     def test_zero_duration_single_record(self, params):
         trace = run(Scenario(duration=0.0), params)
@@ -359,6 +365,21 @@ class TestLoopKernel:
         assert final[:3] == (y, lagged, ctrl)
         rows.append(final[3])
         assert np.array(rows).tobytes() == run(scenario, params).as_array().tobytes()
+
+    def test_bank_binds_the_gains_loops(self, monkeypatch):
+        params = QuadParams(inertia=InertiaParams(I_xx=0.018, I_yy=0.02, I_zz=0.035))
+        gains = ControllerGains(eso_overrides={"yaw": EsoGains.from_bandwidth(5.0)},
+                                pd_pitch=PdGains(3.0, 4.0))
+        bound, bank_kernel = [], sim_mod.adrc.bank_kernel
+        monkeypatch.setattr(sim_mod.adrc, "bank_kernel",
+                            lambda configs, dt: bound.append(configs) or bank_kernel(configs, dt))
+        loop_kernel(Scenario(duration=0.01), params, gains=gains)
+        loops = gains.loops(params)
+        assert bound == [loops]
+        assert [c.which for c in loops] == list(SUBSYSTEMS)
+        assert [c.b_hat for c in loops] == [0.45 / 0.018, 0.45 / 0.02, 1 / 0.035, -1 / params.m]
+        assert [(c.eso, c.pd, c.u_limits) for c in loops] == [
+            (gains.eso_for(n), gains.pd_for(n), gains.u_limits[n]) for n in SUBSYSTEMS]
 
 
 class TestEstimationOracle:

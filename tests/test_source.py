@@ -81,6 +81,27 @@ def test_merge_has_no_per_path_branch():
     assert compared_strings((PACKAGE / "config.py").read_text(encoding="utf-8"), "_merge") == []
 
 
+def raised_names(source: str) -> list:
+    """What each ``raise`` in a source raises, in line order: the exception
+    class, or None for a bare re-raise."""
+    raises = sorted((n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Raise)),
+                    key=lambda n: n.lineno)
+    return [None if n.exc is None else ast.unparse(getattr(n.exc, "func", n.exc))
+            for n in raises]
+
+
+def test_detects_raised_names():
+    source = ("def f(x):\n    if x:\n        raise errors.Bad('x') from None\n"
+              "    try:\n        g()\n    except E:\n        raise\n    raise E\n")
+    assert raised_names(source) == ["errors.Bad", None, "E"]
+
+
+def test_config_raises_only_config_error():
+    # a rule the library checks is reported through ``_build``, not checked again here
+    assert set(raised_names((PACKAGE / "config.py").read_text(encoding="utf-8"))) == {
+        "ConfigError"}
+
+
 def exit_callers(source: str) -> list:
     """The functions whose own bodies call ``sys.exit``; ``<module>`` for a call
     outside every function."""

@@ -162,6 +162,22 @@ class TestQuadraticFixture:
         with pytest.raises(InvalidParameterError):
             tune(Quadratic(np.zeros(3)), np.full(3, 99.0), FAST_OPTS)
 
+    def test_zero_width_coordinate_not_probed(self):
+        # lower == upper leaves no room for a probe: that gain stays, the others descend
+        problem = Quadratic(np.array([2.0, -3.0, 0.5]), np.array([-10.0, 1.0, -10.0]),
+                            np.array([10.0, 1.0, 10.0]))
+        result = tune(problem, np.ones(3), FAST_OPTS)
+        assert result.vector[1] == 1.0
+        assert result.vector[[0, 2]] == pytest.approx([2.0, 0.5], abs=1e-4)
+
+    def test_zero_gradient_stops_before_line_search(self):
+        problem, calls = Quadratic(np.zeros(3)), []
+        evaluate = problem.evaluate
+        problem.evaluate = lambda v: calls.append(v) or evaluate(v)
+        result = tune(problem, np.zeros(3), FAST_OPTS)
+        assert (result.iterations, result.converged, len(result.history)) == (1, True, 1)
+        assert len(calls) == 1 + 2 * 3  # the start and the probes, no candidate
+
 
 def short_problem(**kw):
     scenario = Scenario(duration=2.0, dt=0.005,
@@ -185,6 +201,14 @@ class TestCost:
         total, report = cost(v, short_problem())
         assert total == SENTINEL_COST
         assert not report["feasible"]
+
+    def test_diverging_run_sentinel(self):
+        # dt = 0.05 s is past the stock gains' sampled stability limit
+        problem = TuneProblem(scenario=Scenario(duration=1.0, dt=0.05))
+        total, report = cost(table_gains_vector(), problem)
+        assert total == SENTINEL_COST
+        assert not report["feasible"]
+        assert report["diverged_at"] == pytest.approx(0.25)
 
     def test_oversized_scenario_sentinel(self):
         # the step count is refused before any trace is allocated
