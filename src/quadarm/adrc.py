@@ -105,8 +105,8 @@ def bank_kernel(configs, dt: float):
     (x1_hat, x2_hat, x3_hat, u) and, per loop, the signals
     (u, u0, x3_hat, x1_hat, x2_hat, saturated).
     """
-    if not dt > 0:  # NaN too
-        raise InvalidParameterError("dt must be positive")
+    if not 0 < dt < math.inf:  # NaN too
+        raise InvalidParameterError("dt must be positive and finite")
     loops = tuple((c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
                   for c in configs)
     h, sixth = 0.5 * dt, dt / 6.0

@@ -17,7 +17,7 @@ import click
 from . import config as config_mod
 from . import tuner as tuner_mod
 from .errors import QuadArmError
-from .sim import COLUMNS, TraceLog, run
+from .sim import COLUMNS, TraceLog, run, write_rows
 
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -99,11 +99,8 @@ def tune(config_path, out_path, seed):
     tuned = config_mod.config_with_gains(cfg, result.vector, problem.layout)
     config_mod.dump(tuned, out_path)
 
-    with open(history_path, "w", newline="", encoding="utf-8") as fh:
-        # csv.writer's lines: no name or float repr needs quoting
-        fh.write(",".join(["iteration", "cost", *tuner_mod.LAYOUTS[problem.layout]]) + "\r\n")
-        fh.writelines(",".join([str(i), repr(cost), *map(repr, vec.tolist())]) + "\r\n"
-                      for i, (vec, cost) in enumerate(result.history))
+    write_rows(history_path, ["iteration", "cost", *tuner_mod.LAYOUTS[problem.layout]],
+               ((i, cost, *vec.tolist()) for i, (vec, cost) in enumerate(result.history)))
 
     click.echo(f"final cost {result.cost:.6g} after {result.iterations} iterations "
                f"({'converged' if result.converged else 'iteration limit'})")

@@ -96,6 +96,14 @@ COLUMNS = tuple(["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
                 + ["G"] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
 
 
+def write_rows(path, header, rows) -> None:
+    """Write ``header``'s names and each row's numbers to ``path`` as
+    csv.writer's lines: no name and no int or float repr needs quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
 class TraceLog:
     """Record of one simulation run: ``n_records`` rows of the ``COLUMNS``
     layout in one float64 array, filled in order by ``append``."""
@@ -104,7 +112,7 @@ class TraceLog:
     # packs a row's floats straight into the array's buffer and reads them back
     _row = struct.Struct(f"{len(COLUMNS)}d")
     _index = {name: i for i, name in enumerate(COLUMNS)}
-    _header = ",".join(COLUMNS)  # csv.writer's line: no name needs quoting
+    _header = ",".join(COLUMNS)  # the first line ``to_csv`` writes
 
     def __init__(self, n_records: int):
         self._data = np.empty((n_records, len(COLUMNS)))
@@ -127,11 +135,7 @@ class TraceLog:
         return view
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self._header + "\r\n")
-            # a float's repr holds no character that csv.writer would quote
-            fh.writelines(",".join(map(repr, row)) + "\r\n"
-                          for row in self._row.iter_unpack(self._data[:self._n]))
+        write_rows(path, COLUMNS, self._row.iter_unpack(self._data[:self._n]))
 
     @classmethod
     def read_header(cls, fh, path) -> None:
@@ -210,8 +214,8 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     lagged accelerations are held constant over the step and replaced by
     the final-stage accelerations afterwards.
     """
-    if not dt > 0:  # NaN too
-        raise InvalidParameterError("dt must be positive")
+    if not 0 < dt < math.inf:  # NaN too
+        raise InvalidParameterError("dt must be positive and finite")
     y0, lag = state.vector, state.lagged_accel
     acc = None
 

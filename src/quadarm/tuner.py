@@ -53,12 +53,6 @@ def layout_vector(vector, layout: str) -> np.ndarray:
     return v
 
 
-def _eso_triples(v) -> list:
-    """The observer (p1, p2, p3) triples that lead a decision vector; one PD
-    pair per subsystem follows them."""
-    return [v[i:i + 3] for i in range(0, len(v) - 2 * len(adrc.SUBSYSTEMS), 3)]
-
-
 def gains_vector(gains: ControllerGains, layout: str = "shared") -> np.ndarray:
     """``gains`` as a decision vector in ``layout`` order."""
     esos = ([gains.eso] if layout == "shared"
@@ -72,7 +66,8 @@ def gains_from_vector(vector, layout: str = "shared") -> ControllerGains:
     """The controller gains a decision vector in ``layout`` order stands for;
     the per-subsystem layout sets an observer override for every subsystem."""
     v = layout_vector(vector, layout).tolist()
-    esos = [adrc.EsoGains(*p) for p in _eso_triples(v)]
+    # the observer (p1, p2, p3) triples lead; one PD pair per subsystem follows
+    esos = [adrc.EsoGains(*v[i:i + 3]) for i in range(0, len(v) - 2 * len(adrc.SUBSYSTEMS), 3)]
     pd = [adrc.PdGains(*v[i:i + 2]) for i in range(3 * len(esos), len(v), 2)]
     return ControllerGains(
         eso=esos[0],
@@ -115,10 +110,11 @@ class SignalBound:
         object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats
 
     def violation(self, t: np.ndarray, values: np.ndarray, dt: float) -> float:
-        """Integrated excess of the signal outside the band."""
-        total = 0.0
+        """Integrated excess of the signal outside the band.  A sample on the
+        boundary of two touching segments belongs to the one that starts there."""
+        total, starts = 0.0, {segment[0] for segment in self.segments}
         for t0, t1, lo, hi in self.segments:
-            mask = (t >= t0) & (t <= t1)
+            mask = (t >= t0) & ((t < t1) if t1 in starts else (t <= t1))
             seg = values[mask]
             excess = np.maximum(seg - hi, 0.0) + np.maximum(lo - seg, 0.0)
             total += float(np.sum(excess) * dt)
@@ -164,37 +160,23 @@ class TuneProblem:
         return cost(vector, self)
 
 
-def _hurwitz_violation(vector) -> float:
-    """Non-negative slack deficit of the Routh condition p1*p2 > p3."""
-    worst = 0.0
-    for p1, p2, p3 in _eso_triples(np.asarray(vector, dtype=float).tolist()):
-        worst = max(worst, p3 - p1 * p2, -p1, -p3)
-    return max(worst, 0.0)
-
-
 def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
     """Scalar cost of one gain vector plus a per-bound violation report.
 
-    Infeasible or diverging configurations map to a large finite sentinel
-    so the optimizer can always compare candidates.
+    Gains their own objects refuse (a non-Hurwitz observer, a PD gain that
+    is not positive) and runs that cannot be made or that diverge map to a
+    large finite sentinel, so the optimizer can always compare candidates.
     """
-    report: dict = {"bound_violations": {}, "feasible": True}
-    hv = _hurwitz_violation(vector)
-    if hv > 0:
-        report["feasible"] = False
-        report["hurwitz_violation"] = hv
-        return SENTINEL_COST + hv, report
-
+    report: dict = {"bound_violations": {}, "feasible": False}
     try:
         gains = gains_from_vector(vector, problem.layout)
         trace = run(problem.scenario, problem.params, problem.dist_params, gains)
     except DivergenceError as exc:
-        report["feasible"] = False
         report["diverged_at"] = exc.time
         return SENTINEL_COST, report
     except QuadArmError:
-        report["feasible"] = False
         return SENTINEL_COST, report
+    report["feasible"] = True
 
     w = problem.weights
     dt = problem.scenario.dt

@@ -283,6 +283,11 @@ class TestController:
         with pytest.raises(InvalidParameterError):
             make_controller().step(0.0, 0.0, 0.0, math.nan)
 
+    def test_infinite_dt_rejected(self):
+        # refused by the bank, not returned as all-NaN diagnostics
+        with pytest.raises(InvalidParameterError, match="^dt must be positive and finite$"):
+            make_controller().step(0.1, 0.0, 0.0, math.inf)
+
     def test_invalid_subsystem_rejected(self):
         with pytest.raises(InvalidParameterError):
             SubsystemConfig(which="surge", b_hat=1.0, eso=TABLE_GAINS,

@@ -360,6 +360,32 @@ class TestTuneCommand:
                                            "--out", str(tmp_path / "t.csv")])
         assert result.exit_code == 0, result.output
 
+    def test_shared_layout_eso_override_exit_2(self, tmp_path, monkeypatch):
+        # a shared-layout start from the controller gains would drop the override
+        calls = []
+        monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "scenario": {"duration": 0.05},
+            "controller": {"eso_overrides": {"yaw": {"p1": 40.0}}}})
+        result = CliRunner().invoke(main, ["tune", "--config", cfg,
+                                           "--out", str(tmp_path / "t.yaml")])
+        assert result.exit_code == 2, result.output
+        assert ("  controller.eso_overrides: the shared layout tunes one observer"
+                in result.output)
+        assert calls == []
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                           "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 0, result.output
+
+    def test_null_eso_override_still_tunes(self, tmp_path):
+        # a null override is controller.eso, which the shared layout tunes
+        cfg = write_yaml(tmp_path / "c.yaml", {"scenario": {"duration": 0.05},
+                                               "controller": {"eso_overrides": {"yaw": None}},
+                                               "tuner": {"options": {"max_iterations": 0}}})
+        result = CliRunner().invoke(main, ["tune", "--config", cfg,
+                                           "--out", str(tmp_path / "t.yaml")])
+        assert result.exit_code == 0, result.output
+
     def test_round_trip_into_simulate(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "scenario": {"duration": 0.5, "dt": 0.005},

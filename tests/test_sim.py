@@ -141,6 +141,10 @@ class TestRk4:
         with pytest.raises(InvalidParameterError, match="dt must be positive"):
             rk4_step(QuadState(), exp_decay, 0.0, math.nan)
 
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^dt must be positive and finite$"):
+            rk4_step(QuadState(), exp_decay, 0.0, math.inf)
+
     def test_non_finite_derivative_raises(self):
         def blow_up(t, y, lagged):
             return np.full(12, math.nan), np.zeros(6)
@@ -490,6 +494,15 @@ class TestTraceLog:
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
         back = TraceLog.from_csv(path)
         assert back.as_array().tobytes() == trace.as_array().tobytes()
+
+    def test_write_rows_matches_csv_writer(self, tmp_path):
+        # the tune history's rows: an int index, then floats
+        rows = [(0, 1.5, -2e-300), (1, 0.1, 1e16)]
+        sim_mod.write_rows(tmp_path / "rows.csv", ["iteration", "cost", "p1"], rows)
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([["iteration", "cost", "p1"],
+                                        *([repr(v) for v in row] for row in rows)])
+        assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("duration", [0.5, 4.0])
     def test_csv_write_holds_one_record(self, params, tmp_path, duration):

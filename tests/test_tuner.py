@@ -6,6 +6,7 @@ import pytest
 
 from quadarm import (ControllerGains, CostWeights, DisturbanceFlags, EsoGains, PdGains,
                      QuadParams, Scenario, SignalBound, TuneOptions, TuneProblem, cost, tune)
+from quadarm import tuner as tuner_mod
 from quadarm.adrc import SUBSYSTEMS
 from quadarm.config import resolve
 from quadarm.errors import InvalidParameterError
@@ -115,6 +116,18 @@ class TestSignalBound:
                            match=r"^bound segment needs \[t_start, t_end, lower, upper\]$"):
             SignalBound("z", (segment,))
 
+    def test_touching_segments_count_a_shared_sample_once(self):
+        # the spike at t = 1 belongs to the segment that starts there; an end
+        # that starts no other segment keeps its sample
+        t = np.arange(201) / 100
+        v = np.where(t == 1.0, 3.0, 1.5 * t)
+        whole = SignalBound("z", ((0.0, 2.0, -1.0, 1.0),)).violation(t, v, 0.01)
+        split = SignalBound("z", ((0.0, 1.0, -1.0, 1.0),
+                                  (1.0, 2.0, -1.0, 1.0))).violation(t, v, 0.01)
+        assert split == pytest.approx(whole, rel=1e-12)
+        first = SignalBound("z", ((0.0, 1.0, -1.0, 1.0),)).violation(t, v, 0.01)
+        assert first == pytest.approx(np.sum(np.maximum(v[:101] - 1.0, 0.0)) * 0.01, rel=1e-12)
+
     def test_segments_stored_as_floats(self):
         b = SignalBound("z", [[0, 1, -1, 1]])
         assert b.segments == ((0.0, 1.0, -1.0, 1.0),)
@@ -186,13 +199,16 @@ def short_problem(**kw):
 
 
 class TestCost:
-    def test_hurwitz_violation_sentinel(self):
+    def test_hurwitz_violation_sentinel(self, monkeypatch):
+        # EsoGains refuses the candidate before any run is made
+        calls = []
+        monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))
         v = table_gains_vector()
         v[1] = 0.001  # p1 * p2 < p3
         total, report = cost(v, short_problem())
-        assert total >= SENTINEL_COST
+        assert total == SENTINEL_COST
         assert not report["feasible"]
-        assert report["hurwitz_violation"] > 0
+        assert calls == []
 
     def test_negative_gain_sentinel(self):
         # kd <= 0 fails controller construction, not the Routh gate
