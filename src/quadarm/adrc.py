@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import render
 from .errors import ConfigurationError, InvalidParameterError
 
 ROLL, PITCH, YAW, ALTITUDE = "roll", "pitch", "yaw", "altitude"
@@ -85,63 +86,71 @@ class SubsystemConfig:
         limits(self.u_limits)
 
 
-def bank_kernel(configs, dt: float):
-    """Bind a bank of loops once: each loop's observer gains, PD gains and
-    input limits, and the period ``dt``, checked here only.  Returns the
-    float kernel ``bank(obs, ys, refs, ref_rates, b_hats) -> (obs, signals)``,
-    the only code that runs the control law: the closed loop runs its four
-    subsystems through one bank, and ``AdrcController`` and ``eso_step`` each
-    one loop.
+# The control formulas as text (``render``) in one loop's names: estimates x1..x3
+# of the measurement y, last input u, effectiveness b, observer gains p1..p3, PD
+# gains kp, kd toward ref and its rate, input limits lo, hi; step dt, h, sixth.
+# START, OBSERVE (one RK4 step holding b * u), PD, CANCEL; the altitude B_HAT, CLAMP.
+START = "x1, x2, x3 = y, 0.0, 0.0\n"
+STEP = "h, sixth = 0.5 * dt, dt / 6.0\n"
+OBSERVE = """\
+bu = b * u
+e = y - x1
+ka1, ka2, ka3 = x2 + p1 * e, x3 + p2 * e + bu, p3 * e
+e = y - (x1 + h * ka1)
+kb1, kb2, kb3 = x2 + h * ka2 + p1 * e, x3 + h * ka3 + p2 * e + bu, p3 * e
+e = y - (x1 + h * kb1)
+kc1, kc2, kc3 = x2 + h * kb2 + p1 * e, x3 + h * kb3 + p2 * e + bu, p3 * e
+e = y - (x1 + dt * kc1)
+kd1, kd2, kd3 = x2 + dt * kc2 + p1 * e, x3 + dt * kc3 + p2 * e + bu, p3 * e
+x1, x2, x3 = (x1 + sixth * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1),
+              x2 + sixth * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
+              x3 + sixth * (ka3 + 2.0 * kb3 + 2.0 * kc3 + kd3))
+"""
+PD = "u0 = kp * (ref - x1) + kd * (rate - x2)\n"
+CANCEL = """\
+u, saturated = (u0 - x3) / b, False
+if u < lo:
+    u, saturated = lo, True
+elif u > hi:
+    u, saturated = hi, True
+"""
+B_HAT = "b = -(G / m) * cos(theta) * cos(phi)\n"
+CLAMP = "clamped = not abs(b) >= b_min\nif clamped:\n    b = (-1.0 if b < 0 else 1.0) * b_min\n"
+#: a loop's gains in ``loop_gains`` order, and all the names that are its own
+GAINS = ("p1", "p2", "p3", "kp", "kd", "lo", "hi")
+OWN = (*GAINS, "b", "ref", "x1", "x2", "x3", "u", "u0", "saturated")
 
-    Each argument holds one entry per loop.  An ``obs`` entry is
-    (x1_hat, x2_hat, x3_hat, u) after the last period: the observer first
-    advances one RK4 step on the measurement ``y`` with the input term
-    b_hat * u held.  With u None the three estimates are used as they are,
-    and None starts the observer on the first measurement (y, 0, 0) to
-    avoid a large artificial transient.  The PD law on the estimates then
-    gives u0, and the cancellation u = (u0 - x3_hat) / b_hat, held inside
-    the loop's ``u_limits``, the new control.  ``b_hat`` must already be
-    clear of zero (``clamp_b_hat``).  Returns the new entries
-    (x1_hat, x2_hat, x3_hat, u) and, per loop, the signals
-    (u, u0, x3_hat, x1_hat, x2_hat, saturated).
-    """
+
+def loop_gains(c: SubsystemConfig) -> tuple:
+    """The values of ``GAINS`` for the loop ``c``."""
+    return (c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
+
+
+def bank_kernel(configs, dt: float):
+    """The control texts for loops bound to their ``loop_gains``: ``bank(obs, ys, refs,
+    ref_rates, b_hats)``, one entry per loop in each.  An ``obs`` entry (x1_hat, x2_hat,
+    x3_hat, u) is advanced (``OBSERVE``), or kept with u None; None is ``START``.
+    Returns the new entries and each loop's (u, u0, x3_hat, x1_hat, x2_hat, saturated)."""
     if not 0 < dt < math.inf:  # NaN too
         raise InvalidParameterError("dt must be positive and finite")
-    loops = tuple((c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
-                  for c in configs)
-    h, sixth = 0.5 * dt, dt / 6.0
-
-    def bank(obs, ys, refs, ref_rates, b_hats):
-        new, signals = [], []
-        for (p1, p2, p3, kp, kd, lo, hi), o, y, ref, rate, b in zip(
-                loops, obs, ys, refs, ref_rates, b_hats):
-            if o is None:
-                x1, x2, x3 = y, 0.0, 0.0
-            else:
-                x1, x2, x3, u = o
-                if u is not None:
-                    bu = b * u
-                    e = y - x1
-                    a1, a2, a3 = x2 + p1 * e, x3 + p2 * e + bu, p3 * e
-                    e = y - (x1 + h * a1)
-                    b1, b2, b3 = x2 + h * a2 + p1 * e, x3 + h * a3 + p2 * e + bu, p3 * e
-                    e = y - (x1 + h * b1)
-                    c1, c2, c3 = x2 + h * b2 + p1 * e, x3 + h * b3 + p2 * e + bu, p3 * e
-                    e = y - (x1 + dt * c1)
-                    d1, d2, d3 = x2 + dt * c2 + p1 * e, x3 + dt * c3 + p2 * e + bu, p3 * e
-                    x1, x2, x3 = (x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                                  x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-                                  x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-            u0 = kp * (ref - x1) + kd * (rate - x2)
-            u, saturated = (u0 - x3) / b, False
-            if u < lo:
-                u, saturated = lo, True
-            elif u > hi:
-                u, saturated = hi, True
-            new.append((x1, x2, x3, u))
-            signals += u, u0, x3, x1, x2, saturated
-        return tuple(new), tuple(signals)
-    return bank
+    constants = {"dt": dt, "loops": tuple(map(loop_gains, configs))}
+    return render.kernel("bank", constants, "obs, ys, refs, ref_rates, b_hats", render.fill("""\
+@step
+new, signals = [], []
+for (p1, p2, p3, kp, kd, lo, hi), o, y, ref, rate, b in zip(
+        loops, obs, ys, refs, ref_rates, b_hats):
+    if o is None:
+        @start
+    else:
+        x1, x2, x3, u = o
+        if u is not None:
+            @observe
+    @pd
+    @cancel
+    new.append((x1, x2, x3, u))
+    signals += u, u0, x3, x1, x2, saturated
+return tuple(new), tuple(signals)
+""", step=STEP, start=START, observe=OBSERVE, pd=PD, cancel=CANCEL))
 
 
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
@@ -155,24 +164,20 @@ def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
 
 
 def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
-    """Bound |b_hat| away from zero; flags when the clamp engaged."""
-    if abs(b_hat) >= B_MIN:
-        return b_hat, False
-    sign = -1.0 if b_hat < 0 else 1.0
-    return sign * B_MIN, True
+    """``CLAMP``: |b_hat| bound away from zero, and whether the clamp engaged."""
+    return render.kernel("clamp", {"b_min": B_MIN}, "b", CLAMP + "return b, clamped\n")(b_hat)
 
 
-def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float,
-       gains: PdGains) -> float:
-    """PD law on the estimated states of the reduced double integrator,
-    written as the bank's u0 line (a test holds the two bit-equal)."""
-    return gains.kp * (ref - x1_hat) + gains.kd * (ref_rate - x2_hat)
+def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float, gains: PdGains) -> float:
+    """``PD``: the law on the estimated states of the reduced double integrator."""
+    return render.kernel("pd", {"kp": gains.kp, "kd": gains.kd}, "ref, rate, x1, x2",
+                         PD + "return u0\n")(ref, ref_rate, x1_hat, x2_hat)
 
 
 def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float, bool]:
-    """Altitude control effectiveness -(G/m) cos(theta) cos(phi), clamped."""
-    raw = -(G / m) * math.cos(theta) * math.cos(phi)
-    return clamp_b_hat(raw)
+    """``B_HAT`` and ``CLAMP``: -(G/m) cos(theta) cos(phi), clamped."""
+    return render.kernel("b_hat", {"b_min": B_MIN, "cos": math.cos}, "phi, theta, G, m",
+                         B_HAT + CLAMP + "return b, clamped\n")(phi, theta, G, m)
 
 
 @dataclass

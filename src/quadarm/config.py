@@ -175,17 +175,17 @@ class Config:
     raw: dict = field(repr=False, default_factory=dict)
 
     def tune_problem(self) -> TuneProblem:
-        """The tuner section's problem, built once by ``resolve``."""
+        """The tuner section's problem, built once by ``resolve``; a ``ConfigError``
+        names the observer overrides that a shared-layout tune would drop."""
+        if self.tuner_problem.layout == "shared" and any(
+                eso != self.gains.eso for eso in self.gains.eso_overrides.values()):
+            raise ConfigError(["controller.eso_overrides: the shared layout tunes one observer"])
         return self.tuner_problem
 
     def tune_initial(self) -> np.ndarray:
         """``tuner.initial``, or the controller section's gains in the tuner layout;
-        a ``ConfigError`` names the start's parameters outside the tuner box, or
-        the observer overrides that a shared-layout start from the gains would drop."""
+        a ``ConfigError`` names the start's parameters outside the tuner box."""
         problem, given = self.tuner_problem, self.tuner_initial
-        if given is None and problem.layout == "shared" and any(
-                eso != self.gains.eso for eso in self.gains.eso_overrides.values()):
-            raise ConfigError(["controller.eso_overrides: the shared layout tunes one observer"])
         x0 = gains_vector(self.gains, problem.layout) if given is None else given
         outside = [name for name, x, lo, hi in zip(layout_names(problem.layout), x0,
                                                    problem.box_lower, problem.box_upper)

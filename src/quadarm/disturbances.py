@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import render
 from .errors import InvalidParameterError
 from .model import MassProperties, QuadState
 
@@ -105,39 +106,45 @@ class DisturbanceOutputs:
                          self.delta_d, self.delta_e, self.delta_f])
 
 
-def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
-    """Bind the channel constants once; returns the float kernel
-    ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)`` behind ``lump``."""
-    # the CoM and drag contributions enter with -, except the yaw CoM term and
-    # the altitude drag under the published signs; a sign times k*v rounds as
-    # the signed coefficient times v
-    up = 1.0 if params.strict_signs else -1.0
-    k1, k2, k3, k4, k5, k6 = ([sg * k for sg, k in zip((-1.0, -1.0, -1.0, up, -1.0, -1.0),
-                                                       params.drag.k)]
-                              if flags.drag else (0.0,) * 6)
-    alpha, beta, n = params.wind.alpha, params.wind.beta, params.wind.n
-    rho, r, z_min = params.ground_effect.rho, params.ground_effect.r, params.ground_effect.z_min
-    com, gust, ground = flags.com, flags.wind, flags.ground_effect
+#: the lumped disturbances delta_a..delta_f and the thrust factor G at the state
+#: x1..x12, the last step's accelerations d_x2..d_x12, time t and CoM offset z_G
+LUMP = """\
+if com:
+    # coupling through the shifted center of mass; the accelerations on the
+    # right-hand side are the previous step's, held over the step
+    mz = m * z_G
+    q1, q2, q3 = -mz * (d_x12 + x10 * x6), mz * (d_x10 - x12 * x6), mz * (x12 * x4 + x4 * x2)
+    q4, q5, q6 = z_G * (x2 ** 2 - x4 ** 2), -z_G * (x2 * x6 - d_x4), -z_G * (x4 * x6 - d_x2)
+else:
+    q1 = q2 = q3 = q4 = q5 = q6 = 0.0
+# a sinusoidal gust, and the thrust amplification near the ground
+w = alpha + beta * sin(n * t) if gust else 0.0
+G = 1.0 / (1.0 - rho * (r / (4.0 * max(x7, z_min))) ** 2) if ground else 1.0
+delta_a, delta_b, delta_c = -q1 + k1 * x2 + w, -q2 + k2 * x4 + w, up * q3 + k3 * x6 + w
+delta_d, delta_e, delta_f = -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x12 + w
+"""
 
-    def f(s, lagged, t, z_G):
-        _, x2, _, x4, _, x6, z, x8, _, x10, _, x12 = s
-        if com:
-            # coupling through the shifted center of mass; the accelerations
-            # on the right-hand side are the previous step's ``lagged``
-            d_x2, d_x4, _, _, d_x10, d_x12 = lagged
-            mz = m * z_G
-            q1, q2, q3 = (-mz * (d_x12 + x10 * x6), mz * (d_x10 - x12 * x6),
-                          mz * (x12 * x4 + x4 * x2))
-            q4, q5, q6 = (z_G * (x2 ** 2 - x4 ** 2), -z_G * (x2 * x6 - d_x4),
-                          -z_G * (x4 * x6 - d_x2))
-        else:
-            q1 = q2 = q3 = q4 = q5 = q6 = 0.0
-        # a sinusoidal gust, and the thrust amplification near the ground
-        w = alpha + beta * math.sin(n * t) if gust else 0.0
-        G = 1.0 / (1.0 - rho * (r / (4.0 * max(z, z_min))) ** 2) if ground else 1.0
-        return (-q1 + k1 * x2 + w, -q2 + k2 * x4 + w, up * q3 + k3 * x6 + w,
-                -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x12 + w, G)
-    return f
+
+def lump_constants(params: DisturbanceParams, flags: DisturbanceFlags, m: float) -> dict:
+    """The values of the names ``LUMP`` reads but does not assign."""
+    # the CoM and drag terms enter with -, but the yaw CoM term and the altitude
+    # drag under the published signs; a sign times k*v rounds as signed k times v
+    up = 1.0 if params.strict_signs else -1.0
+    drag = ([sg * k for sg, k in zip((-1.0, -1.0, -1.0, up, -1.0, -1.0), params.drag.k)]
+            if flags.drag else (0.0,) * 6)
+    wind, ground = params.wind, params.ground_effect
+    return {**{f"k{i}": k for i, k in enumerate(drag, 1)}, "up": up, "m": m, "sin": math.sin,
+            "alpha": wind.alpha, "beta": wind.beta, "n": wind.n, "rho": ground.rho,
+            "r": ground.r, "z_min": ground.z_min, "com": flags.com, "gust": flags.wind,
+            "ground": flags.ground_effect}
+
+
+def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
+    """``LUMP`` behind ``lump``: ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)``."""
+    return render.kernel("lump", lump_constants(params, flags, m), "s, lagged, t, z_G",
+                         "_, x2, _, x4, _, x6, x7, x8, _, x10, _, x12 = s\n"
+                         "d_x2, d_x4, _, _, d_x10, d_x12 = lagged\n" + LUMP
+                         + "return delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G\n")
 
 
 def ground_effect_factor(z: float, p: GroundEffectParams) -> float:

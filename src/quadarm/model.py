@@ -13,6 +13,7 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
+from . import render
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 
 GRAVITY = 9.81
@@ -192,6 +193,10 @@ class MixerParams:
         return tuple(map(tuple, np.linalg.inv(self.matrix()).tolist()))
 
 
+#: the relative rotor speed omega_r at the rotor speeds omega1..omega4
+SPEED = "omega_r = -omega1 + omega2 - omega3 + omega4\n"
+
+
 @dataclass
 class ControlInputs:
     """Generalized inputs U1..U4 with the realizing rotor speeds."""
@@ -205,7 +210,8 @@ class ControlInputs:
 
     @property
     def omega_r(self) -> float:
-        return relative_speed(self.omega)
+        return render.kernel("speed", {}, "omega1, omega2, omega3, omega4",
+                             SPEED + "return omega_r\n")(*self.omega)
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.U1, self.U2, self.U3, self.U4])
@@ -222,26 +228,25 @@ def mix(omega_squared, params: MixerParams) -> ControlInputs:
     return ControlInputs(U1=u[0], U2=u[1], U3=u[2], U4=u[3], omega=np.sqrt(w2))
 
 
-def relative_speed(omega) -> float:
-    """Relative rotor speed -O1 + O2 - O3 + O4."""
-    return -omega[0] + omega[1] - omega[2] + omega[3]
+#: the squared rotor speeds w1..w4 that realize U1..U4 through the rows of the
+#: allocation inverse, clamped at zero, and whether any was negative
+INVERSE = ("(m11, m12, m13, m14), (m21, m22, m23, m24), "
+           "(m31, m32, m33, m34), (m41, m42, m43, m44) = inverse\n")
+MIXER = """\
+w1 = m11 * U1 + m12 * U2 + m13 * U3 + m14 * U4
+w2 = m21 * U1 + m22 * U2 + m23 * U3 + m24 * U4
+w3 = m31 * U1 + m32 * U2 + m33 * U3 + m34 * U4
+w4 = m41 * U1 + m42 * U2 + m43 * U3 + m44 * U4
+rotor_sat = w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0
+w1, w2 = 0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2
+w3, w4 = 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4
+"""
 
 
 def mixer_kernel(params: MixerParams):
-    """Bind the allocation inverse once; returns the float kernel
-    ``f(U1, U2, U3, U4) -> (w2, saturated)`` behind ``unmix``, with
-    negative squares clamped to zero and whether any was."""
-    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4), (d1, d2, d3, d4) = params.inverse
-
-    def f(U1, U2, U3, U4):
-        w1 = a1 * U1 + a2 * U2 + a3 * U3 + a4 * U4
-        w2 = b1 * U1 + b2 * U2 + b3 * U3 + b4 * U4
-        w3 = c1 * U1 + c2 * U2 + c3 * U3 + c4 * U4
-        w4 = d1 * U1 + d2 * U2 + d3 * U3 + d4 * U4
-        return ((0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2,
-                 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4),
-                w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0)
-    return f
+    """``MIXER`` behind ``unmix``: ``f(U1, U2, U3, U4) -> (w2, saturated)``."""
+    return render.kernel("mixer", {"inverse": params.inverse}, "U1, U2, U3, U4",
+                         INVERSE + MIXER + "return (w1, w2, w3, w4), rotor_sat\n")
 
 
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
@@ -281,36 +286,38 @@ class QuadParams:
         return self.masses.m
 
 
-def derivative_kernel(params: QuadParams):
-    """Bind the plant constants once; returns the float kernel
-    ``f(s, u, dist) -> derivative`` behind ``state_derivative``.
+#: the 12-state derivative dx1..dx12 at the state x1..x12 under the inputs U1..U4,
+#: the relative rotor speed omega_r, the disturbances delta_a..delta_f and G
+DERIVATIVE = """\
+sin1, cos1 = sin(x1), cos(x1)
+sin3, cos3 = sin(x3), cos(x3)
+sin5, cos5 = sin(x5), cos(x5)
+thrust = U1 / m
+dx1, dx2 = x2, U2 * a6 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a
+dx3, dx4 = x4, U3 * a7 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b
+dx5, dx6 = x6, U4 * a8 + a5 * x2 * x4 + delta_c
+dx7, dx8 = x8, g - G * thrust * cos3 * cos1 + delta_d
+dx9, dx10 = x10, -thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
+dx11, dx12 = x12, -thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
+"""
 
-    ``s`` is the 12-state sequence, ``u`` is (U1, U2, U3, U4, omega_r) and
-    ``dist`` is (delta_a..delta_f, G); the derivative is a tuple of floats
-    whose odd entries are the six accelerations.  It checks nothing:
-    ``sim._rk4`` checks the state a period makes, and ``sin`` of an
-    infinite angle raises ``ValueError``.
-    """
+
+def derivative_constants(params: QuadParams) -> dict:
+    """The values of the names ``DERIVATIVE`` reads but does not assign."""
     ia = params.inertia
-    a1, a2, a3, a4, a5, a6, a7, a8 = (ia.a1, ia.a2, ia.a3, ia.a4,
-                                      ia.a5, ia.a6, ia.a7, ia.a8)
-    m, g = params.m, params.g
+    return {**{f"a{i}": getattr(ia, f"a{i}") for i in range(1, 9)},
+            "m": params.m, "g": params.g, "sin": sin, "cos": cos}
 
-    def f(s, u, dist):
-        x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s
-        U1, U2, U3, U4, omega_r = u
-        delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist
-        sin1, cos1 = sin(x1), cos(x1)
-        sin3, cos3 = sin(x3), cos(x3)
-        sin5, cos5 = sin(x5), cos(x5)
-        thrust = U1 / m
-        return (x2, U2 * a6 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a,
-                x4, U3 * a7 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b,
-                x6, U4 * a8 + a5 * x2 * x4 + delta_c,
-                x8, g - G * thrust * cos3 * cos1 + delta_d,
-                x10, -thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e,
-                x12, -thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f)
-    return f
+
+def derivative_kernel(params: QuadParams):
+    """``DERIVATIVE`` behind ``state_derivative``: ``f(s, u, dist)`` for ``u`` the
+    (U1, U2, U3, U4, omega_r) and ``dist`` the (delta_a..delta_f, G); unchecked."""
+    return render.kernel("derivative", derivative_constants(params), "s, u, dist",
+                         "x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s\n"
+                         "U1, U2, U3, U4, omega_r = u\n"
+                         "delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist\n"
+                         + DERIVATIVE + "return (dx1, dx2, dx3, dx4, dx5, dx6, "
+                         "dx7, dx8, dx9, dx10, dx11, dx12)\n")
 
 
 def state_derivative(state: QuadState, u: ControlInputs, dist,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -10,12 +11,12 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from . import adrc
+from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
-from .disturbances import DisturbanceFlags, DisturbanceParams, lump_kernel
+from .disturbances import LUMP, DisturbanceFlags, DisturbanceParams, lump_constants
 from .errors import DivergenceError, IntegrationError, InvalidParameterError
-from .model import (QuadParams, QuadState, derivative_kernel, mixer_kernel,
-                    relative_speed)
+from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, QuadParams, QuadState,
+                    derivative_constants)
 
 DIVERGENCE_LIMIT = 1e6
 MAX_STEPS = 10 ** 7  #: most steps a scenario may ask for: 4.5 GB of trace at 448 B a record
@@ -164,51 +165,8 @@ class TraceLog:
         return log
 
 
-def _rk4(stage, t: float, y, dt: float, k1) -> tuple[list, tuple]:
-    """Classical fourth-order step over a 12-state float sequence from the
-    first-stage derivative ``k1``; ``stage(tau, y)`` gives the derivative at
-    a stage.  Returns the new state, checked finite (``IntegrationError``),
-    and the final-stage derivative.
-
-    The combinations are written out per state: a comprehension over the
-    twelve entries costs about as much again as the arithmetic it does.
-    """
-    h, sixth = 0.5 * dt, dt / 6.0
-    y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = k1
-    k2 = stage(t + h, [y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4,
-                       y5 + h * a5, y6 + h * a6, y7 + h * a7, y8 + h * a8,
-                       y9 + h * a9, y10 + h * a10, y11 + h * a11, y12 + h * a12])
-    b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = k2
-    k3 = stage(t + h, [y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4,
-                       y5 + h * b5, y6 + h * b6, y7 + h * b7, y8 + h * b8,
-                       y9 + h * b9, y10 + h * b10, y11 + h * b11, y12 + h * b12])
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = k3
-    k4 = stage(t + dt, [y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
-                        y5 + dt * c5, y6 + dt * c6, y7 + dt * c7, y8 + dt * c8,
-                        y9 + dt * c9, y10 + dt * c10, y11 + dt * c11, y12 + dt * c12])
-    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = k4
-    y = [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-         y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-         y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-         y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-         y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-         y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
-         y7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
-         y8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
-         y9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
-         y10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
-         y11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
-         y12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)]
-    # a non-finite slope of any stage leaves a non-finite entry here; a float
-    # sum is finite only if every addend is, and an overflowing one falls through
-    if not isfinite(sum(y)) and not all(map(isfinite, y)):
-        raise IntegrationError(t)
-    return y, k4
-
-
 def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
-    """Classical fourth-order step.
+    """Classical fourth-order step; ``IntegrationError`` for a non-finite state.
 
     ``deriv_fn(t, vector, lagged) -> (derivative, accelerations)``; the
     lagged accelerations are held constant over the step and replaced by
@@ -216,15 +174,16 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     """
     if not 0 < dt < math.inf:  # NaN too
         raise InvalidParameterError("dt must be positive and finite")
-    y0, lag = state.vector, state.lagged_accel
-    acc = None
-
-    def stage(tau, y):
-        nonlocal acc
-        derivative, acc = deriv_fn(tau, np.array(y), lag)
-        return derivative
-    vector, _ = _rk4(stage, t, y0.tolist(), dt, stage(t, y0))
-    return QuadState(np.array(vector), acc)
+    y, h, k = state.vector, 0.5 * dt, []
+    with np.errstate(all="ignore"):  # float arithmetic: an overflow is inf, checked below
+        for tau, step in ((t, None), (t + h, h), (t + h, h), (t + dt, dt)):
+            s = y.copy() if step is None else y + step * k[-1]
+            derivative, acc = deriv_fn(tau, s, state.lagged_accel)
+            k.append(np.asarray(derivative, dtype=float))
+        y = y + dt / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    if not np.all(np.isfinite(y)):
+        raise IntegrationError(t)
+    return QuadState(y, acc)
 
 
 @dataclass(frozen=True)
@@ -259,102 +218,127 @@ class ControllerGains:
                      for name, b in zip(SUBSYSTEMS, (ia.a6, ia.a7, ia.a8, -1.0 / params.m)))
 
 
-#: ``step``'s control carry before the first period: no observer has measured
-CONTROL_START = ((None,) * 4, (0.0,) * 5, (0.0,) * 24, False)
+#: one run: each period lumps the disturbances at t, updates the control, logs the
+#: record and integrates to t + dt in four RK4 stages; the last record only logs.
+#: ``loop_text`` fills each ``@`` line with formulas of ``disturbances``, ``model``, ``adrc``
+LOOP = """\
+y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
+d_x2, d_x4, d_x6, d_x8, d_x10, d_x12 = lagged
+@step
+if not open_loop:
+    @gains
+    @inverse
+# the control columns hold 0.0 until a loop updates them
+@quiet
+U1 = U2 = U3 = U4 = omega_r = 0.0
+rotor_sat = False
+try:
+    for k in range(steps + 1):
+        t = k * dt
+        z_G = z_G_fixed if arm_at is None else z_G_at(arm_at(t))
+        @lump
+        ref_roll, ref_pitch, ref_yaw, ref_altitude = fixed_refs or (
+            roll_at(t), pitch_at(t), yaw_at(t), z_at(t))
+        if open_loop:
+            U1 = u1_at(t)  # the fixture drives the thrust channel directly
+        elif k < steps:
+            @b_hat
+            @control
+            U1, U2, U3, U4 = u_altitude, u_roll, u_pitch, u_yaw
+            @mixer
+            @speed
+        append((t, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12,
+                d_x2, d_x4, d_x6, d_x8, d_x10, d_x12, ref_roll, ref_pitch, ref_yaw, ref_altitude,
+                u_roll, u0_roll, x3_roll, x1_roll, x2_roll, saturated_roll,
+                u_pitch, u0_pitch, x3_pitch, x1_pitch, x2_pitch, saturated_pitch,
+                u_yaw, u0_yaw, x3_yaw, x1_yaw, x2_yaw, saturated_yaw,
+                u_altitude, u0_altitude, x3_altitude, x1_altitude, x2_altitude,
+                saturated_altitude, G, delta_a, delta_b, delta_c, delta_d, delta_e, delta_f,
+                omega_r, rotor_sat))
+        if k == steps:
+            break
+        @stages
+        # a non-finite slope leaves a non-finite entry; a float sum is finite only if each addend is
+        if (not isfinite(y1 + y2 + y3 + y4 + y5 + y6 + y7 + y8 + y9 + y10 + y11 + y12)
+                and not all(map(isfinite, (y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12)))):
+            raise IntegrationError(t)
+        d_x2, d_x4, d_x6, d_x8, d_x10, d_x12 = dx2_4, dx4_4, dx6_4, dx8_4, dx10_4, dx12_4
+        if max(map(abs, (y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12))) > limit:
+            raise DivergenceError(t + dt)
+except (OverflowError, ValueError):  # x ** 2 past the float range, sin(inf)
+    raise IntegrationError(t) from None
+"""
 
 
-def loop_kernel(scenario: Scenario, params: QuadParams,
-                dist_params: DisturbanceParams | None = None,
-                gains: ControllerGains | None = None):
-    """Bind the loop's constants once; returns the pure closed-loop period
-    ``step(t, y, lagged, ctrl, final=False) -> (y, lagged, ctrl, row)``.
+@functools.cache
+def loop_text() -> str:
+    """``LOOP`` with its formulas filled in: the body of ``run``'s kernel."""
+    states = range(1, 13)
+    carried = {f"x{i}": f"y{i}" for i in states}  # the first stage is at the carried state
 
-    ``y`` and ``lagged`` are float sequences.  ``ctrl`` carries the four
-    observers (x1_hat, x2_hat, x3_hat, u), the applied (U1..U4, omega_r),
-    the logged (u, u0, f_hat, x1_hat, x2_hat, sat) per subsystem and the
-    rotor saturation flag.  ``step`` updates the control at ``t``, logs
-    ``row`` and integrates to ``t + dt``; with ``final`` it only logs.
-    """
-    lump_f = lump_kernel(dist_params or DisturbanceParams(), scenario.flags, params.m)
-    deriv_f = derivative_kernel(params)
-    masses, d1 = params.masses, scenario.d1_profile
-    z_G_fixed, z_G_at = masses.z_G, masses.z_G_at
-    profiles = ref_roll, ref_pitch, ref_yaw, ref_z = (scenario.ref_roll, scenario.ref_pitch,
-                                                       scenario.ref_yaw, scenario.ref_z)
-    # a one-segment profile holds its value at every t
-    fixed_refs = (tuple(p.segments[0][1] for p in profiles)
-                  if all(len(p.segments) == 1 for p in profiles) else None)
-    dt, m = scenario.dt, params.m
+    def slopes(s):  # the derivative of stage ``s``
+        return {f"dx{i}": f"dx{i}_{s}" for i in states}
 
-    if scenario.open_loop:
-        u1 = scenario.open_loop_u1
-
-        def control(t, y, dist, refs, ctrl):
-            # the open-loop fixture drives the thrust channel directly
-            return ctrl[0], (u1(t), 0.0, 0.0, 0.0, 0.0), ctrl[2], False
-    else:
-        loops = (gains or ControllerGains()).loops(params)
-        bank, b_att = adrc.bank_kernel(loops, dt), tuple(c.b_hat for c in loops[:3])
-        b_hat_altitude, mixer_f, rates = adrc.b_hat_altitude, mixer_kernel(params.mixer), (0.0,) * 4
-
-        def control(t, y, dist, refs, ctrl):
-            b_alt, _ = b_hat_altitude(y[0], y[2], dist[6], m)
-            obs, signals = bank(ctrl[0], y[0:7:2], refs, rates, (*b_att, b_alt))
-            U = (obs[3][3], obs[0][3], obs[1][3], obs[2][3])
-            w2, rotor_sat = mixer_f(*U)
-            return obs, (*U, relative_speed(tuple(map(sqrt, w2)))), signals, rotor_sat
-
-    def step(t, y, lagged, ctrl, final=False):
-        z_G = z_G_fixed if d1 is None else z_G_at(d1(t))
-        dist = lump_f(y, lagged, t, z_G)
-        refs = fixed_refs or (ref_roll(t), ref_pitch(t), ref_yaw(t), ref_z(t))
-        if not final:
-            ctrl = control(t, y, dist, refs, ctrl)
-        u = ctrl[1]
-        row = (t, *y, *lagged, *refs, *ctrl[2], dist[6], *dist[:6], u[4], ctrl[3])
-        if not final:
-            try:
-                y, k4 = _rk4(lambda tau, s: deriv_f(s, u, lump_f(s, lagged, tau, z_G)),
-                             t, y, dt, deriv_f(y, u, dist))
-            except (OverflowError, ValueError):  # x ** 2 past the float range, sin(inf)
-                raise IntegrationError(t) from None
-            lagged = k4[1::2]  # the final stage's accelerations
-        return y, lagged, ctrl, row
-    return step
+    def per_loop(text):  # ``text`` for loop i, in names of its own, measuring y<2i+1>
+        return "".join(render.rename(text, {
+            **{w: f"{w}_{name}" for w in adrc.OWN}, "y": f"y{2 * i + 1}", "i": str(i)})
+            for i, name in enumerate(SUBSYSTEMS))
+    return render.fill(
+        LOOP, step=adrc.STEP, inverse=INVERSE, lump=render.rename(LUMP, carried), mixer=MIXER,
+        speed=render.rename(SPEED, {f"omega{i}": f"sqrt(w{i})" for i in range(1, 5)}),
+        gains=per_loop(", ".join(adrc.GAINS) + ", b = loops[i]\n"),
+        quiet=per_loop("u = u0 = x1 = x2 = x3 = saturated = 0.0\n"),
+        b_hat=render.rename(adrc.B_HAT + adrc.CLAMP, {"b": "b_altitude", "phi": "y1",
+                                                       "theta": "y3"}),
+        control=per_loop(render.fill("if k:\n    @observe\nelse:\n    @start\n@pd\n@cancel\n",
+                                     observe=adrc.OBSERVE, start=adrc.START, pd=adrc.PD,
+                                     cancel=adrc.CANCEL)),
+        stages=render.rename(DERIVATIVE, {**carried, **slopes(1)}) + "".join(
+            "".join(f"x{i} = y{i} + {step} * dx{i}_{s - 1}\n" for i in states)
+            + render.rename(LUMP, {"t": f"(t + {step})"}) + render.rename(DERIVATIVE, slopes(s))
+            for s, step in ((2, "h"), (3, "h"), (4, "dt"))) + "".join(
+            f"y{i} = y{i} + sixth * (dx{i}_1 + 2.0 * dx{i}_2 + 2.0 * dx{i}_3 + dx{i}_4)\n"
+            for i in states))
 
 
 def run(scenario: Scenario, params: QuadParams,
         dist_params: DisturbanceParams | None = None,
         gains: ControllerGains | None = None) -> TraceLog:
-    """Integrate the closed loop (or the open-loop fixture) and log it;
-    each period is one ``loop_kernel`` step."""
-    dt, n, ctrl = scenario.dt, scenario.n_steps, CONTROL_START
-    step = loop_kernel(scenario, params, dist_params, gains)
-    y = scenario.initial_state.vector.tolist()
-    lagged = scenario.initial_state.lagged_accel.tolist()
+    """Integrate the closed loop (or the open-loop fixture) and log it: the
+    rendering of ``loop_text`` with this run's constants."""
+    n, open_loop, masses = scenario.n_steps, scenario.open_loop, params.masses
+    profiles = (scenario.ref_roll, scenario.ref_pitch, scenario.ref_yaw, scenario.ref_z)
+    loops = None if open_loop else (gains or ControllerGains()).loops(params)
+    constants = {
+        **lump_constants(dist_params or DisturbanceParams(), scenario.flags, params.m),
+        **derivative_constants(params), "dt": scenario.dt,
+        "steps": n, "z_G_fixed": masses.z_G, "z_G_at": masses.z_G_at,
+        "arm_at": scenario.d1_profile, "open_loop": open_loop, "u1_at": scenario.open_loop_u1,
+        # a one-segment profile holds its value at every t
+        "fixed_refs": (tuple(p.segments[0][1] for p in profiles)
+                       if all(len(p.segments) == 1 for p in profiles) else None),
+        **dict(zip(("roll_at", "pitch_at", "yaw_at", "z_at"), profiles)),
+        "loops": loops and tuple((*adrc.loop_gains(c), c.b_hat) for c in loops),
+        "inverse": None if open_loop else params.mixer.inverse,
+        "rate": 0.0,  # a piecewise-constant reference has no rate
+        "b_min": adrc.B_MIN, "sqrt": sqrt, "isfinite": isfinite,
+        "limit": DIVERGENCE_LIMIT, "IntegrationError": IntegrationError,
+        "DivergenceError": DivergenceError}
     log = TraceLog(n + 1)
-    for k in range(n):
-        t = k * dt
-        y, lagged, ctrl, row = step(t, y, lagged, ctrl)
-        log.append(row)
-        if max(map(abs, y)) > DIVERGENCE_LIMIT:  # y is finite: step checked it
-            raise DivergenceError(t + dt)
-    log.append(step(n * dt, y, lagged, ctrl, final=True)[3])
+    state = scenario.initial_state
+    render.kernel("loop", constants, "append, y, lagged", loop_text())(
+        log.append, state.vector.tolist(), state.lagged_accel.tolist())
     return log
 
 
 def estimation_oracle(trace: TraceLog, params: QuadParams,
                       dist_params: DisturbanceParams | None = None,
                       flags: DisturbanceFlags | None = None) -> dict:
-    """Reconstruct each subsystem's true total disturbance from the log.
-
-    The truth is the model algebra (everything in the acceleration row
-    except the b_hat*u term) on the logged rates and rotor speed, plus the
-    lumped disturbances delta_a..delta_d that the loop's lump kernel logged
-    at each record's state, time and arm position; no term passes through
-    the observers it is checked against.  ``dist_params`` and ``flags`` are
-    unread, since the logged disturbances already carry them.  Returns per
-    subsystem: true series, estimated series, error series.
+    """Reconstruct each subsystem's true total disturbance from the log: the
+    model algebra (the acceleration row but its b_hat*u term) on the logged
+    rates and rotor speed, plus the logged lumped disturbances, so no term
+    passes through the observers it is checked against.  ``dist_params`` and
+    ``flags`` are unread.  Returns per subsystem: true, estimated and error series.
     """
     ia = params.inertia
     x2, x4, x6, omega_r, delta_a, delta_b, delta_c, delta_d = map(trace.column, (

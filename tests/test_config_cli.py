@@ -377,6 +377,25 @@ class TestTuneCommand:
                                            "--out", str(tmp_path / "t.csv")])
         assert result.exit_code == 0, result.output
 
+    def test_shared_layout_eso_override_with_given_start_exit_2(self, tmp_path, monkeypatch):
+        # a given start tunes the shared observer too: the override would be dropped
+        calls = []
+        monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "scenario": {"duration": 0.05},
+            "controller": {"eso_overrides": {"yaw": {"p1": 40.0}}},
+            "tuner": {"initial": table_gains_vector().tolist(),
+                      "options": {"max_iterations": 0}}})
+        result = CliRunner().invoke(main, ["tune", "--config", cfg,
+                                           "--out", str(tmp_path / "t.yaml")])
+        assert result.exit_code == 2, result.output
+        assert ("  controller.eso_overrides: the shared layout tunes one observer"
+                in result.output)
+        assert calls == [] and not (tmp_path / "t.yaml").exists()
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                           "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 0, result.output
+
     def test_null_eso_override_still_tunes(self, tmp_path):
         # a null override is controller.eso, which the shared layout tunes
         cfg = write_yaml(tmp_path / "c.yaml", {"scenario": {"duration": 0.05},

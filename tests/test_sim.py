@@ -13,13 +13,13 @@ import pytest
 from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, EsoGains,
                      InertiaParams, MassProperties, PdGains, PiecewiseConstant, QuadParams,
                      QuadState, Scenario, TraceLog, estimation_oracle, rk4_step, run)
+from quadarm import render
 from quadarm import sim as sim_mod
 from quadarm.adrc import SUBSYSTEMS
-from quadarm.disturbances import DragParams, lump
+from quadarm.disturbances import DragParams, lump, lump_constants
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
-from quadarm.model import derivative_kernel
-from quadarm.sim import (ACCEL_COLUMNS, COLUMNS, CONTROL_START, DELTA_COLUMNS, STATE_COLUMNS,
-                         loop_kernel)
+from quadarm.model import derivative_constants, derivative_kernel
+from quadarm.sim import ACCEL_COLUMNS, COLUMNS, DELTA_COLUMNS, STATE_COLUMNS
 
 
 def built_per_duration(cls, monkeypatch, simulate) -> list:
@@ -231,6 +231,14 @@ class TestRun:
         with pytest.raises(IntegrationError):
             run(Scenario(duration=0.01), params, gains=gains)
 
+    def test_overflowing_initial_state_is_integration_error(self, params):
+        # the first lump of a period squares the roll rate too: its overflow is
+        # the period's IntegrationError, as in the stages, not a bare OverflowError
+        state = QuadState(np.array([0, 1e200, 0, 0, 0, 0, 5.0, 0, 0, 0, 0, 0], float))
+        with pytest.raises(IntegrationError) as exc_info:
+            run(Scenario(duration=0.01, initial_state=state), params)
+        assert exc_info.value.time == 0.0
+
     def test_infinite_stage_state_is_integration_error(self, params):
         # a huge roll command makes the pitch rate infinite inside the first
         # period; sin of the infinite pitch angle raises ValueError in a later
@@ -299,91 +307,104 @@ class TestRun:
         assert not np.allclose(base.column("z"), other.column("z"))
 
 
+def calls_per_period(params, event):
+    """Profiler ``event``s per stock closed-loop period, from the difference
+    of a 0.2 s and a 0.1 s run: a deterministic guard against a slower
+    period, where wall-clock times on a shared machine are not."""
+    def calls(duration):
+        count = [0]
+
+        def profile(frame, kind, arg):
+            count[0] += kind == event
+
+        # a collection could run finalizers of earlier tests' objects mid-run
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            run(Scenario(duration=duration), params)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return count[0]
+
+    calls(0.0)  # the loop's one-off compile and the mixer's cached inverse are no period's
+    return (calls(0.2) - calls(0.1)) / 100
+
+
+def test_python_calls_per_period(params):
+    """The period made 63 Python-level calls before the ADRC bank, and 20
+    while it called the lump, derivative, bank and mixer kernels and the
+    RK4 combinations; rendered as one loop it makes one, ``TraceLog.append``."""
+    assert calls_per_period(params, "call") <= 1
+
+
+def test_c_calls_per_period(params):
+    """C-level calls (builtins such as ``sin``, ``max``, ``isfinite``) per
+    period.  The period made 59 while the derivative kernel checked each
+    stage state and 43 as kernels; the rendered loop makes 42: four lumps
+    (``sin``, ``max``), four derivatives (three ``sin``, three ``cos``), the
+    altitude b_hat (two ``cos``, ``abs``), four ``sqrt``, ``isfinite``, the
+    divergence ``max`` and ``TraceLog.append``'s ``pack_into``."""
+    assert calls_per_period(params, "c_call") <= 46
+
+
 class TestLoopKernel:
     @pytest.mark.parametrize("scenario", [
         Scenario(duration=0.01),
         Scenario(duration=0.01, d1_profile=PiecewiseConstant(((0.0, 0.8), (0.002, 0.2)))),
         hover_scenario(duration=0.01),
     ], ids=["closed_loop", "arm_profile", "open_loop"])
-    def test_step_is_pure(self, params, scenario):
-        # the same arguments give the same bits, whatever was called in between
-        step = loop_kernel(scenario, params)
-        y0 = scenario.initial_state.vector.tolist()
-        y, lagged, ctrl, _ = step(0.0, y0, [0.0] * 6, CONTROL_START)
-        args = (0.001, y, lagged, ctrl)
-        kept = repr(args)
-        first = step(*args)
-        step(0.004, [v + 0.1 for v in y0], [0.5] * 6, first[2])
-        assert repr(step(*args)) == repr(first)
-        assert repr(args) == kept  # the arguments are left as they were
+    def test_run_is_pure(self, params, scenario):
+        # a run's bits do not depend on the runs made in between
+        first = run(scenario, params).as_array().tobytes()
+        run(Scenario(duration=0.004, initial_state=QuadState(np.full(12, 0.1), np.full(6, 0.5)),
+                     d1_profile=PiecewiseConstant(((0.0, 0.3),))), params,
+            gains=ControllerGains(pd_roll=PdGains(3.0, 4.0)))
+        assert run(scenario, params).as_array().tobytes() == first
 
-    @staticmethod
-    def calls_per_period(params, event):
-        """Profiler ``event``s per stock closed-loop period, from the difference
-        of a 0.2 s and a 0.1 s run: a deterministic guard against a slower
-        period, where wall-clock times on a shared machine are not."""
-        def calls(duration):
-            count = [0]
+    @pytest.mark.parametrize("scenario", [Scenario, hover_scenario], ids=["closed_loop",
+                                                                           "open_loop"])
+    def test_last_record_only_logs(self, params, scenario):
+        # a run is its periods in turn: a shorter run's records are a longer
+        # one's, but for the last, which logs the control of the period before
+        short, long = (run(scenario(duration=d), params).as_array() for d in (0.01, 0.02))
+        assert short[:-1].tobytes() == long[:10].tobytes()
+        control = [COLUMNS.index(c) for c in COLUMNS if c.endswith(SUBSYSTEMS)
+                   and not c.startswith("ref_")] + [COLUMNS.index("omega_r")]
+        assert short[-1, control].tobytes() == short[-2, control].tobytes()
+        state = [COLUMNS.index(c) for c in ["t", *STATE_COLUMNS, *ACCEL_COLUMNS]]
+        assert short[-1, state].tobytes() == long[10, state].tobytes()
 
-            def profile(frame, kind, arg):
-                count[0] += kind == event
-
-            # a collection could run finalizers of earlier tests' objects mid-run
-            gc.collect()
-            gc.disable()
-            sys.setprofile(profile)
-            try:
-                run(Scenario(duration=duration), params)
-            finally:
-                sys.setprofile(None)
-                gc.enable()
-            return count[0]
-
-        params.mixer.inverse  # a cached property: its one-off evaluation is no period's
-        return (calls(0.2) - calls(0.1)) / 100
-
-    def test_python_calls_per_period(self, params):
-        """The period made 63 Python-level calls before the ADRC bank (four
-        ``update`` calls of five functions each), the bound lump and mixer
-        kernels, the bound reference profiles and the RK4 combinations
-        written out per state; it makes 20."""
-        assert self.calls_per_period(params, "call") <= 20
-
-    def test_c_calls_per_period(self, params):
-        """C-level calls (builtins such as ``sum``, ``isfinite``, ``sin``) per
-        period.  The period made 59 while the derivative kernel checked each
-        stage state, ``_rk4`` the 48 slopes and ``run`` the new state again;
-        checking only the new state, once, it makes 46."""
-        assert self.calls_per_period(params, "c_call") <= 46
-
-    def test_run_is_the_loop_over_step(self, params):
-        scenario = Scenario(duration=0.01)
-        step = loop_kernel(scenario, params)
-        y, lagged, ctrl = scenario.initial_state.vector.tolist(), [0.0] * 6, CONTROL_START
-        rows = []
-        for k in range(scenario.n_steps):
-            y, lagged, ctrl, row = step(k * scenario.dt, y, lagged, ctrl)
-            rows.append(row)
-        final = step(scenario.n_steps * scenario.dt, y, lagged, ctrl, final=True)
-        # the final record neither updates the control nor integrates
-        assert final[:3] == (y, lagged, ctrl)
-        rows.append(final[3])
-        assert np.array(rows).tobytes() == run(scenario, params).as_array().tobytes()
-
-    def test_bank_binds_the_gains_loops(self, monkeypatch):
+    def test_loop_binds_the_gains_loops(self, monkeypatch):
         params = QuadParams(inertia=InertiaParams(I_xx=0.018, I_yy=0.02, I_zz=0.035))
         gains = ControllerGains(eso_overrides={"yaw": EsoGains.from_bandwidth(5.0)},
                                 pd_pitch=PdGains(3.0, 4.0))
-        bound, bank_kernel = [], sim_mod.adrc.bank_kernel
-        monkeypatch.setattr(sim_mod.adrc, "bank_kernel",
-                            lambda configs, dt: bound.append(configs) or bank_kernel(configs, dt))
-        loop_kernel(Scenario(duration=0.01), params, gains=gains)
-        loops = gains.loops(params)
+        bound, loops_of = [], ControllerGains.loops
+        monkeypatch.setattr(ControllerGains, "loops",
+                            lambda self, p: bound.append(loops_of(self, p)) or bound[-1])
+        run(Scenario(duration=0.01), params, gains=gains)
+        loops = loops_of(gains, params)
         assert bound == [loops]
         assert [c.which for c in loops] == list(SUBSYSTEMS)
         assert [c.b_hat for c in loops] == [0.45 / 0.018, 0.45 / 0.02, 1 / 0.035, -1 / params.m]
         assert [(c.eso, c.pd, c.u_limits) for c in loops] == [
             (gains.eso_for(n), gains.pd_for(n), gains.u_limits[n]) for n in SUBSYSTEMS]
+
+    def test_open_loop_binds_no_loops(self, params, monkeypatch):
+        def unbound(self, p):
+            raise AssertionError("the open loop bound the controller's loops")
+
+        monkeypatch.setattr(ControllerGains, "loops", unbound)
+        run(hover_scenario(duration=0.01), params)
+
+    def test_constants_agree_between_formulas(self, params):
+        # ``run`` binds the formulas' constants in one namespace: a name the
+        # lump and the derivative share must hold one value
+        lumped = lump_constants(DisturbanceParams(), DisturbanceFlags.all_on(), params.m)
+        derived = derivative_constants(params)
+        assert lumped.keys() & derived == {"m", "sin"}
+        assert (lumped["m"], lumped["sin"]) == (derived["m"], derived["sin"])
 
 
 class TestEstimationOracle:
@@ -413,14 +434,14 @@ class TestEstimationOracle:
 
     @pytest.mark.parametrize("d1", [None, ARM], ids=["fixed_arm", "arm_profile"])
     def test_binds_no_lump_kernel(self, params, monkeypatch, d1):
-        # the truth is read off the logged disturbances: the oracle binds no
-        # lump kernel, and other ``dist_params`` and ``flags`` change nothing
+        # the truth is read off the logged disturbances: the oracle renders no
+        # kernel, and other ``dist_params`` and ``flags`` change nothing
         trace = run(Scenario(duration=0.5, d1_profile=d1), params)
 
         def unbound(*args, **kwargs):
-            raise AssertionError("the oracle bound a lump kernel")
+            raise AssertionError("the oracle bound a kernel")
 
-        monkeypatch.setattr(sim_mod, "lump_kernel", unbound)
+        monkeypatch.setattr(render, "kernel", unbound)
         lean = estimation_oracle(trace, params)
         other = estimation_oracle(trace, params, DisturbanceParams(strict_signs=False),
                                   DisturbanceFlags())
@@ -433,14 +454,14 @@ class TestEstimationOracle:
         Scenario(duration=3.0, ref_z=PiecewiseConstant.constant(0.3)),
     ], ids=["stock", "low_altitude"])
     def test_ground_effect_is_left_unbound(self, params, monkeypatch, scenario):
-        # G enters no delta, and the oracle binds no kernel that could add
+        # G enters no delta, and the oracle renders no kernel that could add
         # ground effect: with it flagged on or off every output keeps its bits
         trace = run(scenario, params)
 
         def unbound(*args, **kwargs):
-            raise AssertionError("the oracle bound a lump kernel")
+            raise AssertionError("the oracle bound a kernel")
 
-        monkeypatch.setattr(sim_mod, "lump_kernel", unbound)
+        monkeypatch.setattr(render, "kernel", unbound)
         flags = DisturbanceFlags.all_on()
         assert flags.ground_effect
         full = estimation_oracle(trace, params, flags=flags)

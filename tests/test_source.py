@@ -61,6 +61,23 @@ def test_no_csv_module(path):
     assert "csv" not in module_imports(path.read_text(encoding="utf-8"))
 
 
+def names_used(source: str, names) -> set:
+    """Which of ``names`` a source refers to as a bare name (not an attribute)."""
+    return {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)} & set(names)
+
+
+def test_detects_names_used():
+    assert names_used("exec(x)\nre.compile(y)\nf = compile\n", {"exec", "compile", "eval"}) == {
+        "exec", "compile"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_code_is_compiled_only_by_the_renderer(path):
+    # generated code has one home: ``render`` compiles the formula texts, once each
+    used = names_used(path.read_text(encoding="utf-8"), {"exec", "eval", "compile"})
+    assert used == ({"exec", "compile"} if path.name == "render.py" else set())
+
+
 def compared_strings(source: str, function: str) -> list:
     """String literals that ``function``'s body compares anything with."""
     tree = ast.parse(source)
