@@ -121,20 +121,8 @@ GAINS = ("p1", "p2", "p3", "kp", "kd", "lo", "hi")
 OWN = (*GAINS, "b", "ref", "x1", "x2", "x3", "u", "u0", "saturated")
 
 
-def loop_gains(c: SubsystemConfig) -> tuple:
-    """The values of ``GAINS`` for the loop ``c``."""
-    return (c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
-
-
-def bank_kernel(configs, dt: float):
-    """The control texts for loops bound to their ``loop_gains``: ``bank(obs, ys, refs,
-    ref_rates, b_hats)``, one entry per loop in each.  An ``obs`` entry (x1_hat, x2_hat,
-    x3_hat, u) is advanced (``OBSERVE``), or kept with u None; None is ``START``.
-    Returns the new entries and each loop's (u, u0, x3_hat, x1_hat, x2_hat, saturated)."""
-    if not 0 < dt < math.inf:  # NaN too
-        raise InvalidParameterError("dt must be positive and finite")
-    constants = {"dt": dt, "loops": tuple(map(loop_gains, configs))}
-    return render.kernel("bank", constants, "obs, ys, refs, ref_rates, b_hats", render.fill("""\
+# the bodies of the kernels below, each joined once
+_BANK = render.fill("""\
 @step
 new, signals = [], []
 for (p1, p2, p3, kp, kd, lo, hi), o, y, ref, rate, b in zip(
@@ -150,7 +138,26 @@ for (p1, p2, p3, kp, kd, lo, hi), o, y, ref, rate, b in zip(
     new.append((x1, x2, x3, u))
     signals += u, u0, x3, x1, x2, saturated
 return tuple(new), tuple(signals)
-""", step=STEP, start=START, observe=OBSERVE, pd=PD, cancel=CANCEL))
+""", step=STEP, start=START, observe=OBSERVE, pd=PD, cancel=CANCEL)
+_CLAMP = CLAMP + "return b, clamped\n"
+_PD = PD + "return u0\n"
+_B_HAT = B_HAT + CLAMP + "return b, clamped\n"
+
+
+def loop_gains(c: SubsystemConfig) -> tuple:
+    """The values of ``GAINS`` for the loop ``c``."""
+    return (c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
+
+
+def bank_kernel(configs, dt: float):
+    """The control texts for loops bound to their ``loop_gains``: ``bank(obs, ys, refs,
+    ref_rates, b_hats)``, one entry per loop in each.  An ``obs`` entry (x1_hat, x2_hat,
+    x3_hat, u) is advanced (``OBSERVE``), or kept with u None; None is ``START``.
+    Returns the new entries and each loop's (u, u0, x3_hat, x1_hat, x2_hat, saturated)."""
+    if not 0 < dt < math.inf:  # NaN too
+        raise InvalidParameterError("dt must be positive and finite")
+    constants = {"dt": dt, "loops": tuple(map(loop_gains, configs))}
+    return render.kernel("bank", constants, "obs, ys, refs, ref_rates, b_hats", _BANK)
 
 
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
@@ -163,21 +170,26 @@ def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
     return EsoState(*obs[:3])
 
 
+def clamp_kernel():
+    """``CLAMP`` behind ``clamp_b_hat``: ``f(b_hat) -> (b_hat, clamped)``."""
+    return render.kernel("clamp", {"b_min": B_MIN}, "b", _CLAMP)
+
+
 def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
     """``CLAMP``: |b_hat| bound away from zero, and whether the clamp engaged."""
-    return render.kernel("clamp", {"b_min": B_MIN}, "b", CLAMP + "return b, clamped\n")(b_hat)
+    return clamp_kernel()(b_hat)
 
 
 def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float, gains: PdGains) -> float:
     """``PD``: the law on the estimated states of the reduced double integrator."""
     return render.kernel("pd", {"kp": gains.kp, "kd": gains.kd}, "ref, rate, x1, x2",
-                         PD + "return u0\n")(ref, ref_rate, x1_hat, x2_hat)
+                         _PD)(ref, ref_rate, x1_hat, x2_hat)
 
 
 def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float, bool]:
     """``B_HAT`` and ``CLAMP``: -(G/m) cos(theta) cos(phi), clamped."""
     return render.kernel("b_hat", {"b_min": B_MIN, "cos": math.cos}, "phi, theta, G, m",
-                         B_HAT + CLAMP + "return b, clamped\n")(phi, theta, G, m)
+                         _B_HAT)(phi, theta, G, m)
 
 
 @dataclass
@@ -194,13 +206,14 @@ class StepDiagnostics:
 
 class AdrcController:
     """One subsystem's controller: a bank of one loop, bound on the first
-    step at each ``dt``, and the bank entry (x1_hat, x2_hat, x3_hat, u) it
-    carries between steps."""
+    step at each ``dt``, the clamp, bound once, and the bank entry (x1_hat,
+    x2_hat, x3_hat, u) it carries between steps."""
 
     def __init__(self, config: SubsystemConfig):
         self.config = config
         self.eso = EsoState()
         self._obs = self._bank = self._dt = None  # no measurement, no bank yet
+        self._clamp = clamp_kernel()
 
     def step(self, y: float, ref: float, ref_rate: float, dt: float,
              b_hat: float | None = None) -> StepDiagnostics:
@@ -212,7 +225,7 @@ class AdrcController:
         """
         if dt != self._dt:
             self._bank, self._dt = bank_kernel((self.config,), dt), dt
-        b, degenerate = clamp_b_hat(self.config.b_hat if b_hat is None else b_hat)
+        b, degenerate = self._clamp(self.config.b_hat if b_hat is None else b_hat)
         (self._obs,), (u, u0, x3, x1, x2, saturated) = self._bank(
             (self._obs,), (y,), (ref,), (ref_rate,), (b,))
         self.eso = EsoState(x1, x2, x3)

@@ -125,6 +125,11 @@ delta_d, delta_e, delta_f = -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x1
 """
 
 
+_LUMP = ("_, x2, _, x4, _, x6, x7, x8, _, x10, _, x12 = s\n"
+         "d_x2, d_x4, _, _, d_x10, d_x12 = lagged\n" + LUMP
+         + "return delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G\n")
+
+
 def lump_constants(params: DisturbanceParams, flags: DisturbanceFlags, m: float) -> dict:
     """The values of the names ``LUMP`` reads but does not assign."""
     # the CoM and drag terms enter with -, but the yaw CoM term and the altitude
@@ -141,10 +146,7 @@ def lump_constants(params: DisturbanceParams, flags: DisturbanceFlags, m: float)
 
 def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
     """``LUMP`` behind ``lump``: ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)``."""
-    return render.kernel("lump", lump_constants(params, flags, m), "s, lagged, t, z_G",
-                         "_, x2, _, x4, _, x6, x7, x8, _, x10, _, x12 = s\n"
-                         "d_x2, d_x4, _, _, d_x10, d_x12 = lagged\n" + LUMP
-                         + "return delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G\n")
+    return render.kernel("lump", lump_constants(params, flags, m), "s, lagged, t, z_G", _LUMP)
 
 
 def ground_effect_factor(z: float, p: GroundEffectParams) -> float:

@@ -195,6 +195,7 @@ class MixerParams:
 
 #: the relative rotor speed omega_r at the rotor speeds omega1..omega4
 SPEED = "omega_r = -omega1 + omega2 - omega3 + omega4\n"
+_SPEED = SPEED + "return omega_r\n"
 
 
 @dataclass
@@ -210,8 +211,7 @@ class ControlInputs:
 
     @property
     def omega_r(self) -> float:
-        return render.kernel("speed", {}, "omega1, omega2, omega3, omega4",
-                             SPEED + "return omega_r\n")(*self.omega)
+        return render.kernel("speed", {}, "omega1, omega2, omega3, omega4", _SPEED)(*self.omega)
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.U1, self.U2, self.U3, self.U4])
@@ -241,12 +241,12 @@ rotor_sat = w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0
 w1, w2 = 0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2
 w3, w4 = 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4
 """
+_MIXER = INVERSE + MIXER + "return (w1, w2, w3, w4), rotor_sat\n"
 
 
 def mixer_kernel(params: MixerParams):
     """``MIXER`` behind ``unmix``: ``f(U1, U2, U3, U4) -> (w2, saturated)``."""
-    return render.kernel("mixer", {"inverse": params.inverse}, "U1, U2, U3, U4",
-                         INVERSE + MIXER + "return (w1, w2, w3, w4), rotor_sat\n")
+    return render.kernel("mixer", {"inverse": params.inverse}, "U1, U2, U3, U4", _MIXER)
 
 
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
@@ -300,6 +300,11 @@ dx7, dx8 = x8, g - G * thrust * cos3 * cos1 + delta_d
 dx9, dx10 = x10, -thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
 dx11, dx12 = x12, -thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
 """
+_DERIVATIVE = ("x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s\n"
+               "U1, U2, U3, U4, omega_r = u\n"
+               "delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist\n"
+               + DERIVATIVE + "return (dx1, dx2, dx3, dx4, dx5, dx6, "
+               "dx7, dx8, dx9, dx10, dx11, dx12)\n")
 
 
 def derivative_constants(params: QuadParams) -> dict:
@@ -312,12 +317,7 @@ def derivative_constants(params: QuadParams) -> dict:
 def derivative_kernel(params: QuadParams):
     """``DERIVATIVE`` behind ``state_derivative``: ``f(s, u, dist)`` for ``u`` the
     (U1, U2, U3, U4, omega_r) and ``dist`` the (delta_a..delta_f, G); unchecked."""
-    return render.kernel("derivative", derivative_constants(params), "s, u, dist",
-                         "x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s\n"
-                         "U1, U2, U3, U4, omega_r = u\n"
-                         "delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist\n"
-                         + DERIVATIVE + "return (dx1, dx2, dx3, dx4, dx5, dx6, "
-                         "dx7, dx8, dx9, dx10, dx11, dx12)\n")
+    return render.kernel("derivative", derivative_constants(params), "s, u, dist", _DERIVATIVE)
 
 
 def state_derivative(state: QuadState, u: ControlInputs, dist,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadarm import EsoGains, EsoState, PdGains
-from quadarm import adrc
+from quadarm import adrc, render
 from quadarm.adrc import (B_MIN, SUBSYSTEMS, AdrcController, SubsystemConfig, b_hat_altitude,
                           bank_kernel, clamp_b_hat, eso_step, is_hurwitz, pd)
 from quadarm.errors import ConfigurationError, InvalidParameterError
@@ -266,6 +266,15 @@ class TestController:
         assert bound == [0.001]
         ctrl.step(0.5, 1.0, 0.0, 0.002)
         assert bound == [0.001, 0.002]
+
+    def test_second_step_renders_nothing(self, monkeypatch):
+        # the bank and the clamp are bound once, not rendered again each period
+        ctrl = make_controller()
+        ctrl.step(0.1, 1.0, 0.0, 0.001)
+        rendered = []
+        monkeypatch.setattr(render, "kernel", lambda *args: rendered.append(args[0]))
+        ctrl.step(0.2, 1.0, 0.0, 0.001, b_hat=1e-6)
+        assert rendered == []
 
     def test_steps_run_the_bank(self):
         # a controller's steps give the bits of a one-loop bank fed the clamped b_hat

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadarm import cli
 from quadarm import config as config_mod
+from quadarm import sim as sim_mod
 from quadarm import tuner as tuner_mod
 from quadarm.cli import FIGURE_SET, main
 from quadarm.adrc import SUBSYSTEMS, EsoGains
@@ -541,6 +542,25 @@ def test_bad_path_exits_with_one_line(tmp_path, monkeypatch, command, args, fail
         assert len(lines) == 1, result.output
     if refused:
         assert calls == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_failed_part_exits_with_one_line(tmp_path, monkeypatch):
+    # a 2 s trace is written in two halves when two CPUs are usable; the child's
+    # half goes to a device that is always full
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if not sim_mod.csv_split(2001):
+        pytest.skip("this platform writes a trace in one process")
+    monkeypatch.setattr(os, "memfd_create",
+                        lambda name: os.open("/dev/full", os.O_WRONLY | os.O_CLOEXEC))
+    out = tmp_path / "t.csv"
+    config = write_yaml(tmp_path / "two.yaml", {"scenario": {"duration": 2.0}})
+    result = CliRunner().invoke(main, ["simulate", "--config", config, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"simulation failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out}'"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 GEOMETRY = {"R_q": 0.1, "L_q": 0.1, "L_r": 0.1, "W_r": 0.1, "H_r": 0.1, "D_r": 0.1}

@@ -1,9 +1,13 @@
 import contextlib
 import csv
+import errno
 import gc
 import io
 import math
+import os
+import signal
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -502,19 +506,154 @@ class TestEstimationOracle:
         assert rms < 0.05
 
 
+def csv_writer_bytes(trace) -> bytes:
+    """The reference file of ``trace``: csv.writer's rows of the header and of reprs."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(trace.columns)
+    for row in trace.as_array().tolist():
+        writer.writerow([repr(v) for v in row])
+    return expected.getvalue().encode("utf-8")
+
+
+def trace_of(n_rows: int) -> TraceLog:
+    """A trace of ``n_rows`` distinct records that hold -0.0, the smallest
+    subnormal and reprs in exponent form."""
+    trace = TraceLog(n_rows)
+    for i in range(n_rows):
+        trace.append([-0.0, 5e-324, 1e16, 1e-05, i * 0.001, -i / 7.0,
+                      *(math.sqrt(i + k) for k in range(len(COLUMNS) - 6))])
+    return trace
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+R = sim_mod.PART_ROWS
+
+
+def split_writes(monkeypatch, n_rows: int) -> bool:
+    """Make two CPUs usable; whether ``n_rows`` rows are then written in two halves."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return sim_mod.csv_split(n_rows)
+
+
 class TestTraceLog:
     def test_csv_bytes_match_csv_writer(self, params, tmp_path):
         trace = run(Scenario(duration=2.1), params)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(trace.columns)
-        for row in trace.as_array().tolist():
-            writer.writerow([repr(v) for v in row])
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes() == csv_writer_bytes(trace)
         back = TraceLog.from_csv(path)
         assert back.as_array().tobytes() == trace.as_array().tobytes()
+        assert_no_child()
+
+    @pytest.mark.parametrize("n_rows, cpus, forks", [
+        (0, 2, 0), (1, 2, 0), (R - 1, 2, 0), (R, 2, 0), (2 * R - 1, 2, 0), (2 * R, 2, 1),
+        (2 * R + 1, 2, 1), (3 * R, 3, 1), (3 * R, 1, 0)])
+    def test_halves_write_the_csv_writer_bytes(self, tmp_path, monkeypatch, n_rows, cpus,
+                                               forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if not sim_mod.csv_split(3 * R):
+            forks = 0  # no fork on this platform: every trace is written in one process
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        trace = trace_of(n_rows)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(trace)
+        assert len(calls) == forks
+        assert_no_child()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_part_raises_its_errno(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform writes a trace in one process")
+        # the child's part goes to a device that is always full
+        monkeypatch.setattr(os, "memfd_create",
+                            lambda name: os.open("/dev/full", os.O_WRONLY | os.O_CLOEXEC))
+        with pytest.raises(OSError) as failure:
+            trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        assert failure.value.errno == errno.ENOSPC
+        assert_no_child()
+
+    def test_killed_part_writer_raises(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform writes a trace in one process")
+        parent, lines = os.getpid(), sim_mod.csv_lines
+
+        def killed_in_child(rows):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer does
+            return lines(rows)
+
+        monkeypatch.setattr(sim_mod, "csv_lines", killed_in_child)
+        with pytest.raises(ChildProcessError, match=f"ended by signal {signal.SIGKILL:d}"):
+            trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        assert_no_child()
+
+    def test_failed_own_part_leaves_no_child(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform writes a trace in one process")
+        parent, lines = os.getpid(), sim_mod.csv_lines
+
+        def own_part_fails(rows):
+            if os.getpid() == parent:
+                raise RuntimeError("own part failed")
+            time.sleep(60)  # the child is still writing when the parent fails
+            return lines(rows)
+
+        monkeypatch.setattr(sim_mod, "csv_lines", own_part_fails)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="own part failed"):
+            trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        assert time.monotonic() - start < 30  # the child was killed, not waited for
+        assert_no_child()
+
+    def test_child_takes_no_signal(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform writes a trace in one process")
+        parent, lines = os.getpid(), sim_mod.csv_lines
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+        def blocked_in_child(rows):
+            if os.getpid() == parent:
+                return lines(rows)
+            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            return [f"{sorted(s.name for s in blocked & {signal.SIGINT, signal.SIGTERM})}\r\n"]
+
+        monkeypatch.setattr(sim_mod, "csv_lines", blocked_in_child)
+        trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        last = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")[-2]
+        assert last == b"['SIGINT', 'SIGTERM']"
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask  # restored here
+        assert_no_child()
+
+    def test_signal_at_cleanup_leaves_no_child(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform writes a trace in one process")
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        kill = os.kill
+
+        def kill_then_signal(pid, signum):
+            kill(pid, signum)
+            signal.raise_signal(signal.SIGUSR1)  # as a Ctrl-C between the kill and the reap
+
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        monkeypatch.setattr(os, "kill", kill_then_signal)
+        try:
+            with pytest.raises(Interrupted):  # raised once the child is reaped
+                trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert_no_child()
 
     def test_write_rows_matches_csv_writer(self, tmp_path):
         # the tune history's rows: an int index, then floats
@@ -526,10 +665,13 @@ class TestTraceLog:
         assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("duration", [0.5, 4.0])
-    def test_csv_write_holds_one_record(self, params, tmp_path, duration):
+    def test_csv_write_holds_one_record(self, params, tmp_path, monkeypatch, duration):
         # a 1024-row block of formatted values peaked at 1.9 MB (0.5 s) and
         # 4.0 MB (4 s); one record at a time stays near 134 KiB at any length
         trace = run(Scenario(duration=duration), params)
+        held, sendfile = set(), os.sendfile  # the size of each memfd sent
+        monkeypatch.setattr(os, "sendfile", lambda out, fd, offset, count: held.add(
+            os.fstat(fd).st_size) or sendfile(out, fd, offset, count))
         tracemalloc.start()
         try:
             trace.to_csv(tmp_path / "trace.csv")
@@ -537,6 +679,11 @@ class TestTraceLog:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+        # a split write's memfd holds the second half's text and nothing more
+        lines = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")
+        second = lines[1 + len(trace) // 2:]
+        assert held <= {len(b"\r\n".join(second))}
+        assert bool(held) == sim_mod.csv_split(len(trace))
 
     def test_csv_round_trip_exact(self, params, tmp_path):
         trace = run(Scenario(duration=0.05), params)

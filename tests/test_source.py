@@ -78,6 +78,24 @@ def test_code_is_compiled_only_by_the_renderer(path):
     assert used == ({"exec", "compile"} if path.name == "render.py" else set())
 
 
+def attributes_used(source: str, names) -> set:
+    """Which of the dotted ``names`` a source refers to, such as ``os.fork``."""
+    return {ast.unparse(n) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute)} & set(names)
+
+
+def test_detects_attributes_used():
+    assert attributes_used("os.fork()\nf = os._exit\nfork()\n", {"os.fork", "os._exit"}) == {
+        "os.fork", "os._exit"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_processes_are_forked_only_by_the_csv_writer(path):
+    # a forked child leaves only through ``os._exit``, and only ``TraceLog.to_csv`` forks
+    used = attributes_used(path.read_text(encoding="utf-8"), {"os.fork", "os._exit"})
+    assert used == ({"os.fork", "os._exit"} if path.name == "sim.py" else set())
+
+
 def compared_strings(source: str, function: str) -> list:
     """String literals that ``function``'s body compares anything with."""
     tree = ast.parse(source)
