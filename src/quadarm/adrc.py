@@ -89,7 +89,8 @@ class SubsystemConfig:
 # The control formulas as text (``render``) in one loop's names: estimates x1..x3
 # of the measurement y, last input u, effectiveness b, observer gains p1..p3, PD
 # gains kp, kd toward ref and its rate, input limits lo, hi; step dt, h, sixth.
-# START, OBSERVE (one RK4 step holding b * u), PD, CANCEL; the altitude B_HAT, CLAMP.
+# START, OBSERVE (one RK4 step holding b * u), PD, CANCEL; the altitude B_HAT, CLAMP;
+# CONTROL, one period: START on the first measurement (k == 0), else OBSERVE; PD, CANCEL.
 START = "x1, x2, x3 = y, 0.0, 0.0\n"
 STEP = "h, sixth = 0.5 * dt, dt / 6.0\n"
 OBSERVE = """\
@@ -116,30 +117,16 @@ elif u > hi:
 """
 B_HAT = "b = -(G / m) * cos(theta) * cos(phi)\n"
 CLAMP = "clamped = not abs(b) >= b_min\nif clamped:\n    b = (-1.0 if b < 0 else 1.0) * b_min\n"
+CONTROL = render.fill("if k:\n    @observe\nelse:\n    @start\n@pd\n@cancel\n",
+                      observe=OBSERVE, start=START, pd=PD, cancel=CANCEL)
 #: a loop's gains in ``loop_gains`` order, and all the names that are its own
 GAINS = ("p1", "p2", "p3", "kp", "kd", "lo", "hi")
 OWN = (*GAINS, "b", "ref", "x1", "x2", "x3", "u", "u0", "saturated")
 
-
 # the bodies of the kernels below, each joined once
-_BANK = render.fill("""\
-@step
-new, signals = [], []
-for (p1, p2, p3, kp, kd, lo, hi), o, y, ref, rate, b in zip(
-        loops, obs, ys, refs, ref_rates, b_hats):
-    if o is None:
-        @start
-    else:
-        x1, x2, x3, u = o
-        if u is not None:
-            @observe
-    @pd
-    @cancel
-    new.append((x1, x2, x3, u))
-    signals += u, u0, x3, x1, x2, saturated
-return tuple(new), tuple(signals)
-""", step=STEP, start=START, observe=OBSERVE, pd=PD, cancel=CANCEL)
-_CLAMP = CLAMP + "return b, clamped\n"
+_CONTROL = (CLAMP + STEP + CONTROL
+            + "return (x1, x2, x3, u), (u, u0, x3, x1, x2, saturated), clamped\n")
+_OBSERVE = STEP + OBSERVE + "return x1, x2, x3\n"
 _PD = PD + "return u0\n"
 _B_HAT = B_HAT + CLAMP + "return b, clamped\n"
 
@@ -149,35 +136,26 @@ def loop_gains(c: SubsystemConfig) -> tuple:
     return (c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
 
 
-def bank_kernel(configs, dt: float):
-    """The control texts for loops bound to their ``loop_gains``: ``bank(obs, ys, refs,
-    ref_rates, b_hats)``, one entry per loop in each.  An ``obs`` entry (x1_hat, x2_hat,
-    x3_hat, u) is advanced (``OBSERVE``), or kept with u None; None is ``START``.
-    Returns the new entries and each loop's (u, u0, x3_hat, x1_hat, x2_hat, saturated)."""
+def check_dt(dt: float) -> float:
+    """``dt``, refused unless positive and finite: the one home of that rule."""
     if not 0 < dt < math.inf:  # NaN too
         raise InvalidParameterError("dt must be positive and finite")
-    constants = {"dt": dt, "loops": tuple(map(loop_gains, configs))}
-    return render.kernel("bank", constants, "obs, ys, refs, ref_rates, b_hats", _BANK)
+    return dt
+
+
+def control_kernel(config: SubsystemConfig, dt: float):
+    """``CLAMP`` and ``CONTROL`` for the loop ``config``: ``f(k, x1, x2, x3, u, y, ref,
+    rate, b) -> ((x1, x2, x3, u), (u, u0, x3, x1, x2, saturated), clamped)``."""
+    constants = {**dict(zip(GAINS, loop_gains(config))), "dt": check_dt(dt), "b_min": B_MIN}
+    return render.kernel("control", constants, "k, x1, x2, x3, u, y, ref, rate, b", _CONTROL)
 
 
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
              gains: EsoGains, dt: float) -> EsoState:
-    """Advance the observer one step (RK4, measurement held over the step)."""
-    # one unlimited loop with unit b_hat: 1.0 * (b_hat * u) is b_hat * u exactly
-    loop = SubsystemConfig(ALTITUDE, 1.0, gains, PdGains(1.0, 1.0), (-math.inf, math.inf))
-    (obs,), _ = bank_kernel((loop,), dt)(
-        ((eso.x1_hat, eso.x2_hat, eso.x3_hat, b_hat * u),), (y,), (0.0,), (0.0,), (1.0,))
-    return EsoState(*obs[:3])
-
-
-def clamp_kernel():
-    """``CLAMP`` behind ``clamp_b_hat``: ``f(b_hat) -> (b_hat, clamped)``."""
-    return render.kernel("clamp", {"b_min": B_MIN}, "b", _CLAMP)
-
-
-def clamp_b_hat(b_hat: float) -> tuple[float, bool]:
-    """``CLAMP``: |b_hat| bound away from zero, and whether the clamp engaged."""
-    return clamp_kernel()(b_hat)
+    """``OBSERVE``: advance the observer one step (RK4, measurement held over the step)."""
+    constants = {"p1": gains.p1, "p2": gains.p2, "p3": gains.p3, "dt": check_dt(dt)}
+    return EsoState(*render.kernel("observe", constants, "x1, x2, x3, u, y, b", _OBSERVE)(
+        eso.x1_hat, eso.x2_hat, eso.x3_hat, u, y, b_hat))
 
 
 def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float, gains: PdGains) -> float:
@@ -205,15 +183,14 @@ class StepDiagnostics:
 
 
 class AdrcController:
-    """One subsystem's controller: a bank of one loop, bound on the first
-    step at each ``dt``, the clamp, bound once, and the bank entry (x1_hat,
-    x2_hat, x3_hat, u) it carries between steps."""
+    """One subsystem's controller: its ``control_kernel``, bound on the first
+    step at each ``dt``, and the (x1_hat, x2_hat, x3_hat, u) it carries
+    between steps."""
 
     def __init__(self, config: SubsystemConfig):
         self.config = config
         self.eso = EsoState()
-        self._obs = self._bank = self._dt = None  # no measurement, no bank yet
-        self._clamp = clamp_kernel()
+        self._k, self._obs, self._control, self._dt = 0, (0.0, 0.0, 0.0, 0.0), None, None
 
     def step(self, y: float, ref: float, ref_rate: float, dt: float,
              b_hat: float | None = None) -> StepDiagnostics:
@@ -221,13 +198,14 @@ class AdrcController:
         then compute the new cancelling control.
 
         ``b_hat`` overrides the configured effectiveness for this step; the
-        observer and the cancellation both use it clamped by ``clamp_b_hat``.
+        observer and the cancellation both use it clamped by ``CLAMP``.
         """
         if dt != self._dt:
-            self._bank, self._dt = bank_kernel((self.config,), dt), dt
-        b, degenerate = self._clamp(self.config.b_hat if b_hat is None else b_hat)
-        (self._obs,), (u, u0, x3, x1, x2, saturated) = self._bank(
-            (self._obs,), (y,), (ref,), (ref_rate,), (b,))
+            self._control, self._dt = control_kernel(self.config, dt), dt
+        self._obs, (u, u0, x3, x1, x2, saturated), degenerate = self._control(
+            self._k, *self._obs, y, ref, ref_rate,
+            self.config.b_hat if b_hat is None else b_hat)
+        self._k += 1
         self.eso = EsoState(x1, x2, x3)
         return StepDiagnostics(
             u=u, u0=u0, f_hat=x3, x1_hat=x1, x2_hat=x2, estimation_error=y - x1,

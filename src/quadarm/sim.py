@@ -75,8 +75,7 @@ class Scenario:
     open_loop_u1: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(0.0))
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise InvalidParameterError("dt must be positive and finite")
+        adrc.check_dt(self.dt)
         if not 0 <= self.duration < math.inf:
             raise InvalidParameterError("duration must be non-negative and finite")
 
@@ -254,8 +253,7 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     lagged accelerations are held constant over the step and replaced by
     the final-stage accelerations afterwards.
     """
-    if not 0 < dt < math.inf:  # NaN too
-        raise InvalidParameterError("dt must be positive and finite")
+    adrc.check_dt(dt)
     y, h, k = state.vector, 0.5 * dt, []
     with np.errstate(all="ignore"):  # float arithmetic: an overflow is inf, checked below
         for tau, step in ((t, None), (t + h, h), (t + h, h), (t + dt, dt)):
@@ -372,9 +370,7 @@ def loop_text() -> str:
         quiet=per_loop("u = u0 = x1 = x2 = x3 = saturated = 0.0\n"),
         b_hat=render.rename(adrc.B_HAT + adrc.CLAMP, {"b": "b_altitude", "phi": "y1",
                                                        "theta": "y3"}),
-        control=per_loop(render.fill("if k:\n    @observe\nelse:\n    @start\n@pd\n@cancel\n",
-                                     observe=adrc.OBSERVE, start=adrc.START, pd=adrc.PD,
-                                     cancel=adrc.CANCEL)),
+        control=per_loop(adrc.CONTROL),
         stages=render.rename(DERIVATIVE, {**carried, **slopes(1)}) + "".join(
             "".join(f"x{i} = y{i} + {step} * dx{i}_{s - 1}\n" for i in states)
             + render.rename(LUMP, {"t": f"(t + {step})"}) + render.rename(DERIVATIVE, slopes(s))

@@ -7,23 +7,24 @@ from hypothesis import strategies as st
 
 from quadarm import EsoGains, EsoState, PdGains
 from quadarm import adrc, render
-from quadarm.adrc import (B_MIN, SUBSYSTEMS, AdrcController, SubsystemConfig, b_hat_altitude,
-                          bank_kernel, clamp_b_hat, eso_step, is_hurwitz, pd)
+from quadarm.adrc import (B_MIN, AdrcController, SubsystemConfig, b_hat_altitude,
+                          control_kernel, eso_step, is_hurwitz, pd)
 from quadarm.errors import ConfigurationError, InvalidParameterError
 
 TABLE_GAINS = EsoGains(29.5659, 2907.0, 3000.0)
 
 
 def cancel(u0, f_hat, b_hat, u_limits=(-math.inf, math.inf)):
-    """The cancellation law of a one-loop bank with ``b_hat`` clamped first:
-    on the given estimates (0, 0, f_hat), unit PD gains and the reference u0
+    """The cancellation law of ``control_kernel``, which clamps ``b_hat`` first:
+    the observer holds the estimates (0, 0, f_hat) when it measures 0 after an
+    input whose b_hat * u is -f_hat, and unit PD gains and the reference u0
     make the PD term u0."""
     config = SubsystemConfig(which="altitude", b_hat=1.0, eso=TABLE_GAINS,
                              pd=PdGains(1.0, 1.0), u_limits=u_limits)
-    b, degenerate = clamp_b_hat(b_hat)
-    ((_, _, _, u),), signals = bank_kernel((config,), 1.0)(
-        ((0.0, 0.0, f_hat, None),), (0.0,), (u0,), (0.0,), (b,))
-    return u, signals[5], degenerate
+    obs, signals, degenerate = control_kernel(config, 1.0)(
+        1, 0.0, 0.0, f_hat, -f_hat / b_hat, 0.0, u0, 0.0, b_hat)
+    assert obs[:3] == (0.0, 0.0, f_hat)
+    return obs[3], signals[5], degenerate
 
 
 def expm(a, t):
@@ -149,27 +150,16 @@ class TestCancel:
 
 
 class TestBank:
-    def test_loops_are_independent(self):
-        # one bank of four loops gives the bits of four one-loop banks
-        configs = [SubsystemConfig(which=name, b_hat=1.0, eso=EsoGains.from_bandwidth(20.0 + k),
-                                   pd=PdGains(10.0 + k, 5.0 + k), u_limits=(-2.0, 3.0))
-                   for k, name in enumerate(SUBSYSTEMS)]
-        obs = (None, (0.1, -0.2, 0.3, 0.5), (0.0, 0.0, 1.0, None), (1.0, 0.5, -4.0, 2.5))
-        args = (obs, (0.2, -0.1, 0.4, 1.1), (0.5, -0.5, 0.0, 2.0), (0.0, 0.1, 0.0, -0.2),
-                (2.0, -3.0, 0.25, -0.5))
-        new, signals = bank_kernel(configs, 0.01)(*args)
-        for k, config in enumerate(configs):
-            one = bank_kernel([config], 0.01)(*([a[k]] for a in args))
-            assert repr(one) == repr(((new[k],), signals[6 * k:6 * k + 6]))
-
     def test_signals_follow_the_trace_columns(self):
         config = SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS,
                                  pd=PdGains(2.0, 1.0), u_limits=(-1.0, 1.0))
-        (obs,), signals = bank_kernel([config], 0.001)(((0.5, 0.25, 0.0, None),), (0.0,),
-                                                      (1.0,), (0.0,), (0.5,))
-        # u0 = 2 (1 - 0.5) + 1 (0 - 0.25) = 0.75, u = 0.75 / 0.5 held at 1
-        assert obs == (0.5, 0.25, 0.0, 1.0)
-        assert signals == (1.0, 0.75, 0.0, 0.5, 0.25, True)
+        # the first period starts on the measurement: (0.5, 0, 0) and the last input ignored
+        obs, signals, clamped = control_kernel(config, 0.001)(
+            0, 9.0, 9.0, 9.0, 9.0, 0.5, 1.0, -0.25, 0.5)
+        # u0 = 2 (1 - 0.5) + 1 (-0.25 - 0) = 0.75, u = 0.75 / 0.5 held at 1
+        assert obs == (0.5, 0.0, 0.0, 1.0)
+        assert signals == (1.0, 0.75, 0.0, 0.5, 0.0, True)
+        assert not clamped
 
 
 class TestPd:
@@ -197,13 +187,14 @@ class TestPd:
     @given(ref=st.floats(-1e6, 1e6), rate=st.floats(-1e6, 1e6), x1=st.floats(-1e6, 1e6),
            x2=st.floats(-1e6, 1e6), kp=st.floats(1e-3, 1e4), kd=st.floats(1e-3, 1e4))
     def test_is_the_bank_u0(self, ref, rate, x1, x2, kp, kd):
-        # the reference law of acceptance criterion 3 gives the bits the loop runs
+        # the reference law of acceptance criterion 3 gives the bits the loop runs,
+        # on the estimates the period's observer step leaves
         gains = PdGains(kp, kd)
         config = SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS, pd=gains,
                                  u_limits=(-math.inf, math.inf))
-        _, signals = bank_kernel((config,), 0.001)(((x1, x2, 0.0, None),), (x1,), (ref,),
-                                                    (rate,), (1.0,))
-        assert repr(pd(ref, rate, x1, x2, gains)) == repr(signals[1])
+        _, (_, u0, _, x1_hat, x2_hat, _), _ = control_kernel(config, 0.001)(
+            1, x1, x2, 0.0, 0.0, x1, ref, rate, 1.0)
+        assert repr(pd(ref, rate, x1_hat, x2_hat, gains)) == repr(u0)
 
 
 class TestBHatAltitude:
@@ -255,11 +246,11 @@ class TestController:
     def test_binds_one_bank_per_dt(self, monkeypatch):
         bound = []
 
-        def counting(configs, dt):
+        def counting(config, dt):
             bound.append(dt)
-            return bank_kernel(configs, dt)
+            return control_kernel(config, dt)
 
-        monkeypatch.setattr(adrc, "bank_kernel", counting)
+        monkeypatch.setattr(adrc, "control_kernel", counting)
         ctrl = make_controller()
         for k in range(2000):
             ctrl.step(0.001 * k, 1.0, 0.0, 0.001)
@@ -268,7 +259,7 @@ class TestController:
         assert bound == [0.001, 0.002]
 
     def test_second_step_renders_nothing(self, monkeypatch):
-        # the bank and the clamp are bound once, not rendered again each period
+        # the control kernel, the clamp inside, is bound once, not rendered again each period
         ctrl = make_controller()
         ctrl.step(0.1, 1.0, 0.0, 0.001)
         rendered = []
@@ -277,13 +268,13 @@ class TestController:
         assert rendered == []
 
     def test_steps_run_the_bank(self):
-        # a controller's steps give the bits of a one-loop bank fed the clamped b_hat
+        # a controller's steps give the bits of its control kernel, period k, fed b_hat
         ctrl = make_controller(b_hat=2.0, limits=(-3.0, 3.0))
-        bank, obs = bank_kernel((ctrl.config,), 0.01), None
+        control, obs = control_kernel(ctrl.config, 0.01), (0.0, 0.0, 0.0, 0.0)
         for k, b_hat in enumerate((None, 1e-6, -0.5, None)):
             diag = ctrl.step(0.1 * k, 1.0, 0.2, 0.01, b_hat=b_hat)
-            b, degenerate = clamp_b_hat(2.0 if b_hat is None else b_hat)
-            (obs,), signals = bank((obs,), (0.1 * k,), (1.0,), (0.2,), (b,))
+            obs, signals, degenerate = control(k, *obs, 0.1 * k, 1.0, 0.2,
+                                               2.0 if b_hat is None else b_hat)
             assert (diag.u, diag.u0, diag.f_hat, diag.x1_hat, diag.x2_hat,
                     diag.saturated, diag.degenerate_b) == (*signals, degenerate)
         assert (ctrl.eso.x1_hat, ctrl.eso.x2_hat, ctrl.eso.x3_hat) == obs[:3]
@@ -293,7 +284,7 @@ class TestController:
             make_controller().step(0.0, 0.0, 0.0, math.nan)
 
     def test_infinite_dt_rejected(self):
-        # refused by the bank, not returned as all-NaN diagnostics
+        # refused by the control kernel, not returned as all-NaN diagnostics
         with pytest.raises(InvalidParameterError, match="^dt must be positive and finite$"):
             make_controller().step(0.1, 0.0, 0.0, math.inf)
 

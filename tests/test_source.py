@@ -96,6 +96,13 @@ def test_processes_are_forked_only_by_the_csv_writer(path):
     assert used == ({"os.fork", "os._exit"} if path.name == "sim.py" else set())
 
 
+def test_loop_takes_the_control_period_whole():
+    # one period's order of observe, PD and cancel has one home: ``adrc.CONTROL``
+    used = attributes_used((PACKAGE / "sim.py").read_text(encoding="utf-8"), {
+        "adrc.START", "adrc.OBSERVE", "adrc.PD", "adrc.CANCEL", "adrc.CONTROL"})
+    assert used == {"adrc.CONTROL"}
+
+
 def compared_strings(source: str, function: str) -> list:
     """String literals that ``function``'s body compares anything with."""
     tree = ast.parse(source)
