@@ -9,6 +9,7 @@ integrator for the PD loop.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import render
@@ -122,6 +123,8 @@ CONTROL = render.fill("if k:\n    @observe\nelse:\n    @start\n@pd\n@cancel\n",
 #: a loop's gains in ``loop_gains`` order, and all the names that are its own
 GAINS = ("p1", "p2", "p3", "kp", "kd", "lo", "hi")
 OWN = (*GAINS, "b", "ref", "x1", "x2", "x3", "u", "u0", "saturated")
+#: the signals a period returns, in order: a trace record's per-loop columns
+SIGNALS = ("u", "u0", "f_hat", "x1_hat", "x2_hat", "sat")
 
 # the bodies of the kernels below, each joined once
 _CONTROL = (CLAMP + STEP + CONTROL
@@ -170,29 +173,19 @@ def b_hat_altitude(phi: float, theta: float, G: float, m: float) -> tuple[float,
                          _B_HAT)(phi, theta, G, m)
 
 
-@dataclass
-class StepDiagnostics:
-    u: float = 0.0
-    u0: float = 0.0
-    f_hat: float = 0.0
-    x1_hat: float = 0.0
-    x2_hat: float = 0.0
-    estimation_error: float = 0.0  # y - x1_hat
-    saturated: bool = False
-    degenerate_b: bool = False
+StepDiagnostics = namedtuple("StepDiagnostics", SIGNALS)
 
 
 class AdrcController:
-    """One subsystem's controller: its ``control_kernel``, bound on the first
-    step at each ``dt``, and the (x1_hat, x2_hat, x3_hat, u) it carries
-    between steps."""
+    """One subsystem's controller at one sample period ``dt``: its
+    ``control_kernel``, bound once, and the (x1_hat, x2_hat, x3_hat, u) it
+    carries between steps."""
 
-    def __init__(self, config: SubsystemConfig):
+    def __init__(self, config: SubsystemConfig, dt: float):
         self.config = config
-        self.eso = EsoState()
-        self._k, self._obs, self._control, self._dt = 0, (0.0, 0.0, 0.0, 0.0), None, None
+        self._k, self._obs, self._control = 0, (0.0, 0.0, 0.0, 0.0), control_kernel(config, dt)
 
-    def step(self, y: float, ref: float, ref_rate: float, dt: float,
+    def step(self, y: float, ref: float, ref_rate: float,
              b_hat: float | None = None) -> StepDiagnostics:
         """One control period: observe with the previously applied input,
         then compute the new cancelling control.
@@ -200,14 +193,7 @@ class AdrcController:
         ``b_hat`` overrides the configured effectiveness for this step; the
         observer and the cancellation both use it clamped by ``CLAMP``.
         """
-        if dt != self._dt:
-            self._control, self._dt = control_kernel(self.config, dt), dt
-        self._obs, (u, u0, x3, x1, x2, saturated), degenerate = self._control(
-            self._k, *self._obs, y, ref, ref_rate,
-            self.config.b_hat if b_hat is None else b_hat)
+        self._obs, signals, _ = self._control(self._k, *self._obs, y, ref, ref_rate,
+                                              self.config.b_hat if b_hat is None else b_hat)
         self._k += 1
-        self.eso = EsoState(x1, x2, x3)
-        return StepDiagnostics(
-            u=u, u0=u0, f_hat=x3, x1_hat=x1, x2_hat=x2, estimation_error=y - x1,
-            saturated=saturated, degenerate_b=degenerate,
-        )
+        return StepDiagnostics(*signals)

@@ -169,10 +169,14 @@ class Config:
     dist_params: DisturbanceParams
     scenario: Scenario
     tuner_problem: TuneProblem
-    tuner_weights: CostWeights
     tuner_initial: np.ndarray | None
     tuner_options: TuneOptions
     raw: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def tuner_weights(self) -> CostWeights:
+        """``tuner_problem.weights``, a read-only view."""
+        return self.tuner_problem.weights
 
     def tune_problem(self) -> TuneProblem:
         """The tuner section's problem, built once by ``resolve``; a ``ConfigError``
@@ -291,8 +295,7 @@ def resolve(data: dict | None) -> Config:
     if problems:
         raise ConfigError(problems)
     config = Config(params=params, gains=gains, dist_params=dist_params, scenario=scenario,
-                    tuner_problem=tune_problem, tuner_weights=weights, tuner_initial=init,
-                    tuner_options=options, raw=data)
+                    tuner_problem=tune_problem, tuner_initial=init, tuner_options=options, raw=data)
     if init is not None:
         config.tune_initial()
     return config

@@ -94,11 +94,10 @@ STATE_COLUMNS = ["phi", "phi_dot", "theta", "theta_dot", "psi", "psi_dot",
                  "z", "z_dot", "x", "x_dot", "y", "y_dot"]
 ACCEL_COLUMNS = ["acc_phi", "acc_theta", "acc_psi", "acc_z", "acc_x", "acc_y"]
 REF_COLUMNS = ["ref_roll", "ref_pitch", "ref_yaw", "ref_z"]
-PER_SUBSYSTEM = ["u", "u0", "f_hat", "x1_hat", "x2_hat", "sat"]
 DELTA_COLUMNS = ["delta_a", "delta_b", "delta_c", "delta_d", "delta_e", "delta_f"]
 
 COLUMNS = tuple(["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
-                + [f"{f}_{s}" for s in SUBSYSTEMS for f in PER_SUBSYSTEM]
+                + [f"{f}_{s}" for s in SUBSYSTEMS for f in adrc.SIGNALS]
                 + ["G"] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
 
 

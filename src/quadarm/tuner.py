@@ -261,7 +261,8 @@ def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
 
     f, report = problem.evaluate(x)
     if f >= SENTINEL_COST:
-        raise InvalidParameterError("initial vector is infeasible")
+        raise InvalidParameterError(
+            f"initial vector is infeasible: cost {f:.4g} is not below {SENTINEL_COST:g}")
 
     # per-coordinate scaling so a unit step is comparable across gains of
     # very different magnitude

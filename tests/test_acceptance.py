@@ -53,14 +53,14 @@ def test_criterion_3_disturbance_cancellation():
     gains = PdGains(25.0, 10.0)
     ctrl = AdrcController(SubsystemConfig(
         which="roll", b_hat=b, eso=EsoGains.from_bandwidth(50.0),
-        pd=gains, u_limits=(-100.0, 100.0)))
+        pd=gains, u_limits=(-100.0, 100.0)), dt)
     from quadarm.adrc import pd as pd_law
     x1 = x2 = 0.0
     i1 = i2 = 0.0  # ideal companion: x'' = kp e + kd e'
     worst = 0.0
     for k in range(2000):
         t = k * dt
-        diag = ctrl.step(x1, ref, 0.0, dt)
+        diag = ctrl.step(x1, ref, 0.0)
         acc = 2.0 + math.sin(2.0 * t) + b * diag.u
         x1 += x2 * dt + 0.5 * acc * dt * dt
         x2 += acc * dt

@@ -211,39 +211,38 @@ class TestBHatAltitude:
         assert b == pytest.approx(-0.54232, abs=1e-4)
 
 
-def make_controller(b_hat=1.0, eso=None, kp=25.0, kd=10.0, limits=(-100.0, 100.0)):
+def make_controller(dt=0.001, b_hat=1.0, eso=None, kp=25.0, kd=10.0, limits=(-100.0, 100.0)):
     return AdrcController(SubsystemConfig(
         which="roll", b_hat=b_hat, eso=eso or EsoGains.from_bandwidth(50.0),
-        pd=PdGains(kp, kd), u_limits=limits))
+        pd=PdGains(kp, kd), u_limits=limits), dt)
 
 
 class TestController:
     def test_zero_equilibrium_angle_loop(self):
         ctrl = make_controller()
-        d = ctrl.step(y=0.0, ref=0.0, ref_rate=0.0, dt=0.001)
+        d = ctrl.step(y=0.0, ref=0.0, ref_rate=0.0)
         assert d.u == 0.0 and d.u0 == 0.0 and d.f_hat == 0.0
 
     def test_constant_disturbance_rejection(self):
         # plant: x'' = d + b u; output must reach the reference and the
         # observer must recover the injected disturbance
         b, d_true, ref, dt = 2.0, 3.0, 1.0, 0.001
-        ctrl = make_controller(b_hat=b)
+        ctrl = make_controller(dt, b_hat=b)
         x1 = x2 = 0.0
         for _ in range(4000):
-            diag = ctrl.step(x1, ref, 0.0, dt)
+            diag = ctrl.step(x1, ref, 0.0)
             acc = d_true + b * diag.u
             x1 += x2 * dt + 0.5 * acc * dt * dt
             x2 += acc * dt
         assert x1 == pytest.approx(ref, abs=1e-3)
-        assert ctrl.eso.x3_hat == pytest.approx(d_true, abs=0.03)
+        assert diag.f_hat == pytest.approx(d_true, abs=0.03)
 
     def test_first_step_initializes_on_measurement(self):
         ctrl = make_controller()
-        diag = ctrl.step(y=0.42, ref=0.42, ref_rate=0.0, dt=0.001)
+        diag = ctrl.step(y=0.42, ref=0.42, ref_rate=0.0)
         assert diag.x1_hat == 0.42
-        assert diag.estimation_error == 0.0
 
-    def test_binds_one_bank_per_dt(self, monkeypatch):
+    def test_binds_its_kernel_once_at_construction(self, monkeypatch):
         bound = []
 
         def counting(config, dt):
@@ -251,42 +250,39 @@ class TestController:
             return control_kernel(config, dt)
 
         monkeypatch.setattr(adrc, "control_kernel", counting)
-        ctrl = make_controller()
+        ctrl = make_controller(0.002)
+        assert bound == [0.002]
         for k in range(2000):
-            ctrl.step(0.001 * k, 1.0, 0.0, 0.001)
-        assert bound == [0.001]
-        ctrl.step(0.5, 1.0, 0.0, 0.002)
-        assert bound == [0.001, 0.002]
+            ctrl.step(0.001 * k, 1.0, 0.0)
+        assert bound == [0.002]
 
     def test_second_step_renders_nothing(self, monkeypatch):
         # the control kernel, the clamp inside, is bound once, not rendered again each period
         ctrl = make_controller()
-        ctrl.step(0.1, 1.0, 0.0, 0.001)
+        ctrl.step(0.1, 1.0, 0.0)
         rendered = []
         monkeypatch.setattr(render, "kernel", lambda *args: rendered.append(args[0]))
-        ctrl.step(0.2, 1.0, 0.0, 0.001, b_hat=1e-6)
+        ctrl.step(0.2, 1.0, 0.0, b_hat=1e-6)
         assert rendered == []
 
     def test_steps_run_the_bank(self):
         # a controller's steps give the bits of its control kernel, period k, fed b_hat
-        ctrl = make_controller(b_hat=2.0, limits=(-3.0, 3.0))
+        ctrl = make_controller(0.01, b_hat=2.0, limits=(-3.0, 3.0))
         control, obs = control_kernel(ctrl.config, 0.01), (0.0, 0.0, 0.0, 0.0)
         for k, b_hat in enumerate((None, 1e-6, -0.5, None)):
-            diag = ctrl.step(0.1 * k, 1.0, 0.2, 0.01, b_hat=b_hat)
-            obs, signals, degenerate = control(k, *obs, 0.1 * k, 1.0, 0.2,
-                                               2.0 if b_hat is None else b_hat)
-            assert (diag.u, diag.u0, diag.f_hat, diag.x1_hat, diag.x2_hat,
-                    diag.saturated, diag.degenerate_b) == (*signals, degenerate)
-        assert (ctrl.eso.x1_hat, ctrl.eso.x2_hat, ctrl.eso.x3_hat) == obs[:3]
+            diag = ctrl.step(0.1 * k, 1.0, 0.2, b_hat=b_hat)
+            obs, signals, _ = control(k, *obs, 0.1 * k, 1.0, 0.2, 2.0 if b_hat is None else b_hat)
+            assert diag == signals
 
     def test_bad_dt_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            make_controller().step(0.0, 0.0, 0.0, math.nan)
+        for dt in (math.nan, 0.0):
+            with pytest.raises(InvalidParameterError, match="^dt must be positive and finite$"):
+                make_controller(dt)
 
     def test_infinite_dt_rejected(self):
-        # refused by the control kernel, not returned as all-NaN diagnostics
+        # refused when the controller is made, not returned as all-NaN diagnostics
         with pytest.raises(InvalidParameterError, match="^dt must be positive and finite$"):
-            make_controller().step(0.1, 0.0, 0.0, math.inf)
+            make_controller(math.inf)
 
     def test_invalid_subsystem_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -437,6 +437,16 @@ class TestTuneCommand:
         assert result.exit_code == 1
         assert "tuning failed" in result.output
 
+    def test_overflowing_initial_cost_named(self, tmp_path):
+        # the start runs (feasible), but its weighted cost is past the sentinel
+        cfg = write_yaml(tmp_path / "c.yaml", {"scenario": {"duration": 0.05},
+                                               "tuner": {"weights": {"tracking": 1.0e308}}})
+        result = CliRunner().invoke(main, ["tune", "--config", cfg,
+                                           "--out", str(tmp_path / "t.yaml")])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "tuning failed: initial vector is infeasible: cost 1.274e+308 is not below 1e+12"]
+
     def test_missing_out_dir_exit_1_before_run(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(tuner_mod, "run", lambda *a, **k: calls.append(a))

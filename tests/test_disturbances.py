@@ -30,7 +30,8 @@ class TestDrag:
 @pytest.mark.parametrize("make", [
     lambda: DragParams(k=(0.1,) * 5),
     lambda: GroundEffectParams(rho=-1.0),
-], ids=["drag_count", "rho"])
+    lambda: WindParams(n=0.0),
+], ids=["drag_count", "rho", "wind_frequency"])
 def test_invalid_parameter_refused(make):
     with pytest.raises(InvalidParameterError):
         make()

@@ -26,7 +26,8 @@ def reference(scenario, params, dist_params, gains) -> np.ndarray:
     """The records of ``run(scenario, params, dist_params, gains)``, one row each."""
     n, dt, masses, flags = scenario.n_steps, scenario.dt, params.masses, scenario.flags
     refs = (scenario.ref_roll, scenario.ref_pitch, scenario.ref_yaw, scenario.ref_z)
-    loops = () if scenario.open_loop else tuple(map(AdrcController, gains.loops(params)))
+    loops = () if scenario.open_loop else tuple(
+        AdrcController(c, dt) for c in gains.loops(params))
     state, inputs, signals, rows = scenario.initial_state, ControlInputs(), [0.0] * 24, []
     for k in range(n + 1):
         t = k * dt
@@ -38,10 +39,9 @@ def reference(scenario, params, dist_params, gains) -> np.ndarray:
             inputs = ControlInputs(U1=scenario.open_loop_u1(t))
         elif k < n:
             b_altitude, _ = b_hat_altitude(s[0], s[2], dist.G, params.m)
-            steps = [loop.step(s[2 * i], ref[i], 0.0, dt, b_altitude if i == 3 else None)
+            steps = [loop.step(s[2 * i], ref[i], 0.0, b_altitude if i == 3 else None)
                      for i, loop in enumerate(loops)]
-            signals = [x for d in steps
-                       for x in (d.u, d.u0, d.f_hat, d.x1_hat, d.x2_hat, d.saturated)]
+            signals = [x for d in steps for x in d]
             roll, pitch, yaw, altitude = (d.u for d in steps)
             inputs = rotor_speeds([altitude, roll, pitch, yaw], params.mixer)
         rows.append([t, *s, *state.lagged_accel.tolist(), *ref, *signals, dist.G,

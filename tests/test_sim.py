@@ -20,6 +20,7 @@ from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, EsoGa
 from quadarm import render
 from quadarm import sim as sim_mod
 from quadarm.adrc import SUBSYSTEMS
+from quadarm.config import load
 from quadarm.disturbances import DragParams, lump, lump_constants
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
 from quadarm.model import derivative_constants, derivative_kernel
@@ -303,6 +304,23 @@ class TestRun:
         moved = arm_trace.column("t") >= 1.0
         assert fixed[~moved].tobytes() == logged[~moved].tobytes()
         assert np.all(np.any(fixed[moved] != logged[moved], axis=1))
+
+    def test_negative_zero_limit_reaches_the_trace(self, tmp_path):
+        # the two altitude loops compare and hash equal, so a kernel cache keyed
+        # by equality would log one run's saturated input with the other's zero
+        runs = {}
+        for lower in ("-0.0", "0.0"):
+            path = tmp_path / "limits.yaml"
+            path.write_text("scenario: {duration: 1.0}\n"
+                            f"controller: {{u_limits: {{altitude: [{lower}, 40]}}}}\n")
+            c = load(str(path))
+            trace = run(c.scenario, c.params, c.dist_params, c.gains)
+            saturated = trace.column("sat_altitude") == 1.0
+            runs[lower] = (c.gains.loops(c.params)[3],
+                           [repr(u) for u in trace.column("u_altitude")[saturated].tolist()])
+        (negative, logged_negative), (positive, logged_positive) = runs["-0.0"], runs["0.0"]
+        assert negative == positive and hash(negative) == hash(positive)
+        assert logged_negative == ["-0.0"] * 401 and logged_positive == ["0.0"] * 401
 
     def test_gain_argument_changes_output(self, params):
         base = run(Scenario(duration=0.5), params)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from quadarm import adrc
 from quadarm.config import Config
 from quadarm.sim import TraceLog
 
@@ -101,6 +102,28 @@ def test_loop_takes_the_control_period_whole():
     used = attributes_used((PACKAGE / "sim.py").read_text(encoding="utf-8"), {
         "adrc.START", "adrc.OBSERVE", "adrc.PD", "adrc.CANCEL", "adrc.CONTROL"})
     assert used == {"adrc.CONTROL"}
+
+
+def assigned_string_lists(source: str) -> list:
+    """The string lists and tuples a source assigns to a name, each as a list."""
+    return [[e.value for e in node.value.elts] for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+            and node.value.elts and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                                        for e in node.value.elts)]
+
+
+def test_detects_assigned_string_lists():
+    assert assigned_string_lists('A = ["u", "sat"]\nB = ("x",)\nC = [1, "y"]\nf(["z"])\n') == [
+        ["u", "sat"], ["x"]]
+
+
+def test_trace_takes_the_loop_signals_whole():
+    # a record's per-loop columns have one home: ``adrc.SIGNALS``, what a period returns
+    source = (PACKAGE / "sim.py").read_text(encoding="utf-8")
+    assert attributes_used(source, {"adrc.SIGNALS"}) == {"adrc.SIGNALS"}
+    assert [names for names in assigned_string_lists(source)
+            if set(names) & set(adrc.SIGNALS)] == []
+    assert adrc.StepDiagnostics._fields == adrc.SIGNALS
 
 
 def compared_strings(source: str, function: str) -> list:

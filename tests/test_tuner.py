@@ -264,6 +264,10 @@ class TestCost:
         with pytest.raises(InvalidParameterError):
             short_problem(**box)
 
+    def test_negative_weight_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^cost weights must be non-negative$"):
+            CostWeights(tracking=-1.0)
+
     def test_unknown_bound_signal_rejected(self):
         # refused where the bound is made, before any cost evaluation runs
         with pytest.raises(InvalidParameterError, match="'warp'"):
