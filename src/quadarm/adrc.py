@@ -46,11 +46,8 @@ class EsoGains:
         return cls(3 * omega0, 3 * omega0 ** 2, omega0 ** 3)
 
 
-@dataclass
-class EsoState:
-    x1_hat: float = 0.0  # estimated output
-    x2_hat: float = 0.0  # estimated rate
-    x3_hat: float = 0.0  # estimated total disturbance
+#: the estimated output, rate and total disturbance, ``eso_step``'s results
+EsoState = namedtuple("EsoState", ("x1_hat", "x2_hat", "x3_hat"), defaults=(0.0,) * 3)
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,8 @@ def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
              gains: EsoGains, dt: float) -> EsoState:
     """``OBSERVE``: advance the observer one step (RK4, measurement held over the step)."""
     constants = {"p1": gains.p1, "p2": gains.p2, "p3": gains.p3, "dt": check_dt(dt)}
-    return EsoState(*render.kernel("observe", constants, "x1, x2, x3, u, y, b", _OBSERVE)(
-        eso.x1_hat, eso.x2_hat, eso.x3_hat, u, y, b_hat))
+    return EsoState._make(render.kernel("observe", constants, "x1, x2, x3, u, y, b", _OBSERVE)(
+        *eso, u, y, b_hat))
 
 
 def pd(ref: float, ref_rate: float, x1_hat: float, x2_hat: float, gains: PdGains) -> float:

@@ -7,6 +7,7 @@ exactly zero to the lumped accelerations delta_a..delta_f.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,21 +90,19 @@ class DisturbanceParams:
     strict_signs: bool = True
 
 
-@dataclass
-class DisturbanceOutputs:
-    """Lumped disturbance accelerations and the thrust scaling factor."""
+#: the lumped disturbance accelerations and the thrust scaling factor, ``LUMP``'s results
+OUTPUTS = ("delta_a", "delta_b", "delta_c", "delta_d", "delta_e", "delta_f", "G")
 
-    delta_a: float = 0.0
-    delta_b: float = 0.0
-    delta_c: float = 0.0
-    delta_d: float = 0.0
-    delta_e: float = 0.0
-    delta_f: float = 0.0
-    G: float = 1.0
+
+class DisturbanceOutputs(namedtuple("DisturbanceOutputs", OUTPUTS,
+                                    defaults=(0.0,) * 6 + (1.0,))):
+    """The ``OUTPUTS`` of one lump, in ``DERIVATIVE``'s ``dist`` order."""
+
+    __slots__ = ()
 
     def as_vector(self) -> np.ndarray:
-        return np.array([self.delta_a, self.delta_b, self.delta_c,
-                         self.delta_d, self.delta_e, self.delta_f])
+        """delta_a..delta_f."""
+        return np.array(self[:6])
 
 
 #: the lumped disturbances delta_a..delta_f and the thrust factor G at the state
@@ -127,7 +126,7 @@ delta_d, delta_e, delta_f = -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x1
 
 _LUMP = ("_, x2, _, x4, _, x6, x7, x8, _, x10, _, x12 = s\n"
          "d_x2, d_x4, _, _, d_x10, d_x12 = lagged\n" + LUMP
-         + "return delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G\n")
+         + "return " + ", ".join(OUTPUTS) + "\n")
 
 
 def lump_constants(params: DisturbanceParams, flags: DisturbanceFlags, m: float) -> dict:
@@ -145,18 +144,18 @@ def lump_constants(params: DisturbanceParams, flags: DisturbanceFlags, m: float)
 
 
 def lump_kernel(params: DisturbanceParams, flags: DisturbanceFlags, m: float):
-    """``LUMP`` behind ``lump``: ``f(s, lagged, t, z_G) -> (delta_a, ..., delta_f, G)``."""
+    """``LUMP`` behind ``lump``: ``f(s, lagged, t, z_G) -> OUTPUTS``."""
     return render.kernel("lump", lump_constants(params, flags, m), "s, lagged, t, z_G", _LUMP)
 
 
 def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
     """Thrust amplification factor near the ground; ->1 as z -> infinity."""
     f = lump_kernel(DisturbanceParams(ground_effect=p), DisturbanceFlags(ground_effect=True), 1.0)
-    return f((0.0,) * 6 + (z,) + (0.0,) * 5, (0.0,) * 6, 0.0, 0.0)[6]
+    return DisturbanceOutputs._make(f((0.0,) * 6 + (z,) + (0.0,) * 5, (0.0,) * 6, 0.0, 0.0)).G
 
 
 def lump(state: QuadState, t: float, params: DisturbanceParams,
          flags: DisturbanceFlags, masses: MassProperties) -> DisturbanceOutputs:
     """Assemble delta_a..delta_f from the enabled channels plus G."""
-    return DisturbanceOutputs(*lump_kernel(params, flags, masses.m)(
+    return DisturbanceOutputs._make(lump_kernel(params, flags, masses.m)(
         state.vector.tolist(), state.lagged_accel.tolist(), t, masses.z_G))

@@ -7,9 +7,10 @@ Angles are not wrapped; the controller operates in the small-angle regime.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import cos, isfinite, sin
+from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -193,28 +194,15 @@ class MixerParams:
         return tuple(map(tuple, np.linalg.inv(self.matrix()).tolist()))
 
 
-#: the relative rotor speed omega_r at the rotor speeds omega1..omega4
-SPEED = "omega_r = -omega1 + omega2 - omega3 + omega4\n"
-_SPEED = SPEED + "return omega_r\n"
+#: the relative rotor speed omega_r at the squared rotor speeds w1..w4
+SPEED = "omega_r = -sqrt(w1) + sqrt(w2) - sqrt(w3) + sqrt(w4)\n"
+#: the generalized inputs U1..U4 and the relative rotor speed, ``DERIVATIVE``'s ``u``
+INPUTS = ("U1", "U2", "U3", "U4", "omega_r")
 
-
-@dataclass
-class ControlInputs:
-    """Generalized inputs U1..U4 with the realizing rotor speeds."""
-
-    U1: float = 0.0  # total thrust, N
-    U2: float = 0.0  # roll input
-    U3: float = 0.0  # pitch input
-    U4: float = 0.0  # yaw input
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(4))  # rad/s
-    rotor_saturated: bool = False
-
-    @property
-    def omega_r(self) -> float:
-        return render.kernel("speed", {}, "omega1, omega2, omega3, omega4", _SPEED)(*self.omega)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.U1, self.U2, self.U3, self.U4])
+#: the ``INPUTS`` (thrust N; roll, pitch, yaw inputs; rad/s) and whether the rotor
+#: speeds that realize them were clamped
+ControlInputs = namedtuple("ControlInputs", (*INPUTS, "rotor_saturated"),
+                           defaults=(0.0,) * len(INPUTS) + (False,))
 
 
 def mix(omega_squared, params: MixerParams) -> ControlInputs:
@@ -224,8 +212,9 @@ def mix(omega_squared, params: MixerParams) -> ControlInputs:
         raise InvalidInputError("expected four squared rotor speeds")
     if np.any(w2 < 0):
         raise InvalidInputError("squared rotor speeds must be non-negative")
-    u = params.matrix() @ w2
-    return ControlInputs(U1=u[0], U2=u[1], U3=u[2], U4=u[3], omega=np.sqrt(w2))
+    omega_r = render.kernel("speed", {"sqrt": sqrt}, "w1, w2, w3, w4",
+                            SPEED + "return omega_r\n")(*w2.tolist())
+    return ControlInputs(*(params.matrix() @ w2).tolist(), omega_r)
 
 
 #: the squared rotor speeds w1..w4 that realize U1..U4 through the rows of the
@@ -241,12 +230,14 @@ rotor_sat = w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0
 w1, w2 = 0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2
 w3, w4 = 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4
 """
-_MIXER = INVERSE + MIXER + "return (w1, w2, w3, w4), rotor_sat\n"
+_MIXER = INVERSE + MIXER + SPEED + "return (w1, w2, w3, w4), rotor_sat, omega_r\n"
 
 
 def mixer_kernel(params: MixerParams):
-    """``MIXER`` behind ``unmix``: ``f(U1, U2, U3, U4) -> (w2, saturated)``."""
-    return render.kernel("mixer", {"inverse": params.inverse}, "U1, U2, U3, U4", _MIXER)
+    """``MIXER`` and ``SPEED`` behind ``unmix`` and ``rotor_speeds``:
+    ``f(U1, U2, U3, U4) -> (w2, saturated, omega_r)``."""
+    return render.kernel("mixer", {"inverse": params.inverse, "sqrt": sqrt},
+                         "U1, U2, U3, U4", _MIXER)
 
 
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
@@ -255,21 +246,20 @@ def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     Components that solve negative are clamped to zero; the second return
     value flags that saturation.
     """
-    uv = u.as_vector() if isinstance(u, ControlInputs) else np.asarray(u, dtype=float)
-    w2, saturated = mixer_kernel(params)(*uv.tolist())
+    w2, saturated, _ = mixer_kernel(params)(*np.asarray(u[:4], dtype=float).tolist())
     return np.array(w2), saturated
 
 
 def rotor_speeds(u, params: MixerParams) -> ControlInputs:
-    """Attach realizable rotor speeds to a commanded input vector.
+    """Attach the relative rotor speed of realizable rotor speeds to a
+    commanded input vector.
 
     The commanded U1..U4 are kept verbatim for the dynamics; the rotor
     decomposition only feeds the gyroscopic relative-speed term.
     """
-    uv = u.as_vector() if isinstance(u, ControlInputs) else np.asarray(u, dtype=float)
-    w2, saturated = unmix(uv, params)
-    return ControlInputs(U1=uv[0], U2=uv[1], U3=uv[2], U4=uv[3],
-                         omega=np.sqrt(w2), rotor_saturated=saturated)
+    uv = np.asarray(u[:4], dtype=float).tolist()
+    _, saturated, omega_r = mixer_kernel(params)(*uv)
+    return ControlInputs(*uv, omega_r, saturated)
 
 
 @dataclass(frozen=True)
@@ -301,8 +291,8 @@ dx9, dx10 = x10, -thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
 dx11, dx12 = x12, -thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
 """
 _DERIVATIVE = ("x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s\n"
-               "U1, U2, U3, U4, omega_r = u\n"
-               "delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist\n"
+               + ", ".join(INPUTS) + " = u\n"
+               + "delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist\n"
                + DERIVATIVE + "return (dx1, dx2, dx3, dx4, dx5, dx6, "
                "dx7, dx8, dx9, dx10, dx11, dx12)\n")
 
@@ -324,15 +314,14 @@ def state_derivative(state: QuadState, u: ControlInputs, dist,
                      params: QuadParams) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the 12-state derivative and the six accelerations.
 
-    ``dist`` carries the lumped disturbance accelerations delta_a..delta_f
-    and the ground-effect thrust factor G.  The six accelerations are
-    returned separately so the caller can store them as the next step's
-    lagged values.
+    ``u`` leads with the ``INPUTS``; ``dist`` is a ``DisturbanceOutputs``, the
+    lumped disturbance accelerations delta_a..delta_f and the ground-effect
+    thrust factor G.  Both reach the kernel as they are.  The six
+    accelerations are returned separately so the caller can store them as
+    the next step's lagged values.
     """
     s = state.vector.tolist()  # the vector may have changed since it was built
     if not all(map(isfinite, s)):
         raise InvalidInputError("state must be finite")
-    deriv = derivative_kernel(params)(
-        s, (u.U1, u.U2, u.U3, u.U4, u.omega_r),
-        (*dist.as_vector().tolist(), dist.G))
+    deriv = derivative_kernel(params)(s, u[:5], dist)
     return np.array(deriv), np.array(deriv[1::2])

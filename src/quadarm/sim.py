@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
-from .disturbances import LUMP, DisturbanceFlags, DisturbanceParams, lump_constants
+from .disturbances import LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams, lump_constants
 from .errors import DivergenceError, IntegrationError, InvalidParameterError
 from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, QuadParams, QuadState,
                     derivative_constants)
@@ -94,11 +94,11 @@ STATE_COLUMNS = ["phi", "phi_dot", "theta", "theta_dot", "psi", "psi_dot",
                  "z", "z_dot", "x", "x_dot", "y", "y_dot"]
 ACCEL_COLUMNS = ["acc_phi", "acc_theta", "acc_psi", "acc_z", "acc_x", "acc_y"]
 REF_COLUMNS = ["ref_roll", "ref_pitch", "ref_yaw", "ref_z"]
-DELTA_COLUMNS = ["delta_a", "delta_b", "delta_c", "delta_d", "delta_e", "delta_f"]
+DELTA_COLUMNS = list(OUTPUTS[:6])
 
 COLUMNS = tuple(["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
                 + [f"{f}_{s}" for s in SUBSYSTEMS for f in adrc.SIGNALS]
-                + ["G"] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
+                + [OUTPUTS[6]] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
 
 
 #: fewest rows in each half of a split ``to_csv``; a fork, a wait and a sendfile
@@ -171,12 +171,12 @@ class TraceLog:
         call returns.  A child's failure raises its ``OSError`` here, and no child
         outlives the call."""
         rows = self._data[:self._n]
-        half = len(rows) // 2 if csv_split(len(rows)) else len(rows)
+        if not csv_split(len(rows)):
+            write_rows(path, COLUMNS, self._row.iter_unpack(rows))
+            return
+        half = len(rows) // 2
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(self._header + "\r\n")
-            if half == len(rows):
-                fh.writelines(csv_lines(self._row.iter_unpack(rows)))
-                return
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # unchanged
             every = signal.valid_signals()
             fd, child, code = os.memfd_create("quadarm-csv-part"), [], errno.EIO
@@ -364,7 +364,7 @@ def loop_text() -> str:
             for i, name in enumerate(SUBSYSTEMS))
     return render.fill(
         LOOP, step=adrc.STEP, inverse=INVERSE, lump=render.rename(LUMP, carried), mixer=MIXER,
-        speed=render.rename(SPEED, {f"omega{i}": f"sqrt(w{i})" for i in range(1, 5)}),
+        speed=SPEED,
         gains=per_loop(", ".join(adrc.GAINS) + ", b = loops[i]\n"),
         quiet=per_loop("u = u0 = x1 = x2 = x3 = saturated = 0.0\n"),
         b_hat=render.rename(adrc.B_HAT + adrc.CLAMP, {"b": "b_altitude", "phi": "y1",

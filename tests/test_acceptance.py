@@ -8,10 +8,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from quadarm import (DisturbanceFlags, EsoGains, GroundEffectParams, MixerParams,
-                     PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
+                     PdGains, PiecewiseConstant, QuadState, Scenario,
                      TuneOptions, TuneProblem, ground_effect_factor, mix, run,
                      rk4_step, tune, unmix)
 from quadarm.adrc import AdrcController, SubsystemConfig, is_hurwitz

@@ -2,7 +2,6 @@ import errno
 import math
 import os
 
-import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner

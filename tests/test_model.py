@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadarm import (ControlInputs, DisturbanceOutputs, GeometryParams,
-                     InertiaParams, MassProperties, MixerParams, QuadParams,
-                     QuadState, WindParams, compose_inertia, mix, state_derivative, unmix)
+from quadarm import (ControlInputs, DisturbanceOutputs, GeometryParams, InertiaParams,
+                     MassProperties, MixerParams, QuadState, WindParams, compose_inertia, mix,
+                     state_derivative, unmix)
 from quadarm.errors import InvalidInputError, InvalidParameterError
 from quadarm.model import rotor_speeds
 
@@ -125,6 +125,14 @@ class TestMixer:
         u = rotor_speeds([0.0, 1.0, 0.0, 0.0], p)
         assert u.rotor_saturated
         assert u.U2 == 1.0  # torque command passes through untouched
+
+    def test_rotor_speeds_and_mix_share_the_relative_speed(self):
+        # both evaluate ``SPEED`` on the squared rotor speeds
+        p = MixerParams()
+        u = rotor_speeds([20.0, 0.1, -0.2, 0.05], p)
+        w2, _ = unmix(u, p)
+        assert u.omega_r != 0.0
+        assert u.omega_r == mix(w2, p).omega_r
 
 
 class TestStateDerivative:

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from quadarm import adrc
+from quadarm import adrc, disturbances, model, sim
 from quadarm.config import Config
 from quadarm.sim import TraceLog
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadarm"
 # __init__.py imports names to re-export them through __all__
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -35,7 +36,7 @@ def test_detects_an_unused_import():
         "math", "path"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -124,6 +125,16 @@ def test_trace_takes_the_loop_signals_whole():
     assert [names for names in assigned_string_lists(source)
             if set(names) & set(adrc.SIGNALS)] == []
     assert adrc.StepDiagnostics._fields == adrc.SIGNALS
+
+
+def test_records_take_their_kernels_names():
+    # the lump's results, the plant's inputs and the rotor speed each have one
+    # home, which the one-call records and the loop's text read
+    assert disturbances.DisturbanceOutputs._fields == disturbances.OUTPUTS
+    assert model.ControlInputs._fields[:5] == model.INPUTS
+    assert model.SPEED in sim.loop_text()
+    assert [names for names in assigned_string_lists((PACKAGE / "sim.py").read_text(
+        encoding="utf-8")) if set(names) & set(disturbances.OUTPUTS)] == []
 
 
 def compared_strings(source: str, function: str) -> list:

@@ -253,6 +253,19 @@ class TestCost:
         assert report["bound_violations"]["z"] > 0
         assert total > report["tracking"]
 
+    def test_zero_estimation_weight_skips_oracle(self, monkeypatch):
+        # the estimation term is the only one that needs the oracle
+        calls = []
+        monkeypatch.setattr(tuner_mod, "estimation_oracle", lambda *a, **k: calls.append(a))
+        w = CostWeights(estimation=0.0)
+        p = short_problem(weights=w, bounds=(SignalBound("z", ((0.0, 2.0, -0.1, 0.1),)),))
+        total, report = cost(table_gains_vector(), p)
+        assert calls == []
+        assert report["feasible"] and report["estimation"] == 0.0
+        assert report["bound_violation"] > 0
+        assert total == (w.tracking * report["tracking"] + w.effort * report["effort"]
+                         + w.bound_penalty * report["bound_violation"])
+
     @pytest.mark.parametrize("box", [
         {"box_lower": [math.nan] * 11},
         {"box_lower": [-math.inf] * 11},
