@@ -35,10 +35,11 @@ class EsoGains:
     p3: float = 3000.0
 
     def __post_init__(self):
-        if not is_hurwitz(self.p1, self.p2, self.p3):
+        p = (self.p1, self.p2, self.p3)
+        # Hurwitz gains are positive, so the largest is finite only if all are
+        if not (is_hurwitz(*p) and max(p) < math.inf):
             raise ConfigurationError(
-                f"observer gains ({self.p1}, {self.p2}, {self.p3}) are not Hurwitz "
-                "(need p1>0, p3>0, p1*p2>p3)")
+                f"observer gains {p} are not finite and Hurwitz (need p1>0, p3>0, p1*p2>p3)")
 
     @classmethod
     def from_bandwidth(cls, omega0: float) -> "EsoGains":
@@ -58,6 +59,8 @@ class PdGains:
     def __post_init__(self):
         if not (self.kp > 0 and self.kd > 0):
             raise InvalidParameterError("PD gains must be positive")
+        if not max(self.kp, self.kd) < math.inf:
+            raise InvalidParameterError("PD gains must be finite")
 
 
 def limits(pair) -> tuple[float, float]:
@@ -117,15 +120,16 @@ B_HAT = "b = -(G / m) * cos(theta) * cos(phi)\n"
 CLAMP = "clamped = not abs(b) >= b_min\nif clamped:\n    b = (-1.0 if b < 0 else 1.0) * b_min\n"
 CONTROL = render.fill("if k:\n    @observe\nelse:\n    @start\n@pd\n@cancel\n",
                       observe=OBSERVE, start=START, pd=PD, cancel=CANCEL)
+#: the signals a period returns, in order, each with its name in the control text:
+#: a trace record's per-loop columns
+SIGNALS = {"u": "u", "u0": "u0", "f_hat": "x3", "x1_hat": "x1", "x2_hat": "x2", "sat": "saturated"}
 #: a loop's gains in ``loop_gains`` order, and all the names that are its own
 GAINS = ("p1", "p2", "p3", "kp", "kd", "lo", "hi")
-OWN = (*GAINS, "b", "ref", "x1", "x2", "x3", "u", "u0", "saturated")
-#: the signals a period returns, in order: a trace record's per-loop columns
-SIGNALS = ("u", "u0", "f_hat", "x1_hat", "x2_hat", "sat")
+OWN = (*GAINS, "b", "ref", *SIGNALS.values())
 
 # the bodies of the kernels below, each joined once
 _CONTROL = (CLAMP + STEP + CONTROL
-            + "return (x1, x2, x3, u), (u, u0, x3, x1, x2, saturated), clamped\n")
+            + f"return (x1, x2, x3, u), ({', '.join(SIGNALS.values())}), clamped\n")
 _OBSERVE = STEP + OBSERVE + "return x1, x2, x3\n"
 _PD = PD + "return u0\n"
 _B_HAT = B_HAT + CLAMP + "return b, clamped\n"

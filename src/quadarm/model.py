@@ -210,8 +210,8 @@ def mix(omega_squared, params: MixerParams) -> ControlInputs:
     w2 = np.asarray(omega_squared, dtype=float)
     if w2.shape != (4,):
         raise InvalidInputError("expected four squared rotor speeds")
-    if np.any(w2 < 0):
-        raise InvalidInputError("squared rotor speeds must be non-negative")
+    if not np.all(np.isfinite(w2) & (w2 >= 0)):
+        raise InvalidInputError("squared rotor speeds must be finite and non-negative")
     omega_r = render.kernel("speed", {"sqrt": sqrt}, "w1, w2, w3, w4",
                             SPEED + "return omega_r\n")(*w2.tolist())
     return ControlInputs(*(params.matrix() @ w2).tolist(), omega_r)

@@ -93,12 +93,15 @@ class Scenario:
 STATE_COLUMNS = ["phi", "phi_dot", "theta", "theta_dot", "psi", "psi_dot",
                  "z", "z_dot", "x", "x_dot", "y", "y_dot"]
 ACCEL_COLUMNS = ["acc_phi", "acc_theta", "acc_psi", "acc_z", "acc_x", "acc_y"]
-REF_COLUMNS = ["ref_roll", "ref_pitch", "ref_yaw", "ref_z"]
 DELTA_COLUMNS = list(OUTPUTS[:6])
 
-COLUMNS = tuple(["t"] + STATE_COLUMNS + ACCEL_COLUMNS + REF_COLUMNS
-                + [f"{f}_{s}" for s in SUBSYSTEMS for f in adrc.SIGNALS]
-                + [OUTPUTS[6]] + DELTA_COLUMNS + ["omega_r", "rotor_sat"])
+#: each trace column, in record order, with the ``LOOP`` variable it logs
+RECORD = {"t": "t", **{c: f"y{i}" for i, c in enumerate(STATE_COLUMNS, 1)},
+          **{c: f"d_x{2 * i}" for i, c in enumerate(ACCEL_COLUMNS, 1)},
+          **{f"ref_{c}": f"ref_{s}" for c, s in zip((ROLL, PITCH, YAW, "z"), SUBSYSTEMS)},
+          **{f"{f}_{s}": f"{v}_{s}" for s in SUBSYSTEMS for f, v in adrc.SIGNALS.items()},
+          **{c: c for c in (OUTPUTS[6], *DELTA_COLUMNS, "omega_r", "rotor_sat")}}
+COLUMNS = tuple(RECORD)
 
 
 #: fewest rows in each half of a split ``to_csv``; a fork, a wait and a sendfile
@@ -326,14 +329,7 @@ try:
             U1, U2, U3, U4 = u_altitude, u_roll, u_pitch, u_yaw
             @mixer
             @speed
-        append((t, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12,
-                d_x2, d_x4, d_x6, d_x8, d_x10, d_x12, ref_roll, ref_pitch, ref_yaw, ref_altitude,
-                u_roll, u0_roll, x3_roll, x1_roll, x2_roll, saturated_roll,
-                u_pitch, u0_pitch, x3_pitch, x1_pitch, x2_pitch, saturated_pitch,
-                u_yaw, u0_yaw, x3_yaw, x1_yaw, x2_yaw, saturated_yaw,
-                u_altitude, u0_altitude, x3_altitude, x1_altitude, x2_altitude,
-                saturated_altitude, G, delta_a, delta_b, delta_c, delta_d, delta_e, delta_f,
-                omega_r, rotor_sat))
+        @record
         if k == steps:
             break
         @stages
@@ -364,9 +360,9 @@ def loop_text() -> str:
             for i, name in enumerate(SUBSYSTEMS))
     return render.fill(
         LOOP, step=adrc.STEP, inverse=INVERSE, lump=render.rename(LUMP, carried), mixer=MIXER,
-        speed=SPEED,
+        speed=SPEED, record=f"append(({', '.join(RECORD.values())}))\n",
         gains=per_loop(", ".join(adrc.GAINS) + ", b = loops[i]\n"),
-        quiet=per_loop("u = u0 = x1 = x2 = x3 = saturated = 0.0\n"),
+        quiet=per_loop(f"{' = '.join(adrc.SIGNALS.values())} = 0.0\n"),
         b_hat=render.rename(adrc.B_HAT + adrc.CLAMP, {"b": "b_altitude", "phi": "y1",
                                                        "theta": "y3"}),
         control=per_loop(adrc.CONTROL),

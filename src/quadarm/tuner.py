@@ -256,11 +256,11 @@ def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
     options = options or TuneOptions()
     lower, upper = np.asarray(problem.box_lower), np.asarray(problem.box_upper)
     x = np.asarray(x0, dtype=float).copy()
-    if np.any(x < lower) or np.any(x > upper):
+    if x.shape != lower.shape or not np.all((lower <= x) & (x <= upper)):  # NaN too
         raise InvalidParameterError("initial vector outside box bounds")
 
     f, report = problem.evaluate(x)
-    if f >= SENTINEL_COST:
+    if not f < SENTINEL_COST:  # NaN too
         raise InvalidParameterError(
             f"initial vector is infeasible: cost {f:.4g} is not below {SENTINEL_COST:g}")
 

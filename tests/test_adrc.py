@@ -59,6 +59,13 @@ class TestHurwitz:
         with pytest.raises(ConfigurationError):
             EsoGains(-1.0, 10.0, 1.0)
 
+    @pytest.mark.parametrize("p", [(math.inf, math.inf, 1.0), (math.inf, 1.0, 1.0),
+                                   (1.0, math.inf, 1.0)])
+    def test_infinite_gains_rejected(self, p):
+        # each passes the Routh inequalities: an infinite p1 or p2 makes p1 * p2 > p3
+        with pytest.raises(ConfigurationError, match="are not finite and Hurwitz"):
+            EsoGains(*p)
+
     def test_bandwidth_form(self):
         g = EsoGains.from_bandwidth(50.0)
         assert (g.p1, g.p2, g.p3) == (150.0, 7500.0, 125000.0)
@@ -183,6 +190,11 @@ class TestPd:
             PdGains(-1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             PdGains(1.0, 0.0)
+
+    @pytest.mark.parametrize("kp, kd", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_gain_rejected(self, kp, kd):
+        with pytest.raises(InvalidParameterError, match="^PD gains must be finite$"):
+            PdGains(kp, kd)
 
     @given(ref=st.floats(-1e6, 1e6), rate=st.floats(-1e6, 1e6), x1=st.floats(-1e6, 1e6),
            x2=st.floats(-1e6, 1e6), kp=st.floats(1e-3, 1e4), kd=st.floats(1e-3, 1e4))

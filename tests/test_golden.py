@@ -130,7 +130,7 @@ def test_tune_output_bytes(tmp_path, config, tuned_digest, history_digest):
 
 
 #: sha256 of the source text of ``sim.run``'s rendered loop
-LOOP_TEXT_DIGEST = "6904a51e20f4362cb168771f9165fa062836a06790b6ea4b2971db852248c79d"
+LOOP_TEXT_DIGEST = "7b0c03a1237c5a0c4fe5bdd86f441b0f8706db0994deae3c1387dc58603cd979"
 
 
 def rendered_loop(monkeypatch, *args, **kwargs) -> str:

@@ -80,6 +80,12 @@ class TestMixer:
         with pytest.raises(InvalidInputError):
             mix([1, 1, -1, 1], MixerParams())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, bad):
+        with pytest.raises(InvalidInputError,
+                           match="^squared rotor speeds must be finite and non-negative$"):
+            mix([1.0, 1.0, bad, 1.0], MixerParams())
+
     def test_three_speeds_rejected(self):
         with pytest.raises(InvalidInputError):
             mix(np.ones(3), MixerParams())

@@ -124,7 +124,19 @@ def test_trace_takes_the_loop_signals_whole():
     assert attributes_used(source, {"adrc.SIGNALS"}) == {"adrc.SIGNALS"}
     assert [names for names in assigned_string_lists(source)
             if set(names) & set(adrc.SIGNALS)] == []
-    assert adrc.StepDiagnostics._fields == adrc.SIGNALS
+    assert adrc.StepDiagnostics._fields == tuple(adrc.SIGNALS)
+
+
+def test_loop_logs_the_record_table():
+    # a record's order has one home: ``sim.RECORD``, whose loop names fill the one append
+    assert "append((" not in sim.LOOP
+    text = sim.loop_text()
+    line = f"append(({', '.join(sim.RECORD[c] for c in sim.COLUMNS)}))\n"
+    assert text.count("append((") == text.count(line) == 1
+    # each name it logs is one the loop binds
+    bound = {n.id for n in ast.walk(ast.parse(text))
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert set(sim.RECORD.values()) <= bound
 
 
 def test_records_take_their_kernels_names():

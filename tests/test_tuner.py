@@ -175,6 +175,22 @@ class TestQuadraticFixture:
         with pytest.raises(InvalidParameterError):
             tune(Quadratic(np.zeros(3)), np.full(3, 99.0), FAST_OPTS)
 
+    @pytest.mark.parametrize("x0", [[math.nan, 0.5], [0.5, 0.5, 0.5], [0.5]],
+                             ids=["nan", "too_wide", "too_narrow"])
+    def test_start_not_inside_the_box_rejected(self, x0):
+        # each entry is compared with its own bounds, so a NaN or a misfit width cannot pass
+        problem = Quadratic(np.zeros(2), np.zeros(2), np.ones(2))
+        with pytest.raises(InvalidParameterError, match="^initial vector outside box bounds$"):
+            tune(problem, x0, FAST_OPTS)
+
+    def test_nan_start_cost_rejected(self):
+        class NanBowl(Quadratic):
+            def evaluate(self, vector):
+                return math.nan, {}
+
+        with pytest.raises(InvalidParameterError, match=r"cost nan is not below 1e\+12$"):
+            tune(NanBowl(np.zeros(3)), np.ones(3), FAST_OPTS)
+
     def test_zero_width_coordinate_not_probed(self):
         # lower == upper leaves no room for a probe: that gain stays, the others descend
         problem = Quadratic(np.array([2.0, -3.0, 0.5]), np.array([-10.0, 1.0, -10.0]),
