@@ -230,14 +230,16 @@ rotor_sat = w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0
 w1, w2 = 0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2
 w3, w4 = 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4
 """
-_MIXER = INVERSE + MIXER + SPEED + "return (w1, w2, w3, w4), rotor_sat, omega_r\n"
+_MIXER = ("if not all(map(isfinite, (U1, U2, U3, U4))):  # a NaN passes MIXER unflagged\n"
+          "    raise InvalidInputError('generalized inputs must be finite')\n"
+          + INVERSE + MIXER + SPEED + "return (w1, w2, w3, w4), rotor_sat, omega_r\n")
 
 
 def mixer_kernel(params: MixerParams):
     """``MIXER`` and ``SPEED`` behind ``unmix`` and ``rotor_speeds``:
     ``f(U1, U2, U3, U4) -> (w2, saturated, omega_r)``."""
-    return render.kernel("mixer", {"inverse": params.inverse, "sqrt": sqrt},
-                         "U1, U2, U3, U4", _MIXER)
+    return render.kernel("mixer", {"inverse": params.inverse, "sqrt": sqrt, "isfinite": isfinite,
+                                   "InvalidInputError": InvalidInputError}, "U1, U2, U3, U4", _MIXER)
 
 
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:

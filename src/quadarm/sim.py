@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
+import io
 import itertools
 import math
 import os
@@ -104,8 +106,8 @@ RECORD = {"t": "t", **{c: f"y{i}" for i, c in enumerate(STATE_COLUMNS, 1)},
 COLUMNS = tuple(RECORD)
 
 
-#: fewest rows in each half of a split ``to_csv``; a fork, a wait and a sendfile
-#: cost about 5 ms.  Two halves against one process, in sets of 12 interleaved
+#: fewest rows in each half of a split ``to_csv`` or ``from_csv``; a fork, a wait and a
+#: sendfile cost about 5 ms.  Two halves against one process, in sets of 12 interleaved
 #: pairs on a 2-vCPU VM (Python 3.11, one BLAS thread): 1001 rows 1.05-1.09x in
 #: four sets; 2001 rows 0.58-0.71x in three, 1.04x and 1.19x in two (the second
 #: vCPU busy); 3001 rows 0.61-0.66x in three; 10001 rows 0.55-0.56x in two.
@@ -125,13 +127,68 @@ def write_rows(path, header, rows) -> None:
 
 
 def csv_split(n_rows: int) -> bool:
-    """Whether ``to_csv`` formats ``n_rows`` rows in two processes at once: at least
-    ``PART_ROWS`` rows in each half, Linux's fork and memfd, a Python before 3.12
-    (whose fork warns about the threads of numpy's BLAS), no other Python thread
-    and a second usable CPU."""
+    """Whether a trace of ``n_rows`` records is written or read in two processes: at least
+    ``PART_ROWS`` rows in each half, Linux's fork and memfd, a Python before 3.12 (whose fork
+    warns about the threads of numpy's BLAS), no other Python thread and a second usable CPU."""
     return (n_rows >= 2 * PART_ROWS and sys.version_info < (3, 12)
             and hasattr(os, "fork") and hasattr(os, "memfd_create")
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+
+
+@contextlib.contextmanager
+def halves(path, child, own):
+    """Run ``child(fd)`` in a forked process that blocks every signal and writes into the new
+    memfd ``fd``, and ``own()`` here; yield ``own()``'s value and ``fd``.  A child's ``OSError``
+    (EIO for any other error) or signal raises here, naming ``path``.  Leaving the block, or an
+    error in ``own``, kills and reaps the child."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # unchanged
+    every = signal.valid_signals()
+    fd, pid, code = os.memfd_create("quadarm-half"), [], errno.EIO
+    try:
+        # With every signal blocked, the child takes none before its ``try``;
+        # ``extend`` records the pid in C, so no handler can raise before then.
+        signal.pthread_sigmask(signal.SIG_BLOCK, every)
+        pid.extend(itertools.starmap(os.fork, [()]))
+        if not pid[0]:  # the child, which leaves only through ``os._exit``
+            try:
+                child(fd)
+                code = 0
+            except OSError as exc:
+                code = exc.errno or errno.EIO
+            finally:
+                os._exit(code)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        result = own()
+        # leaves the child a zombie, so that its pid stays ours until reaped below
+        ended = os.waitid(os.P_PID, pid[0], os.WEXITED | os.WNOWAIT)
+        if ended.si_code != os.CLD_EXITED:
+            raise ChildProcessError(f"{os.fspath(path)}: half ended by signal {ended.si_status}")
+        if ended.si_status:
+            raise OSError(ended.si_status, os.strerror(ended.si_status), os.fspath(path))
+        yield result, fd
+    finally:
+        try:  # no handler runs until the child is reaped, even if this raises
+            signal.pthread_sigmask(signal.SIG_BLOCK, every)
+        finally:
+            if pid and pid[0] > 0:  # ([0] only in the child, which never gets here)
+                os.kill(pid[0], signal.SIGKILL)  # a no-op on a done child's zombie
+                os.waitpid(pid[0], 0)
+            os.close(fd)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+class Span(io.RawIOBase):
+    """Bytes ``at`` to ``end`` of the file open at ``fd``, by ``pread``: no shared offset."""
+
+    def __init__(self, fd, at, end):
+        self.fd, self.at, self.end = fd, at, end
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        self.at += (got := os.preadv(self.fd, [memoryview(buffer)[:self.end - self.at]], self.at))
+        return got
 
 
 class TraceLog:
@@ -165,61 +222,27 @@ class TraceLog:
         return view
 
     def to_csv(self, path):
-        """Write the header and the records' ``csv_lines`` to ``path``.  When
-        ``csv_split`` allows, a forked child formats the second half of the records
-        into a memfd while this process writes the first half into the file, and
-        this process then appends the memfd with ``sendfile``; the bytes are the
-        same.  This process holds one record at a time; the memfd holds the second
-        half's text (about 1 kB a record: 5.2 MB of the stock 10 s trace) until the
-        call returns.  A child's failure raises its ``OSError`` here, and no child
-        outlives the call."""
+        """Write the header and the records' ``csv_lines`` to ``path``, one record at a time; a
+        forked child (``halves``) formats the second half into a memfd (about 1 kB a record)
+        when ``csv_split`` allows, which this process appends by ``sendfile``."""
         rows = self._data[:self._n]
         if not csv_split(len(rows)):
             write_rows(path, COLUMNS, self._row.iter_unpack(rows))
             return
         half = len(rows) // 2
+
+        def tail(fd):
+            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as part:
+                part.writelines(csv_lines(self._row.iter_unpack(rows[half:])))
+
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(self._header + "\r\n")
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # unchanged
-            every = signal.valid_signals()
-            fd, child, code = os.memfd_create("quadarm-csv-part"), [], errno.EIO
-            try:
-                # With every signal blocked, the child takes none before its ``try``;
-                # ``extend`` records the pid in C, so no handler can raise before then.
-                signal.pthread_sigmask(signal.SIG_BLOCK, every)
-                child.extend(itertools.starmap(os.fork, [()]))
-                if not child[0]:  # the child, which leaves only through ``os._exit``
-                    try:
-                        with open(fd, "w", newline="", encoding="utf-8",
-                                  closefd=False) as part:
-                            part.writelines(csv_lines(self._row.iter_unpack(rows[half:])))
-                        code = 0
-                    except OSError as exc:
-                        code = exc.errno or errno.EIO
-                    finally:
-                        os._exit(code)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                fh.writelines(csv_lines(self._row.iter_unpack(rows[:half])))
+            with halves(path, tail, lambda: fh.writelines(
+                    csv_lines(self._row.iter_unpack(rows[:half])))) as (_, fd):
                 fh.flush()
-                # leaves the child a zombie, so that its pid stays ours until reaped below
-                ended = os.waitid(os.P_PID, child[0], os.WEXITED | os.WNOWAIT)
-                if ended.si_code != os.CLD_EXITED:
-                    raise ChildProcessError(
-                        f"{os.fspath(path)}: CSV part writer ended by signal {ended.si_status}")
-                if ended.si_status:
-                    raise OSError(ended.si_status, os.strerror(ended.si_status), os.fspath(path))
                 offset, size = 0, os.fstat(fd).st_size
                 while offset < size:
                     offset += os.sendfile(fh.fileno(), fd, offset, size - offset)
-            finally:
-                try:  # no handler runs until the child is reaped, even if this raises
-                    signal.pthread_sigmask(signal.SIG_BLOCK, every)
-                finally:
-                    if child and child[0] > 0:  # ([0] only in the child, which never gets here)
-                        os.kill(child[0], signal.SIGKILL)  # a no-op on a done child's zombie
-                        os.waitpid(child[0], 0)
-                    os.close(fd)
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     @classmethod
     def read_header(cls, fh, path) -> None:
@@ -233,16 +256,38 @@ class TraceLog:
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
-        with open(path, newline="", encoding="utf-8") as fh:
-            cls.read_header(fh, path)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header without records
-                try:
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                except ValueError as exc:  # a ragged or a non-numeric row
-                    raise InvalidParameterError(f"{path}: {exc}") from None
-        if data.size and data.shape[1] != len(COLUMNS):  # a header alone loads as (0, 1)
-            raise InvalidParameterError(f"{path}: row width does not match columns")
+        """Read a ``to_csv`` file back bit for bit: in two processes (``halves``), split at the
+        first line end past its middle, when ``csv_split`` allows and both halves parse."""
+        with open(path, "rb", 1 << 16) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header without records
+            fd, size, data = fh.fileno(), os.fstat(fh.fileno()).st_size, None
+            cut = size // 2 + len(io.BufferedReader(Span(fd, size // 2, size)).readline())
+
+            def rows(at, end):  # the records from ``at``; at 0, the header's line first
+                text = io.TextIOWrapper(io.BufferedReader(Span(fd, at, end)), "utf-8", newline="")
+                if not at:
+                    cls.read_header(text, path)
+                found = np.loadtxt(text, delimiter=",", ndmin=2)  # no records load as (0, 1)
+                if found.size and found.shape[1] != len(COLUMNS):
+                    raise ValueError("row width does not match columns")
+                return found
+
+            def tail(part):  # writes nothing unless its rows parse
+                with contextlib.suppress(ValueError), open(part, "wb") as out:
+                    out.write(rows(cut, size))
+
+            if csv_split(sum(1 for _ in fh) - 1):  # the header's line holds no record
+                with (contextlib.suppress(ValueError),
+                      halves(path, tail, lambda: rows(0, cut)) as (head, part)):
+                    if more := os.fstat(part).st_size // cls._row.size:
+                        n = len(head)  # grown in place: glibc's realloc moves pages by mremap
+                        head.resize((n + more, len(COLUMNS)), refcheck=False)
+                        io.BufferedReader(Span(part, 0, head[n:].nbytes)).readinto(head[n:])
+                        data = head
+            try:
+                data = rows(0, size) if data is None else data
+            except ValueError as exc:  # a ragged, a non-numeric or a narrow row
+                raise InvalidParameterError(f"{path}: {exc}") from None
         log = cls(0)
         log._data, log._n = data.reshape(-1, len(COLUMNS)), len(data)
         return log

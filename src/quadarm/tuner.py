@@ -129,8 +129,10 @@ class CostWeights:
     bound_penalty: float = 1e3
 
     def __post_init__(self):
-        if not all(w >= 0 for w in (self.tracking, self.estimation, self.effort,
-                                    self.bound_penalty)):
+        weights = (self.tracking, self.estimation, self.effort, self.bound_penalty)
+        if not all(map(math.isfinite, weights)):
+            raise InvalidParameterError("cost weights must be finite")
+        if not all(w >= 0 for w in weights):
             raise InvalidParameterError("cost weights must be non-negative")
 
 

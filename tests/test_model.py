@@ -140,6 +140,13 @@ class TestMixer:
         assert u.omega_r != 0.0
         assert u.omega_r == mix(w2, p).omega_r
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [unmix, rotor_speeds], ids=["unmix", "rotor_speeds"])
+    def test_non_finite_input_rejected(self, call, bad):
+        # the mixer's clamp and saturation flag would pass a NaN through as unsaturated
+        with pytest.raises(InvalidInputError, match="^generalized inputs must be finite$"):
+            call([bad, 1.0, 0.0, 0.0], MixerParams())
+
 
 class TestStateDerivative:
     def test_hover_equilibrium(self, params):

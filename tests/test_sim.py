@@ -558,6 +558,13 @@ def split_writes(monkeypatch, n_rows: int) -> bool:
     return sim_mod.csv_split(n_rows)
 
 
+def counted_forks(monkeypatch) -> list:
+    """One entry for each ``os.fork`` from here on."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
 class TestTraceLog:
     def test_csv_bytes_match_csv_writer(self, params, tmp_path):
         trace = run(Scenario(duration=2.1), params)
@@ -576,8 +583,7 @@ class TestTraceLog:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if not sim_mod.csv_split(3 * R):
             forks = 0  # no fork on this platform: every trace is written in one process
-        calls, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        calls = counted_forks(monkeypatch)
         trace = trace_of(n_rows)
         trace.to_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(trace)
@@ -671,6 +677,163 @@ class TestTraceLog:
                 trace_of(2 * R).to_csv(tmp_path / "trace.csv")
         finally:
             signal.signal(signal.SIGUSR1, previous)
+        assert_no_child()
+
+    @pytest.mark.parametrize("n_rows, cpus, forks", [
+        (0, 2, 0), (1, 2, 0), (R - 1, 2, 0), (R, 2, 0), (2 * R - 1, 2, 0), (2 * R, 2, 1),
+        (2 * R + 1, 2, 1), (3 * R, 3, 1), (3 * R, 1, 0)])
+    def test_halves_read_the_one_process_bytes(self, tmp_path, monkeypatch, n_rows, cpus,
+                                               forks):
+        trace = trace_of(n_rows)
+        trace.to_csv(tmp_path / "trace.csv")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        calls = counted_forks(monkeypatch)
+        back = TraceLog.from_csv(tmp_path / "trace.csv").as_array()
+        assert back.shape == (n_rows, len(COLUMNS))
+        assert back.tobytes() == trace.as_array().tobytes()
+        assert len(calls) == (forks if sim_mod.csv_split(3 * R) else 0)
+        assert_no_child()
+
+    def test_last_line_without_its_line_end(self, tmp_path, monkeypatch):
+        split = split_writes(monkeypatch, 2 * R + 1)
+        trace, path = trace_of(2 * R + 1), tmp_path / "trace.csv"
+        trace.to_csv(path)
+        path.write_bytes(path.read_bytes().removesuffix(b"\r\n"))
+        calls = counted_forks(monkeypatch)
+        assert TraceLog.from_csv(path).as_array().tobytes() == trace.as_array().tobytes()
+        assert len(calls) == split
+        assert_no_child()
+
+    @pytest.mark.parametrize("line_end", [b"\r\n\r\n", b"\r\n# a comment\r\n", b"\r"],
+                             ids=["blank_line", "comment_line", "lone_cr"])
+    def test_split_read_skips_lines_as_one_process(self, tmp_path, monkeypatch, line_end):
+        # loadtxt's max_rows would not count a blank or a comment line, and a count of
+        # b"\n" would not see a line that ends in a lone \r
+        path = tmp_path / "trace.csv"
+        trace_of(2 * R + 1).to_csv(path)  # a lone \r ends a line that is not counted
+        data = path.read_bytes()
+        first = data.index(b"\r\n", data.index(b"\r\n") + 2)  # the first record's end
+        path.write_bytes(data[:first] + line_end + data[first + 2:])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = TraceLog.from_csv(path).as_array()
+        split = split_writes(monkeypatch, 2 * R)
+        calls = counted_forks(monkeypatch)
+        assert TraceLog.from_csv(path).as_array().tobytes() == alone.tobytes()
+        assert len(alone) == 2 * R + 1 and len(calls) == split
+        assert_no_child()
+
+    @pytest.mark.parametrize("where", ["first_half", "middle_line", "second_half"])
+    @pytest.mark.parametrize("kind", ["short_row", "ragged", "not_a_number",
+                                      "narrow_from_here_on"])
+    def test_split_read_refuses_as_one_process(self, tmp_path, monkeypatch, kind, where):
+        path = tmp_path / "bad.csv"
+        trace_of(2 * R).to_csv(path)
+        data = path.read_bytes()
+        lines = data.split(b"\r\n")
+        # the line that holds the file's middle byte is the last one this process parses
+        middle = data[:len(data) // 2].count(b"\n")
+        at = {"first_half": 1, "middle_line": middle, "second_half": len(lines) - 2}[where]
+
+        def bad(line):  # of the same length, so that the middle stays on its line
+            fields = line.split(b",")
+            return {"short_row": b"0.0".ljust(len(line)),
+                    "ragged": b",".join(fields[:-1]).ljust(len(line)),
+                    "not_a_number": b",".join(fields[:-1] + [b"x" * len(fields[-1])]),
+                    "narrow_from_here_on": b",".join(fields[:-1]).ljust(len(line))}[kind]
+
+        upto = len(lines) - 1 if kind == "narrow_from_here_on" else at + 1
+        lines[at:upto] = map(bad, lines[at:upto])
+        path.write_bytes(b"\r\n".join(lines))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(InvalidParameterError) as alone:
+            TraceLog.from_csv(path)
+        split = split_writes(monkeypatch, 2 * R)
+        calls = counted_forks(monkeypatch)
+        with pytest.raises(InvalidParameterError) as halved:
+            TraceLog.from_csv(path)
+        assert str(halved.value) == str(alone.value)
+        assert str(alone.value).startswith(f"{path}: ") and "header" not in str(alone.value)
+        assert len(calls) == split
+        assert_no_child()
+
+    def test_split_read_holds_the_records_once(self, tmp_path, monkeypatch):
+        # this process's half grows in place and takes the child's rows straight from the
+        # memfd: a fresh array and a copy of both halves peaked at 1.5 times the records
+        if not split_writes(monkeypatch, 4 * R):
+            pytest.skip("this platform reads a trace in one process")
+        trace_of(4 * R).to_csv(tmp_path / "trace.csv")
+        tracemalloc.start()
+        try:
+            back = TraceLog.from_csv(tmp_path / "trace.csv").as_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * back.nbytes
+        assert_no_child()
+
+    def test_killed_part_reader_raises(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform reads a trace in one process")
+        trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        parent, loadtxt = os.getpid(), np.loadtxt
+
+        def killed_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", killed_in_child)
+        with pytest.raises(ChildProcessError, match=f"ended by signal {signal.SIGKILL:d}"):
+            TraceLog.from_csv(tmp_path / "trace.csv")
+        assert_no_child()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_part_reader_raises_its_errno(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform reads a trace in one process")
+        trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        monkeypatch.setattr(os, "memfd_create",
+                            lambda name: os.open("/dev/full", os.O_WRONLY | os.O_CLOEXEC))
+        with pytest.raises(OSError) as failure:
+            TraceLog.from_csv(tmp_path / "trace.csv")
+        assert failure.value.errno == errno.ENOSPC
+        assert_no_child()
+
+    def test_failed_own_half_of_a_read_leaves_no_child(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform reads a trace in one process")
+        trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        parent = os.getpid()
+
+        def own_half_fails(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("own half failed")
+            time.sleep(60)  # the child is still parsing when the parent fails
+
+        monkeypatch.setattr(np, "loadtxt", own_half_fails)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="own half failed"):
+            TraceLog.from_csv(tmp_path / "trace.csv")
+        assert time.monotonic() - start < 30  # the child was killed, not waited for
+        assert_no_child()
+
+    def test_part_reader_takes_no_signal(self, tmp_path, monkeypatch):
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform reads a trace in one process")
+        trace_of(2 * R).to_csv(tmp_path / "trace.csv")
+        parent, loadtxt = os.getpid(), np.loadtxt
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+        def blocked_in_child(*args, **kwargs):
+            if os.getpid() == parent:
+                return loadtxt(*args, **kwargs)
+            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            return np.full((1, len(COLUMNS)), float({signal.SIGINT, signal.SIGTERM} <= blocked))
+
+        monkeypatch.setattr(np, "loadtxt", blocked_in_child)
+        back = TraceLog.from_csv(tmp_path / "trace.csv").as_array()
+        assert back[-1].tolist() == [1.0] * len(COLUMNS)  # the child's one row
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask  # restored here
         assert_no_child()
 
     def test_write_rows_matches_csv_writer(self, tmp_path):

@@ -91,11 +91,30 @@ def test_detects_attributes_used():
         "os.fork", "os._exit"}
 
 
+def naming_functions(source: str, names) -> list:
+    """The functions whose own bodies name one of the dotted ``names``, such as
+    ``sys.exit``; ``<module>`` for a name outside every function."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and ast.unparse(child) in names:
+                callers.add(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(callers)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_processes_are_forked_only_by_the_csv_writer(path):
-    # a forked child leaves only through ``os._exit``, and only ``TraceLog.to_csv`` forks
-    used = attributes_used(path.read_text(encoding="utf-8"), {"os.fork", "os._exit"})
+    # a forked child leaves only through ``os._exit``, and only ``sim.halves`` forks: the
+    # one helper that the CSV writer and the CSV reader share
+    source = path.read_text(encoding="utf-8")
+    used = attributes_used(source, {"os.fork", "os._exit"})
     assert used == ({"os.fork", "os._exit"} if path.name == "sim.py" else set())
+    assert set(naming_functions(source, used)) == ({"halves"} if used else set())
 
 
 def test_loop_takes_the_control_period_whole():
@@ -190,31 +209,16 @@ def test_config_raises_only_config_error():
         "ConfigError"}
 
 
-def exit_callers(source: str) -> list:
-    """The functions whose own bodies call ``sys.exit``; ``<module>`` for a call
-    outside every function."""
-    callers = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == "sys.exit":
-                callers.add(owner)
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else owner)
-
-    visit(ast.parse(source), "<module>")
-    return sorted(callers)
-
-
 def test_detects_exit_callers():
     source = ("import sys\ndef f():\n    def g():\n        sys.exit(1)\n    sys.exit(2)\n"
               "def h():\n    g()\nsys.exit(0)\n")
-    assert exit_callers(source) == ["<module>", "f", "g"]
+    assert naming_functions(source, {"sys.exit"}) == ["<module>", "f", "g"]
 
 
 def test_cli_exits_in_one_function():
     # the commands raise; one helper turns an error into the exit code
-    assert exit_callers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == ["_fail"]
+    assert naming_functions((PACKAGE / "cli.py").read_text(encoding="utf-8"),
+                            {"sys.exit"}) == ["_fail"]
 
 
 def traced_targets() -> dict:

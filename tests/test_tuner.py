@@ -297,6 +297,13 @@ class TestCost:
         with pytest.raises(InvalidParameterError, match="^cost weights must be non-negative$"):
             CostWeights(tracking=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["tracking", "estimation", "effort", "bound_penalty"])
+    def test_non_finite_weight_rejected(self, name, bad):
+        # an infinite weight makes a cost inf, or NaN on a zero term
+        with pytest.raises(InvalidParameterError, match="^cost weights must be finite$"):
+            CostWeights(**{name: bad})
+
     def test_unknown_bound_signal_rejected(self):
         # refused where the bound is made, before any cost evaluation runs
         with pytest.raises(InvalidParameterError, match="'warp'"):
