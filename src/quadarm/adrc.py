@@ -90,7 +90,8 @@ class SubsystemConfig:
 # The control formulas as text (``render``) in one loop's names: estimates x1..x3
 # of the measurement y, last input u, effectiveness b, observer gains p1..p3, PD
 # gains kp, kd toward ref and its rate, input limits lo, hi; step dt, h, sixth.
-# START, OBSERVE (one RK4 step holding b * u), PD, CANCEL; the altitude B_HAT, CLAMP;
+# START, OBSERVE (one RK4 step holding b * u), PD, CANCEL; the altitude B_HAT at the
+# cosines cos_phi, cos_theta of roll and pitch, CLAMP;
 # CONTROL, one period: START on the first measurement (k == 0), else OBSERVE; PD, CANCEL.
 START = "x1, x2, x3 = y, 0.0, 0.0\n"
 STEP = "h, sixth = 0.5 * dt, dt / 6.0\n"
@@ -116,7 +117,7 @@ if u < lo:
 elif u > hi:
     u, saturated = hi, True
 """
-B_HAT = "b = -(G / m) * cos(theta) * cos(phi)\n"
+B_HAT = "b = -(G / m) * cos_theta * cos_phi\n"
 CLAMP = "clamped = not abs(b) >= b_min\nif clamped:\n    b = (-1.0 if b < 0 else 1.0) * b_min\n"
 CONTROL = render.fill("if k:\n    @observe\nelse:\n    @start\n@pd\n@cancel\n",
                       observe=OBSERVE, start=START, pd=PD, cancel=CANCEL)
@@ -132,7 +133,7 @@ _CONTROL = (CLAMP + STEP + CONTROL
             + f"return (x1, x2, x3, u), ({', '.join(SIGNALS.values())}), clamped\n")
 _OBSERVE = STEP + OBSERVE + "return x1, x2, x3\n"
 _PD = PD + "return u0\n"
-_B_HAT = B_HAT + CLAMP + "return b, clamped\n"
+_B_HAT = "cos_phi, cos_theta = cos(phi), cos(theta)\n" + B_HAT + CLAMP + "return b, clamped\n"
 
 
 def loop_gains(c: SubsystemConfig) -> tuple:

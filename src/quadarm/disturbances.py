@@ -105,32 +105,34 @@ class DisturbanceOutputs(namedtuple("DisturbanceOutputs", OUTPUTS,
         return np.array(self[:6])
 
 
-#: the lumped disturbances delta_a..delta_f and the thrust factor G at the state
-#: x1..x12, the last step's accelerations d_x2..d_x12, time t and CoM offset z_G
+#: the lumped disturbances delta_a..delta_f and the thrust factor G at the state x1..x12,
+#: the last step's accelerations d_x2..d_x12, time t and CoM offset z_G: ``COUPLING`` of
+#: the offset (which a closed loop holds over its period), the ``GUST`` at t and ``LUMP``,
+#: whose ``neg_mz * v`` is ``-mz * v`` and whose clamp is ``max(x7, z_min)``, bit for bit
+COUPLING = "mz = m * z_G\nneg_mz, neg_z_G = -mz, -z_G\n"
+GUST = "w = alpha + beta * sin(n * t) if gust else 0.0\n"
 LUMP = """\
 if com:
     # coupling through the shifted center of mass; the accelerations on the
     # right-hand side are the previous step's, held over the step
-    mz = m * z_G
-    q1, q2, q3 = -mz * (d_x12 + x10 * x6), mz * (d_x10 - x12 * x6), mz * (x12 * x4 + x4 * x2)
-    q4, q5, q6 = z_G * (x2 ** 2 - x4 ** 2), -z_G * (x2 * x6 - d_x4), -z_G * (x4 * x6 - d_x2)
+    q1, q2, q3 = neg_mz * (d_x12 + x10 * x6), mz * (d_x10 - x12 * x6), mz * (x12 * x4 + x4 * x2)
+    q4, q5, q6 = z_G * (x2 ** 2 - x4 ** 2), neg_z_G * (x2 * x6 - d_x4), neg_z_G * (x4 * x6 - d_x2)
 else:
     q1 = q2 = q3 = q4 = q5 = q6 = 0.0
-# a sinusoidal gust, and the thrust amplification near the ground
-w = alpha + beta * sin(n * t) if gust else 0.0
-G = 1.0 / (1.0 - rho * (r / (4.0 * max(x7, z_min))) ** 2) if ground else 1.0
+# the thrust amplification near the ground
+G = 1.0 / (1.0 - rho * (r / (4.0 * (z_min if z_min > x7 else x7))) ** 2) if ground else 1.0
 delta_a, delta_b, delta_c = -q1 + k1 * x2 + w, -q2 + k2 * x4 + w, up * q3 + k3 * x6 + w
 delta_d, delta_e, delta_f = -q4 + k4 * x8 + w, -q5 + k5 * x10 + w, -q6 + k6 * x12 + w
 """
 
 
 _LUMP = ("_, x2, _, x4, _, x6, x7, x8, _, x10, _, x12 = s\n"
-         "d_x2, d_x4, _, _, d_x10, d_x12 = lagged\n" + LUMP
+         "d_x2, d_x4, _, _, d_x10, d_x12 = lagged\n" + COUPLING + GUST + LUMP
          + "return " + ", ".join(OUTPUTS) + "\n")
 
 
 def lump_constants(params: DisturbanceParams, flags: DisturbanceFlags, m: float) -> dict:
-    """The values of the names ``LUMP`` reads but does not assign."""
+    """The values of the names ``COUPLING``, ``GUST`` and ``LUMP`` read, not assign."""
     # the CoM and drag terms enter with -, but the yaw CoM term and the altitude
     # drag under the published signs; a sign times k*v rounds as signed k times v
     up = 1.0 if params.strict_signs else -1.0

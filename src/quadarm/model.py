@@ -278,29 +278,30 @@ class QuadParams:
         return self.masses.m
 
 
-#: the 12-state derivative dx1..dx12 at the state x1..x12 under the inputs U1..U4,
-#: the relative rotor speed omega_r, the disturbances delta_a..delta_f and G
+#: the 12-state derivative dx1..dx12 at the state x1..x12 under the inputs U1..U4, the
+#: relative rotor speed omega_r, the disturbances delta_a..delta_f and G: ``TRIG`` of the
+#: state, ``THRUST`` of the inputs (which a closed loop holds over its period) and
+#: ``DERIVATIVE``, whose ``neg_thrust * v`` is ``-thrust * v``, ``(-thrust) * v``, bit for bit
+TRIG = "".join(f"sin{i}, cos{i} = sin(x{i}), cos(x{i})\n" for i in (1, 3, 5))
+THRUST = ("thrust = U1 / m\n"
+          "neg_thrust, torque2, torque4, torque6 = -thrust, U2 * a6, U3 * a7, U4 * a8\n")
 DERIVATIVE = """\
-sin1, cos1 = sin(x1), cos(x1)
-sin3, cos3 = sin(x3), cos(x3)
-sin5, cos5 = sin(x5), cos(x5)
-thrust = U1 / m
-dx1, dx2 = x2, U2 * a6 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a
-dx3, dx4 = x4, U3 * a7 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b
-dx5, dx6 = x6, U4 * a8 + a5 * x2 * x4 + delta_c
+dx1, dx2 = x2, torque2 - a2 * x4 * omega_r + a1 * x4 * x6 + delta_a
+dx3, dx4 = x4, torque4 + a4 * x2 * omega_r + a3 * x2 * x6 + delta_b
+dx5, dx6 = x6, torque6 + a5 * x2 * x4 + delta_c
 dx7, dx8 = x8, g - G * thrust * cos3 * cos1 + delta_d
-dx9, dx10 = x10, -thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
-dx11, dx12 = x12, -thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
+dx9, dx10 = x10, neg_thrust * (sin1 * sin5 + sin3 * cos1 * cos5) + delta_e
+dx11, dx12 = x12, neg_thrust * (cos1 * sin3 * sin5 - sin1 * cos5) + delta_f
 """
 _DERIVATIVE = ("x1, x2, x3, x4, x5, x6, _, x8, _, x10, _, x12 = s\n"
                + ", ".join(INPUTS) + " = u\n"
                + "delta_a, delta_b, delta_c, delta_d, delta_e, delta_f, G = dist\n"
-               + DERIVATIVE + "return (dx1, dx2, dx3, dx4, dx5, dx6, "
+               + TRIG + THRUST + DERIVATIVE + "return (dx1, dx2, dx3, dx4, dx5, dx6, "
                "dx7, dx8, dx9, dx10, dx11, dx12)\n")
 
 
 def derivative_constants(params: QuadParams) -> dict:
-    """The values of the names ``DERIVATIVE`` reads but does not assign."""
+    """The values of the names ``TRIG``, ``THRUST`` and ``DERIVATIVE`` read, not assign."""
     ia = params.inertia
     return {**{f"a{i}": getattr(ia, f"a{i}") for i in range(1, 9)},
             "m": params.m, "g": params.g, "sin": sin, "cos": cos}

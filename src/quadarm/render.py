@@ -1,9 +1,9 @@
 """Float kernels rendered from formula source text, as ``namedtuple`` builds
 its methods.  ``kernel`` wraps a body of formula text in ``def make(<constants>):
-def <name>(<signature>): <body>``, compiles it once per distinct text on first
-use, and registers it in ``linecache`` as ``<quadarm.NAME CRC>`` for tracebacks
-and ``inspect``.  Constants reach the code only as ``make``'s arguments: no
-configured value is ever part of a text."""
+def <name>(<signature>, *, <constant>=<constant>, ...): <body>``, compiles it once
+per distinct text on first use, and registers it in ``linecache`` as ``<quadarm.NAME
+CRC>`` for tracebacks and ``inspect``.  Constants reach the code only as ``make``'s
+arguments, bound as the kernel's locals: no configured value is ever part of a text."""
 
 from __future__ import annotations
 
@@ -35,7 +35,9 @@ def kernel(name: str, constants: dict, signature: str, body: str):
 
 @functools.cache
 def _make(name: str, names: tuple, signature: str, body: str):
-    text = (f"def make({', '.join(names)}):\n    def {name}({signature}):\n"
+    bound = "".join(f", {n}={n}" for n in names)  # keyword-only defaults, read as locals
+    text = (f"def make({', '.join(names)}):\n"
+            f"    def {name}({signature}{', *' if names else ''}{bound}):\n"
             f"{textwrap.indent(body, ' ' * 8)}    return {name}\n")
     filename = f"<quadarm.{name} {zlib.crc32(text.encode()):08x}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(keepends=True), filename)

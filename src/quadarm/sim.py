@@ -21,9 +21,10 @@ import numpy as np
 
 from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
-from .disturbances import LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams, lump_constants
+from .disturbances import (COUPLING, GUST, LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams,
+                           lump_constants)
 from .errors import DivergenceError, IntegrationError, InvalidParameterError
-from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, QuadParams, QuadState,
+from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, THRUST, TRIG, QuadParams, QuadState,
                     derivative_constants)
 
 DIVERGENCE_LIMIT = 1e6
@@ -126,13 +127,18 @@ def write_rows(path, header, rows) -> None:
         fh.writelines(csv_lines(rows))
 
 
+def forkable() -> bool:
+    """Whether this process may run a trace's halves in two: Linux's fork and memfd, a Python
+    before 3.12 (whose fork warns about the threads of numpy's BLAS), no other Python thread
+    and a second usable CPU."""
+    return (sys.version_info < (3, 12) and hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+
+
 def csv_split(n_rows: int) -> bool:
     """Whether a trace of ``n_rows`` records is written or read in two processes: at least
-    ``PART_ROWS`` rows in each half, Linux's fork and memfd, a Python before 3.12 (whose fork
-    warns about the threads of numpy's BLAS), no other Python thread and a second usable CPU."""
-    return (n_rows >= 2 * PART_ROWS and sys.version_info < (3, 12)
-            and hasattr(os, "fork") and hasattr(os, "memfd_create")
-            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+    ``PART_ROWS`` rows in each half, and ``forkable``."""
+    return n_rows >= 2 * PART_ROWS and forkable()
 
 
 @contextlib.contextmanager
@@ -192,8 +198,8 @@ class Span(io.RawIOBase):
 
 
 class TraceLog:
-    """Record of one simulation run: ``n_records`` rows of the ``COLUMNS``
-    layout in one float64 array, filled in order by ``append``."""
+    """Record of one simulation run: ``n_records`` rows of the ``COLUMNS`` layout
+    in one float64 array, filled in order by ``append`` or ``run``'s loop."""
 
     columns = COLUMNS
     # packs a row's floats straight into the array's buffer and reads them back
@@ -257,16 +263,19 @@ class TraceLog:
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
         """Read a ``to_csv`` file back bit for bit: in two processes (``halves``), split at the
-        first line end past its middle, when ``csv_split`` allows and both halves parse."""
+        first line end past its middle, when ``csv_split`` allows (its lines are counted only
+        when ``forkable``), the header is the trace's and both halves parse."""
         with open(path, "rb", 1 << 16) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header without records
             fd, size, data = fh.fileno(), os.fstat(fh.fileno()).st_size, None
-            cut = size // 2 + len(io.BufferedReader(Span(fd, size // 2, size)).readline())
 
-            def rows(at, end):  # the records from ``at``; at 0, the header's line first
+            def lines(at, end):  # the text from ``at``; at 0, past the header, which is checked
                 text = io.TextIOWrapper(io.BufferedReader(Span(fd, at, end)), "utf-8", newline="")
                 if not at:
                     cls.read_header(text, path)
+                return text
+
+            def rows(text):  # the records left in ``text``
                 found = np.loadtxt(text, delimiter=",", ndmin=2)  # no records load as (0, 1)
                 if found.size and found.shape[1] != len(COLUMNS):
                     raise ValueError("row width does not match columns")
@@ -274,18 +283,19 @@ class TraceLog:
 
             def tail(part):  # writes nothing unless its rows parse
                 with contextlib.suppress(ValueError), open(part, "wb") as out:
-                    out.write(rows(cut, size))
+                    out.write(rows(lines(cut, size)))
 
-            if csv_split(sum(1 for _ in fh) - 1):  # the header's line holds no record
-                with (contextlib.suppress(ValueError),
-                      halves(path, tail, lambda: rows(0, cut)) as (head, part)):
+            if forkable() and csv_split(sum(1 for _ in fh) - 1):  # the header's line holds none
+                cut = size // 2 + len(io.BufferedReader(Span(fd, size // 2, size)).readline())
+                with (contextlib.suppress(ValueError),  # the header is checked before the fork
+                      halves(path, tail, functools.partial(rows, lines(0, cut))) as (head, part)):
                     if more := os.fstat(part).st_size // cls._row.size:
                         n = len(head)  # grown in place: glibc's realloc moves pages by mremap
                         head.resize((n + more, len(COLUMNS)), refcheck=False)
                         io.BufferedReader(Span(part, 0, head[n:].nbytes)).readinto(head[n:])
                         data = head
             try:
-                data = rows(0, size) if data is None else data
+                data = rows(lines(0, size)) if data is None else data
             except ValueError as exc:  # a ragged, a non-numeric or a narrow row
                 raise InvalidParameterError(f"{path}: {exc}") from None
         log = cls(0)
@@ -364,6 +374,7 @@ try:
         t = k * dt
         z_G = z_G_fixed if arm_at is None else z_G_at(arm_at(t))
         @lump
+        @trig
         ref_roll, ref_pitch, ref_yaw, ref_altitude = fixed_refs or (
             roll_at(t), pitch_at(t), yaw_at(t), z_at(t))
         if open_loop:
@@ -378,13 +389,15 @@ try:
         if k == steps:
             break
         @stages
-        # a non-finite slope leaves a non-finite entry; a float sum is finite only if each addend is
-        if (not isfinite(y1 + y2 + y3 + y4 + y5 + y6 + y7 + y8 + y9 + y10 + y11 + y12)
-                and not all(map(isfinite, (y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12)))):
-            raise IntegrationError(t)
-        d_x2, d_x4, d_x6, d_x8, d_x10, d_x12 = dx2_4, dx4_4, dx6_4, dx8_4, dx10_4, dx12_4
-        if max(map(abs, (y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12))) > limit:
+        # NaN lies within no bound; past one, a non-finite entry means a non-finite slope
+        if not (low <= y1 <= limit and low <= y2 <= limit and low <= y3 <= limit
+                and low <= y4 <= limit and low <= y5 <= limit and low <= y6 <= limit
+                and low <= y7 <= limit and low <= y8 <= limit and low <= y9 <= limit
+                and low <= y10 <= limit and low <= y11 <= limit and low <= y12 <= limit):
+            if not all(map(isfinite, (y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12))):
+                raise IntegrationError(t)
             raise DivergenceError(t + dt)
+        d_x2, d_x4, d_x6, d_x8, d_x10, d_x12 = dx2_4, dx4_4, dx6_4, dx8_4, dx10_4, dx12_4
 except (OverflowError, ValueError):  # x ** 2 past the float range, sin(inf)
     raise IntegrationError(t) from None
 """
@@ -392,7 +405,8 @@ except (OverflowError, ValueError):  # x ** 2 past the float range, sin(inf)
 
 @functools.cache
 def loop_text() -> str:
-    """``LOOP`` with its formulas filled in: the body of ``run``'s kernel."""
+    """``LOOP`` with its formulas filled in: the body of ``run``'s kernel, which takes the
+    first stage's ``TRIG`` for b_hat too and the middle two stages' ``GUST`` once."""
     states = range(1, 13)
     carried = {f"x{i}": f"y{i}" for i in states}  # the first stage is at the carried state
 
@@ -404,16 +418,18 @@ def loop_text() -> str:
             **{w: f"{w}_{name}" for w in adrc.OWN}, "y": f"y{2 * i + 1}", "i": str(i)})
             for i, name in enumerate(SUBSYSTEMS))
     return render.fill(
-        LOOP, step=adrc.STEP, inverse=INVERSE, lump=render.rename(LUMP, carried), mixer=MIXER,
-        speed=SPEED, record=f"append(({', '.join(RECORD.values())}))\n",
+        LOOP, step=adrc.STEP, inverse=INVERSE, lump=render.rename(COUPLING + GUST + LUMP, carried),
+        trig=render.rename(TRIG, carried), mixer=MIXER, speed=SPEED,
+        record=f"pack_into(records, k * row_bytes, {', '.join(RECORD.values())})\n",
         gains=per_loop(", ".join(adrc.GAINS) + ", b = loops[i]\n"),
         quiet=per_loop(f"{' = '.join(adrc.SIGNALS.values())} = 0.0\n"),
-        b_hat=render.rename(adrc.B_HAT + adrc.CLAMP, {"b": "b_altitude", "phi": "y1",
-                                                       "theta": "y3"}),
+        b_hat=render.rename(adrc.B_HAT + adrc.CLAMP, {"b": "b_altitude", "cos_phi": "cos1",
+                                                       "cos_theta": "cos3"}),
         control=per_loop(adrc.CONTROL),
-        stages=render.rename(DERIVATIVE, {**carried, **slopes(1)}) + "".join(
+        stages=THRUST + render.rename(DERIVATIVE, {**carried, **slopes(1)}) + "".join(
             "".join(f"x{i} = y{i} + {step} * dx{i}_{s - 1}\n" for i in states)
-            + render.rename(LUMP, {"t": f"(t + {step})"}) + render.rename(DERIVATIVE, slopes(s))
+            + ("" if s == 3 else render.rename(GUST, {"t": f"(t + {step})"}))  # 3 is at 2's time
+            + LUMP + TRIG + render.rename(DERIVATIVE, slopes(s))
             for s, step in ((2, "h"), (3, "h"), (4, "dt"))) + "".join(
             f"y{i} = y{i} + sixth * (dx{i}_1 + 2.0 * dx{i}_2 + 2.0 * dx{i}_3 + dx{i}_4)\n"
             for i in states))
@@ -427,6 +443,7 @@ def run(scenario: Scenario, params: QuadParams,
     n, open_loop, masses = scenario.n_steps, scenario.open_loop, params.masses
     profiles = (scenario.ref_roll, scenario.ref_pitch, scenario.ref_yaw, scenario.ref_z)
     loops = None if open_loop else (gains or ControllerGains()).loops(params)
+    log, state = TraceLog(n + 1), scenario.initial_state
     constants = {
         **lump_constants(dist_params or DisturbanceParams(), scenario.flags, params.m),
         **derivative_constants(params), "dt": scenario.dt,
@@ -439,13 +456,13 @@ def run(scenario: Scenario, params: QuadParams,
         "loops": loops and tuple((*adrc.loop_gains(c), c.b_hat) for c in loops),
         "inverse": None if open_loop else params.mixer.inverse,
         "rate": 0.0,  # a piecewise-constant reference has no rate
-        "b_min": adrc.B_MIN, "sqrt": sqrt, "isfinite": isfinite,
+        "b_min": adrc.B_MIN, "sqrt": sqrt, "isfinite": isfinite, "low": -DIVERGENCE_LIMIT,
         "limit": DIVERGENCE_LIMIT, "IntegrationError": IntegrationError,
-        "DivergenceError": DivergenceError}
-    log = TraceLog(n + 1)
-    state = scenario.initial_state
-    render.kernel("loop", constants, "append, y, lagged", loop_text())(
-        log.append, state.vector.tolist(), state.lagged_accel.tolist())
+        "DivergenceError": DivergenceError, "pack_into": log._row.pack_into,
+        "records": memoryview(log._data), "row_bytes": log._row.size}
+    render.kernel("loop", constants, "y, lagged", loop_text())(
+        state.vector.tolist(), state.lagged_accel.tolist())
+    log._n = n + 1  # every record, packed in place by the loop
     return log
 
 

@@ -130,7 +130,7 @@ def test_tune_output_bytes(tmp_path, config, tuned_digest, history_digest):
 
 
 #: sha256 of the source text of ``sim.run``'s rendered loop
-LOOP_TEXT_DIGEST = "7b0c03a1237c5a0c4fe5bdd86f441b0f8706db0994deae3c1387dc58603cd979"
+LOOP_TEXT_DIGEST = "9bfda45698656bc0b00ac0d9ce5e438e1d9b659515378471b05c89ba61934944"
 
 
 def rendered_loop(monkeypatch, *args, **kwargs) -> str:

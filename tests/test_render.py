@@ -31,9 +31,16 @@ def test_one_compile_per_text():
     assert double.__code__ is triple.__code__
 
 
+def test_constants_are_the_kernels_locals():
+    # bound as keyword-only defaults, a constant is read as a local, not a closure cell
+    f = render.kernel("scale", {"c": 2.0}, "x", "return c * x\n")
+    assert f.__code__.co_freevars == () and f.__kwdefaults__ == {"c": 2.0}
+    assert "c" in f.__code__.co_varnames
+
+
 def test_rendered_source_is_shown():
     f = render.kernel("scale", {"c": 2.0}, "x", "return c * x\n")
-    assert inspect.getsource(f) == "    def scale(x):\n        return c * x\n"
+    assert inspect.getsource(f) == "    def scale(x, *, c=c):\n        return c * x\n"
     filename = f.__code__.co_filename
     assert filename.startswith("<quadarm.scale ") and linecache.getline(filename, 1) == (
         "def make(c):\n")

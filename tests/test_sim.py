@@ -20,11 +20,12 @@ from quadarm import (ControllerGains, DisturbanceFlags, DisturbanceParams, EsoGa
 from quadarm import render
 from quadarm import sim as sim_mod
 from quadarm.adrc import SUBSYSTEMS
-from quadarm.config import load
+from quadarm.config import load, resolve
 from quadarm.disturbances import DragParams, lump, lump_constants
 from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
 from quadarm.model import derivative_constants, derivative_kernel
 from quadarm.sim import ACCEL_COLUMNS, COLUMNS, DELTA_COLUMNS, STATE_COLUMNS
+from test_reference import matches_run
 
 
 def built_per_duration(cls, monkeypatch, simulate) -> list:
@@ -357,18 +358,69 @@ def calls_per_period(params, event):
 def test_python_calls_per_period(params):
     """The period made 63 Python-level calls before the ADRC bank, and 20
     while it called the lump, derivative, bank and mixer kernels and the
-    RK4 combinations; rendered as one loop it makes one, ``TraceLog.append``."""
-    assert calls_per_period(params, "call") <= 1
+    RK4 combinations; rendered as one loop it made one, ``TraceLog.append``,
+    and packing its record in place it makes none."""
+    assert calls_per_period(params, "call") == 0
 
 
 def test_c_calls_per_period(params):
     """C-level calls (builtins such as ``sin``, ``max``, ``isfinite``) per
     period.  The period made 59 while the derivative kernel checked each
-    stage state and 43 as kernels; the rendered loop makes 42: four lumps
-    (``sin``, ``max``), four derivatives (three ``sin``, three ``cos``), the
-    altitude b_hat (two ``cos``, ``abs``), four ``sqrt``, ``isfinite``, the
-    divergence ``max`` and ``TraceLog.append``'s ``pack_into``."""
-    assert calls_per_period(params, "c_call") <= 46
+    stage state, 43 as kernels and 42 as one rendered loop; computing each
+    value once, it makes 33: the gust's ``sin`` at t, t + h and t + dt, four
+    derivatives (three ``sin``, three ``cos``; the first also serves the
+    altitude b_hat), b_hat's ``abs``, four ``sqrt`` and the record's
+    ``pack_into``.  The bounds test calls nothing while the state is inside."""
+    assert calls_per_period(params, "c_call") <= 33
+
+
+#: configs that each take a branch of the period's hoisted terms, for the public-call reference
+HOIST_CONFIGS = {
+    "arm_profile": {"scenario": {"duration": 0.5, "d1_profile": [[0, 0.8], [0.1, 0.2],
+                                                                 [0.3, 0.5]]}},
+    "open_loop": {"scenario": {"duration": 0.5, "open_loop": True,
+                               "initial_state": [0, 0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 0],
+                               "open_loop_u1": [[0, 19.62], [0.25, 25]]}},
+    "channels_off": {"scenario": {"duration": 0.5}, "disturbances": {"enable": {
+        "drag": False, "ground_effect": False, "wind": False, "com": False}}},
+    "loose_signs": {"scenario": {"duration": 0.5}, "disturbances": {"strict_signs": False}},
+    "saturating": {"scenario": {"duration": 1.0, "dt": 0.002},
+                   "controller": {"u_limits": {"pitch": [-0.2, 0.2]}}},
+}
+
+
+class TestPeriodHoists:
+    """Each period computes what holds over it once (the first stage's sines and
+    cosines, the thrust terms, the CoM factors, the middle stages' gust) and
+    bounds its state by one chained test; every float operation keeps its
+    operands and order, so the records and the errors' times stay as they were."""
+
+    @pytest.mark.parametrize("name", HOIST_CONFIGS)
+    def test_matches_the_public_call_reference(self, name):
+        assert matches_run(HOIST_CONFIGS[name])
+
+    def test_saturating_config_saturates(self):
+        c = resolve(HOIST_CONFIGS["saturating"])
+        assert run(c.scenario, c.params, c.dist_params, c.gains).column("sat_pitch").any()
+
+    def test_divergence_time_is_kept(self, params):
+        # an unstable roll loop with wide limits leaves the box in its second period
+        gains = ControllerGains(pd_roll=PdGains(1e7, 0.01),
+                                u_limits={**ControllerGains().u_limits, "roll": (-1e9, 1e9)})
+        with pytest.raises(DivergenceError) as exc_info:
+            run(Scenario(duration=1.0), params, gains=gains)
+        assert exc_info.value.time == 0.002
+
+    def test_non_finite_state_time_is_kept(self, params):
+        # from t = 0.05 a thrust of 1e308 sums to an infinite altitude rate with no
+        # overflow raised: the bounds test fails and the finite test names the period
+        start = QuadState(np.array([0, 0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 0], float))
+        scenario = Scenario(duration=0.2, open_loop=True, flags=DisturbanceFlags(),
+                            initial_state=start,
+                            open_loop_u1=PiecewiseConstant(((0.0, 19.62), (0.05, 1e308))))
+        with pytest.raises(IntegrationError) as exc_info:
+            run(scenario, params)
+        assert exc_info.value.time == 0.05 and exc_info.value.__context__ is None
 
 
 class TestLoopKernel:
@@ -754,6 +806,47 @@ class TestTraceLog:
         assert str(halved.value) == str(alone.value)
         assert str(alone.value).startswith(f"{path}: ") and "header" not in str(alone.value)
         assert len(calls) == split
+        assert_no_child()
+
+    def test_unsplit_read_counts_no_lines(self, tmp_path, monkeypatch):
+        # with one usable CPU no read is split, so no pass counts the file's lines
+        path, trace = tmp_path / "trace.csv", trace_of(3 * R)
+        trace.to_csv(path)
+        read, real_open = [], open
+
+        class Counted(io.FileIO):  # the bytes read through the file ``from_csv`` opens
+            def readinto(self, buffer):
+                read.append(got := super().readinto(buffer))
+                return got
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if mode != "rb":
+                return real_open(file, mode, *args, **kwargs)
+            return io.BufferedReader(Counted(file), *args)
+
+        monkeypatch.setattr(sim_mod, "open", counted_open, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert TraceLog.from_csv(path).as_array().tobytes() == trace.as_array().tobytes()
+        assert sum(read) == 0
+        if split_writes(monkeypatch, 3 * R):  # where a read is split, the count reads it all
+            assert TraceLog.from_csv(path).as_array().tobytes() == trace.as_array().tobytes()
+            assert sum(read) == path.stat().st_size
+        assert_no_child()
+
+    def test_split_read_refuses_a_foreign_header_before_the_fork(self, tmp_path, monkeypatch):
+        path = tmp_path / "foreign.csv"
+        records = "".join(",".join(["1.0"] * len(COLUMNS)) + "\r\n" for _ in range(3 * R))
+        path.write_text(",".join(f"c{i}" for i in range(len(COLUMNS))) + "\r\n" + records,
+                        newline="")
+        split = split_writes(monkeypatch, 3 * R)
+        calls = counted_forks(monkeypatch)
+        with pytest.raises(InvalidParameterError) as refused:
+            TraceLog.from_csv(path)
+        assert str(refused.value) == f"{path}: header is not the trace's columns"
+        assert calls == []
+        path.write_text(",".join(COLUMNS) + "\r\n" + records, newline="")
+        assert TraceLog.from_csv(path).as_array().shape == (3 * R, len(COLUMNS))
+        assert len(calls) == split  # the trace's own header is split as before
         assert_no_child()
 
     def test_split_read_holds_the_records_once(self, tmp_path, monkeypatch):

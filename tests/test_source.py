@@ -147,15 +147,27 @@ def test_trace_takes_the_loop_signals_whole():
 
 
 def test_loop_logs_the_record_table():
-    # a record's order has one home: ``sim.RECORD``, whose loop names fill the one append
-    assert "append((" not in sim.LOOP
+    # a record's order has one home: ``sim.RECORD``, whose loop names fill the one record line
+    assert "pack_into(" not in sim.LOOP
     text = sim.loop_text()
-    line = f"append(({', '.join(sim.RECORD[c] for c in sim.COLUMNS)}))\n"
-    assert text.count("append((") == text.count(line) == 1
+    line = f"pack_into(records, k * row_bytes, {', '.join(sim.RECORD[c] for c in sim.COLUMNS)})\n"
+    assert text.count("pack_into(") == text.count(line) == 1
     # each name it logs is one the loop binds
     bound = {n.id for n in ast.walk(ast.parse(text))
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
     assert set(sim.RECORD.values()) <= bound
+
+
+def test_loop_computes_each_period_term_once():
+    # what holds over a period is computed once in it, and the state's bounds are one
+    # chained test: a formula edit that undoes a hoist fails here
+    tree = ast.parse(sim.loop_text())
+    assigned = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)]
+    calls = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert assigned.count("thrust") == 1
+    assert calls.count("sin(n * (t + h))") == 1
+    assert "max(" not in sim.loop_text() and "isfinite(y1 + " not in sim.loop_text()
 
 
 def test_records_take_their_kernels_names():
