@@ -5,7 +5,9 @@ import gc
 import io
 import math
 import os
+import shutil
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -640,6 +642,35 @@ class TestTraceLog:
         trace.to_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(trace)
         assert len(calls) == forks
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo") or not shutil.which("cat"),
+                        reason="needs a FIFO and cat")
+    def test_split_write_into_a_fifo(self, tmp_path, monkeypatch):
+        # the child's half is appended by sendfile, with no seek or reopen: a pipe reader such
+        # as ``quadarm simulate --out /dev/stdout | ...`` gets the whole file
+        if not split_writes(monkeypatch, 2 * R):
+            pytest.skip("this platform writes a trace in one process")
+        fifo, out, trace = tmp_path / "trace.fifo", tmp_path / "read.csv", trace_of(2 * R)
+        os.mkfifo(fifo)
+        def blocked(signum, frame):  # a second open waits for a reader that is gone
+            raise TimeoutError("the write blocked on the FIFO")
+
+        with open(out, "wb") as sink:
+            cat = subprocess.Popen(["cat", fifo], stdout=sink)
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(60)
+        try:
+            calls = counted_forks(monkeypatch)
+            trace.to_csv(fifo)
+            assert cat.wait(timeout=60) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            cat.kill()  # a no-op once ``cat`` is waited for
+            cat.wait()
+        assert out.read_bytes() == csv_writer_bytes(trace)
+        assert len(calls) == 1
         assert_no_child()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,21 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadarm"
 # __init__.py imports names to re-export them through __all__
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+#: the oldest Python that ``pyproject.toml`` admits, read by a regex: 3.10 has no tomllib
+FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', (
+    PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")).groups()))
+
+
+def test_detects_newer_syntax():
+    with pytest.raises(SyntaxError):  # except* came in 3.11
+        ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_parses_at_the_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=FLOOR)
 
 
 def unused_imports(source: str) -> list:

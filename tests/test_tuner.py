@@ -28,6 +28,7 @@ class Quadratic:
 
 
 FAST_OPTS = TuneOptions(max_iterations=300, rel_tol=1e-14)
+BOWL = np.array([4.0, -4.0, 4.0])
 
 
 DISTINCT_OVERRIDES = {name: EsoGains.from_bandwidth(w)
@@ -206,6 +207,26 @@ class TestQuadraticFixture:
         result = tune(problem, np.zeros(3), FAST_OPTS)
         assert (result.iterations, result.converged, len(result.history)) == (1, True, 1)
         assert len(calls) == 1 + 2 * 3  # the start and the probes, no candidate
+
+    # from (1, 1, 1) towards BOWL the first two candidates are taken whole: costs 43,
+    # 27.52, 15.48
+    @pytest.mark.parametrize("center, options, ended, evaluations", [
+        (BOWL, TuneOptions(max_iterations=0), (0, False, 1), 1),
+        (BOWL, TuneOptions(max_iterations=2, rel_tol=0.0), (2, False, 3), 1 + 2 * (6 + 1)),
+        # a first move of 100 and its two halvings all end on the box's wall, at cost 300
+        (np.zeros(3), TuneOptions(initial_step=100.0, max_backtracks=3), (1, True, 1),
+         1 + 6 + 3),
+        (BOWL, TuneOptions(rel_tol=0.5), (1, True, 2), 1 + 6 + 1),
+    ], ids=["no_iterations", "iteration_limit", "no_lowering_step", "relative_gain"])
+    def test_exits(self, center, options, ended, evaluations):
+        # converged is True when the descent stops by itself, False at the iteration limit
+        problem, calls = Quadratic(center), []
+        evaluate = problem.evaluate
+        problem.evaluate = lambda v: calls.append(v) or evaluate(v)
+        result = tune(problem, np.ones(3), options)
+        assert (result.iterations, result.converged, len(result.history)) == ended
+        assert len(calls) == evaluations
+        assert result.cost == result.history[-1][1] == evaluate(result.vector)[0]
 
 
 def short_problem(**kw):
