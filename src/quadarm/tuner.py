@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -182,29 +183,24 @@ def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
 
     w = problem.weights
     dt = problem.scenario.dt
-    t = trace.column("t")
+    t, column = trace.column("t"), trace.column
 
-    tracking = 0.0
-    for signal, ref in (("phi", "ref_roll"), ("theta", "ref_pitch"),
-                        ("psi", "ref_yaw"), ("z", "ref_z")):
-        e = trace.column(ref) - trace.column(signal)
-        tracking += float(np.sum(e ** 2) * dt)
+    def integral(*series) -> float:  # each array's squared integral, added left to right
+        total = 0.0
+        for x in series:
+            total += float(np.sum(x ** 2) * dt)
+        return total
 
-    estimation = 0.0
-    if w.estimation > 0:
-        oracle = estimation_oracle(trace, problem.params)
-        for name in adrc.SUBSYSTEMS:
-            estimation += float(np.sum(oracle[name]["error"] ** 2) * dt)
+    tracking = integral(column("ref_roll") - column("phi"), column("ref_pitch") - column("theta"),
+                        column("ref_yaw") - column("psi"), column("ref_z") - column("z"))
+    oracle = estimation_oracle(trace, problem.params) if w.estimation > 0 else {}
+    estimation = integral(*map(itemgetter("error"), oracle.values()))
+    effort = integral(*map(column, map("u_{}".format, adrc.SUBSYSTEMS)))
 
-    effort = 0.0
-    for name in adrc.SUBSYSTEMS:
-        u = trace.column(f"u_{name}")
-        effort += float(np.sum(u ** 2) * dt)
-
-    violation = 0.0
+    violation, violations = 0.0, report["bound_violations"]
     for bound in problem.bounds:
-        vb = bound.violation(t, trace.column(bound.signal), dt)
-        report["bound_violations"][bound.signal] = vb
+        vb = bound.violation(t, column(bound.signal), dt)
+        violations[bound.signal] = violations.get(bound.signal, 0.0) + vb
         violation += vb
 
     total = (w.tracking * tracking + w.estimation * estimation
@@ -271,8 +267,7 @@ def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
     scale = np.maximum(np.abs(x), 1e-3)
 
     history = [(x.copy(), f)]
-    converged = False
-    iterations = 0
+    iterations, converged = 0, True  # unless the iteration limit ends the descent
     for iterations in range(1, options.max_iterations + 1):
         grad = np.zeros_like(x)
         for i in range(len(x)):
@@ -288,28 +283,23 @@ def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
 
         direction = -grad * scale ** 2  # steepest descent in scaled coords
         if not np.any(direction):
-            converged = True
             break
 
         step = options.initial_step / max(np.max(np.abs(direction / scale)), 1e-300)
-        accepted = False
         for _ in range(options.max_backtracks):
             candidate = np.clip(x + step * direction, lower, upper)
             fc, rc = problem.evaluate(candidate)
             if fc < f:
-                x, f, report = candidate, fc, rc
-                accepted = True
+                prev, x, f, report = f, candidate, fc, rc
                 break
             step *= 0.5
-
-        if not accepted:
-            converged = True
+        else:  # no step lowered the cost
             break
-        prev = history[-1][1]
         history.append((x.copy(), f))
         if prev - f < options.rel_tol * max(abs(prev), 1.0):
-            converged = True
             break
+    else:
+        converged = False
 
     return TuneResult(vector=x, cost=f, report=report, history=history,
                       iterations=iterations, converged=converged)

@@ -290,6 +290,16 @@ class TestCost:
         assert report["bound_violations"]["z"] > 0
         assert total > report["tracking"]
 
+    def test_bound_violations_add_up_per_signal(self):
+        # a signal's entry holds the excess of each of its bounds, as the total does
+        z = [SignalBound("z", ((t0, t1, -0.1, 0.1),)) for t0, t1 in ((0.0, 0.2), (0.3, 0.5))]
+        p = TuneProblem(scenario=Scenario(duration=0.5),
+                        bounds=(z[0], SignalBound("theta", ((0.0, 0.5, -1.0, 1.0),)), z[1]))
+        _, report = cost(table_gains_vector(), p)
+        assert report["bound_violations"] == {"z": pytest.approx(0.1537, abs=1e-4),
+                                              "theta": 0.0}
+        assert sum(report["bound_violations"].values()) == report["bound_violation"]
+
     def test_zero_estimation_weight_skips_oracle(self, monkeypatch):
         # the estimation term is the only one that needs the oracle
         calls = []
