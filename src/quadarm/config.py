@@ -157,7 +157,7 @@ def _build(problems, path, make):
 
 def _profile(segments, path, problems, scale=1.0):
     return _build(problems, path, lambda: PiecewiseConstant(
-        tuple((float(t), float(v) * scale) for t, v in segments)))
+        tuple((t, v * scale) for t, v in PiecewiseConstant(segments).segments)))
 
 
 @dataclass

@@ -10,8 +10,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import render
 from .errors import InvalidParameterError
 from .model import MassProperties, QuadState
@@ -94,15 +92,8 @@ class DisturbanceParams:
 OUTPUTS = ("delta_a", "delta_b", "delta_c", "delta_d", "delta_e", "delta_f", "G")
 
 
-class DisturbanceOutputs(namedtuple("DisturbanceOutputs", OUTPUTS,
-                                    defaults=(0.0,) * 6 + (1.0,))):
-    """The ``OUTPUTS`` of one lump, in ``DERIVATIVE``'s ``dist`` order."""
-
-    __slots__ = ()
-
-    def as_vector(self) -> np.ndarray:
-        """delta_a..delta_f."""
-        return np.array(self[:6])
+#: the ``OUTPUTS`` of one lump, in ``DERIVATIVE``'s ``dist`` order
+DisturbanceOutputs = namedtuple("DisturbanceOutputs", OUTPUTS, defaults=(0.0,) * 6 + (1.0,))
 
 
 #: the lumped disturbances delta_a..delta_f and the thrust factor G at the state x1..x12,

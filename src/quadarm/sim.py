@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import errno
 import functools
@@ -37,29 +38,32 @@ DEG = math.pi / 180.0
 class PiecewiseConstant:
     """Right-continuous step profile: list of (t_start, value), sorted."""
 
-    segments: tuple = ((0.0, 0.0),)
+    segments: tuple = ((0.0, 0.0),)  # of (t_start, value), stored as floats
 
     def __post_init__(self):
-        if not self.segments:
+        segments = []
+        for segment in self.segments:
+            try:
+                t_start, value = segment
+            except (TypeError, ValueError):  # not two entries
+                raise InvalidParameterError("profile segment needs [t_start, value]") from None
+            segments.append((float(t_start), float(value)))
+        object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats
+        if not segments:
             raise InvalidParameterError("profile needs at least one segment")
-        if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.segments):
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in segments):
             raise InvalidParameterError("profile times and values must be finite")
-        starts = [s[0] for s in self.segments]
-        if starts != sorted(starts):
+        if segments != sorted(segments, key=lambda segment: segment[0]):
             raise InvalidParameterError("profile segments must be time-sorted")
 
     def __call__(self, t: float) -> float:
-        value = self.segments[0][1]
-        for t_start, v in self.segments:
-            if t >= t_start:
-                value = v
-            else:
-                break
-        return value
+        """The value of the last segment that starts by ``t``, else the first one's."""
+        return next((v for t_start, v in reversed(self.segments) if t >= t_start),
+                    self.segments[0][1])
 
     @classmethod
     def constant(cls, value: float) -> "PiecewiseConstant":
-        return cls(((0.0, float(value)),))
+        return cls(((0.0, value),))
 
 
 @dataclass
@@ -372,13 +376,12 @@ rotor_sat = False
 try:
     for k in range(steps + 1):
         t = k * dt
-        z_G = z_G_fixed if arm_at is None else z_G_at(arm_at(t))
+        if k in changes:
+            ref_roll, ref_pitch, ref_yaw, ref_altitude, z_G, u1 = changes[k]
         @lump
         @trig
-        ref_roll, ref_pitch, ref_yaw, ref_altitude = fixed_refs or (
-            roll_at(t), pitch_at(t), yaw_at(t), z_at(t))
         if open_loop:
-            U1 = u1_at(t)  # the fixture drives the thrust channel directly
+            U1 = u1  # the fixture drives the thrust channel directly
         elif k < steps:
             @b_hat
             @control
@@ -440,19 +443,20 @@ def run(scenario: Scenario, params: QuadParams,
         gains: ControllerGains | None = None) -> TraceLog:
     """Integrate the closed loop (or the open-loop fixture) and log it: the
     rendering of ``loop_text`` with this run's constants."""
-    n, open_loop, masses = scenario.n_steps, scenario.open_loop, params.masses
-    profiles = (scenario.ref_roll, scenario.ref_pitch, scenario.ref_yaw, scenario.ref_z)
+    n, dt, open_loop, masses = scenario.n_steps, scenario.dt, scenario.open_loop, params.masses
+    refs = (scenario.ref_roll, scenario.ref_pitch, scenario.ref_yaw, scenario.ref_z)
+    arm, u1 = scenario.d1_profile or PiecewiseConstant.constant(masses.d1), scenario.open_loop_u1
+    # a profile takes a new value only at the first step whose k * dt reaches a segment start
+    steps = {0, *(bisect.bisect_left(range(n + 1), t_start, key=dt.__rmul__)
+                  for p in (*refs, arm, u1) for t_start, _ in p.segments)}
+    changes = {k: (*(p(k * dt) for p in refs), masses.z_G_at(arm(k * dt)), u1(k * dt))
+               for k in steps if k <= n}
     loops = None if open_loop else (gains or ControllerGains()).loops(params)
     log, state = TraceLog(n + 1), scenario.initial_state
     constants = {
         **lump_constants(dist_params or DisturbanceParams(), scenario.flags, params.m),
-        **derivative_constants(params), "dt": scenario.dt,
-        "steps": n, "z_G_fixed": masses.z_G, "z_G_at": masses.z_G_at,
-        "arm_at": scenario.d1_profile, "open_loop": open_loop, "u1_at": scenario.open_loop_u1,
-        # a one-segment profile holds its value at every t
-        "fixed_refs": (tuple(p.segments[0][1] for p in profiles)
-                       if all(len(p.segments) == 1 for p in profiles) else None),
-        **dict(zip(("roll_at", "pitch_at", "yaw_at", "z_at"), profiles)),
+        **derivative_constants(params), "dt": dt, "steps": n, "open_loop": open_loop,
+        "changes": changes,
         "loops": loops and tuple((*adrc.loop_gains(c), c.b_hat) for c in loops),
         "inverse": None if open_loop else params.mixer.inverse,
         "rate": 0.0,  # a piecewise-constant reference has no rate

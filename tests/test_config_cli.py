@@ -588,6 +588,16 @@ FREE_FORM_LEAF_ERRORS = [
      "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
     ({"controller": {"eso_overrides": {"bogus": {"p1": 1.0}}}},
      "controller.eso_overrides.bogus: unknown key"),
+    ({"scenario": {"references": {"z": [[0, 5, 1]]}}},
+     "scenario.references.z: profile segment needs [t_start, value]"),
+    ({"scenario": {"references": {"z": [5]}}},
+     "scenario.references.z: profile segment needs [t_start, value]"),
+    ({"scenario": {"references": {"z": [[0]]}}},
+     "scenario.references.z: profile segment needs [t_start, value]"),
+    ({"scenario": {"references": {"roll_deg": [[0, 5], [1, 2, 3]]}}},
+     "scenario.references.roll_deg: profile segment needs [t_start, value]"),
+    ({"scenario": {"d1_profile": [[0, "a"]]}},
+     "scenario.d1_profile: could not convert string to float: 'a'"),
 ]
 
 

@@ -126,7 +126,7 @@ class TestLump:
     def test_all_off(self):
         out = lump(QuadState(), 0.0, DisturbanceParams(), DisturbanceFlags(),
                    MassProperties())
-        assert np.all(out.as_vector() == 0.0)
+        assert out[:6] == (0.0,) * 6
         assert out.G == 1.0
 
     def test_drag_only(self):
@@ -138,7 +138,7 @@ class TestLump:
     def test_wind_only_uniform_offset(self):
         out = lump(QuadState(), 0.0, DisturbanceParams(),
                    DisturbanceFlags(wind=True), MassProperties())
-        assert out.as_vector() == pytest.approx([0.1] * 6)
+        assert out[:6] == pytest.approx([0.1] * 6)
 
     def test_strict_sign_rows(self):
         # as published: the yaw CoM term adds, the altitude drag term adds
@@ -159,8 +159,7 @@ class TestLump:
         both = lump(s, t, p, DisturbanceFlags(drag=True, wind=True), m)
         only_drag = lump(s, t, p, DisturbanceFlags(drag=True), m)
         only_wind = lump(s, t, p, DisturbanceFlags(wind=True), m)
-        assert both.as_vector() == pytest.approx(
-            only_drag.as_vector() + only_wind.as_vector())
+        assert both[:6] == pytest.approx(np.add(only_drag[:6], only_wind[:6]))
 
     def test_disabled_channel_contributes_nothing(self):
         s = state_with(phi_dot=1.2, x_dot=-0.4)
@@ -170,4 +169,4 @@ class TestLump:
         no_com = lump(s, 1.0, p, DisturbanceFlags(drag=True, wind=True), m)
         all_but_com = lump(s, 1.0, p,
                            DisturbanceFlags(drag=True, wind=True, com=False), m)
-        assert no_com.as_vector() == pytest.approx(all_but_com.as_vector())
+        assert no_com[:6] == pytest.approx(all_but_com[:6])

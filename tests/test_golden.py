@@ -130,7 +130,7 @@ def test_tune_output_bytes(tmp_path, config, tuned_digest, history_digest):
 
 
 #: sha256 of the source text of ``sim.run``'s rendered loop
-LOOP_TEXT_DIGEST = "9bfda45698656bc0b00ac0d9ce5e438e1d9b659515378471b05c89ba61934944"
+LOOP_TEXT_DIGEST = "32199dc564541309e862131d19fce52cb9f751a89cf09975365c766d29ae41d3"
 
 
 def rendered_loop(monkeypatch, *args, **kwargs) -> str:

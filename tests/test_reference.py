@@ -8,6 +8,7 @@ same records, bit for bit, so a loop that drifts from the library's own
 functions fails here.
 """
 
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -45,7 +46,7 @@ def reference(scenario, params, dist_params, gains) -> np.ndarray:
             roll, pitch, yaw, altitude = (d.u for d in steps)
             inputs = rotor_speeds([altitude, roll, pitch, yaw], params.mixer)
         rows.append([t, *s, *state.lagged_accel.tolist(), *ref, *signals, dist.G,
-                     *dist.as_vector().tolist(), inputs.omega_r, inputs.rotor_saturated])
+                     *dist[:6], inputs.omega_r, inputs.rotor_saturated])
         if k < n:
             def derivative(tau, vector, lagged, u=inputs, arm=arm):
                 x = QuadState(vector, lagged)
@@ -99,6 +100,54 @@ def configs(draw):
     }
 
 
+#: the scenario keys that give each stepped profile its segments, and the values it steps to
+PROFILES = {
+    "reference": (lambda segments: {"references": {"roll_deg": segments}}, (5.0, -3.0, 2.0)),
+    "arm": (lambda segments: {"d1_profile": segments}, (0.8, 0.2, 0.5)),
+    "thrust": (lambda segments: {"open_loop": True, "open_loop_u1": segments,
+                                 "initial_state": [0, 0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 0]},
+               (19.62, 25.0, 15.0)),
+}
+
+
+def stepped(profile, *starts):
+    """A 0.4 s run at dt 0.001 whose ``profile`` takes its next value at each of ``starts``."""
+    keys, values = PROFILES[profile]
+    return {"scenario": {"duration": 0.4, "dt": 0.001,
+                         **keys([[t, v] for t, v in zip(starts, values)])}}
+
+
+BELOW, ABOVE = math.nextafter(0.1, 0.0), math.nextafter(0.1, 1.0)  # one ulp off 100 dt
+PAST_120 = math.nextafter(120 * 0.001, 1.0)  # past 120 dt, though its quotient by dt is 120.0
+
+
+# each profile steps on a step (0.1 is 100 dt), one ulp to either side of 100 dt and past
+# 120 dt, between two steps (101 dt < 0.102 < 102 dt = 0.10200000000000001), before 0,
+# past the end, and together with a second segment's start
+@example(stepped("reference", 0.0, 0.1))
+@example(stepped("reference", 0.0, BELOW))
+@example(stepped("reference", 0.0, ABOVE))
+@example(stepped("reference", 0.0, PAST_120))
+@example(stepped("reference", 0.0, 0.102))
+@example(stepped("reference", -0.2, -0.1))
+@example(stepped("reference", 0.0, 0.5))
+@example(stepped("reference", 0.0, 0.3, 0.3))
+@example(stepped("arm", 0.0, 0.1))
+@example(stepped("arm", 0.0, BELOW))
+@example(stepped("arm", 0.0, ABOVE))
+@example(stepped("arm", 0.0, PAST_120))
+@example(stepped("arm", 0.0, 0.102))
+@example(stepped("arm", -0.2, -0.1))
+@example(stepped("arm", 0.0, 0.5))
+@example(stepped("arm", 0.0, 0.3, 0.3))
+@example(stepped("thrust", 0.0, 0.1))
+@example(stepped("thrust", 0.0, BELOW))
+@example(stepped("thrust", 0.0, ABOVE))
+@example(stepped("thrust", 0.0, PAST_120))
+@example(stepped("thrust", 0.0, 0.102))
+@example(stepped("thrust", -0.2, -0.1))
+@example(stepped("thrust", 0.0, 0.5))
+@example(stepped("thrust", 0.0, 0.3, 0.3))
 # the golden configurations, the later ones shortened with their switches kept inside
 @example({"scenario": {"duration": 2.0}})
 @example({"scenario": {"duration": 1.0, "d1_profile": [[0, 0.8], [0.3, 0.2], [0.7, 0.5]]},

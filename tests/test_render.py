@@ -1,13 +1,21 @@
 """The renderer: formula texts renamed, filled in, compiled once and shown."""
 
+import builtins
 import inspect
 import linecache
+import symtable
+import textwrap
 import traceback
 
 import pytest
 
-from quadarm import ControllerGains, PdGains, QuadParams, Scenario, render, run
+from quadarm import (AdrcController, ControlInputs, ControllerGains, DisturbanceFlags,
+                     DisturbanceOutputs, DisturbanceParams, EsoGains, EsoState, MassProperties,
+                     PdGains, QuadParams, QuadState, Scenario, mix, render, run, state_derivative)
+from quadarm.adrc import b_hat_altitude, eso_step, pd
+from quadarm.disturbances import lump
 from quadarm.errors import IntegrationError
+from quadarm.model import rotor_speeds
 
 
 def test_rename_replaces_whole_identifiers():
@@ -53,3 +61,45 @@ def test_loop_traceback_shows_its_line():
         run(Scenario(duration=0.01), QuadParams(), gains=gains)
     shown = "".join(traceback.format_exception(exc_info.value))
     assert "<quadarm.loop " in shown and "raise IntegrationError(t) from None" in shown
+
+
+def misbound(f) -> tuple:
+    """The kernel ``f``'s constants its body never reads, and the names the body reads
+    that are neither a constant, a parameter, assigned, nor a builtin."""
+    def scopes(table):  # ``table`` and each scope nested in it
+        yield table
+        for child in table.get_children():
+            yield from scopes(child)
+    (body,) = symtable.symtable(textwrap.dedent(inspect.getsource(f)), "kernel",
+                                "exec").get_children()
+    symbols = [symbol for scope in scopes(body) for symbol in scope.get_symbols()
+               if symbol.is_referenced()]
+    read = {symbol.get_name() for symbol in symbols}
+    free = {symbol.get_name() for symbol in symbols if symbol.is_global()}
+    return set(f.__kwdefaults__ or ()) - read, free - set(dir(builtins))
+
+
+def test_detects_misbound_names():
+    f = render.kernel("scale", {"c": 2.0, "stale": 1.0}, "x", "return c * x + y + abs(x)\n")
+    assert misbound(f) == ({"stale"}, {"y"})
+
+
+def test_kernels_bind_exactly_the_names_they_read(monkeypatch):
+    kernels, kernel = [], render.kernel
+    monkeypatch.setattr(render, "kernel", lambda *a: kernels.append(kernel(*a)) or kernels[-1])
+    params = QuadParams()
+    run(Scenario(duration=0.01), params)
+    run(Scenario(duration=0.01, open_loop=True), params)
+    lump(QuadState(), 0.0, DisturbanceParams(), DisturbanceFlags.all_on(), MassProperties())
+    state_derivative(QuadState(), ControlInputs(), DisturbanceOutputs(), params)
+    rotor_speeds([20.0, 0.0, 0.0, 0.0], params.mixer)
+    mix([1.0] * 4, params.mixer)
+    eso_step(EsoState(), 0.0, 0.0, 1.0, EsoGains(), 0.001)
+    pd(0.0, 0.0, 0.0, 0.0, PdGains(1.0, 1.0))
+    b_hat_altitude(0.0, 0.0, 1.0, 2.0)
+    AdrcController(ControllerGains().loops(params)[0], 0.001)
+    monkeypatch.undo()
+    assert {f.__name__ for f in kernels} == {
+        "loop", "lump", "derivative", "mixer", "speed", "control", "observe", "pd", "b_hat"}
+    assert [(f.__name__, *misbound(f)) for f in kernels] == [
+        (f.__name__, set(), set()) for f in kernels]

@@ -78,6 +78,16 @@ class TestPiecewiseConstant:
         with pytest.raises(InvalidParameterError):
             PiecewiseConstant(((0.0, math.inf),))
 
+    @pytest.mark.parametrize("segment", [(0, 1, 2), (0,), 5, None])
+    def test_segment_of_two_entries(self, segment):
+        with pytest.raises(InvalidParameterError, match=r"segment needs \[t_start, value\]"):
+            PiecewiseConstant(((0.0, 1.0), segment))
+
+    def test_segments_stored_as_floats(self):
+        p = PiecewiseConstant(((0, 1), (True, "2.5")))
+        assert p.segments == ((0.0, 1.0), (1.0, 2.5))
+        assert all(type(x) is float for segment in p.segments for x in segment)
+
 
 def exp_decay(t, y, lagged):
     return -y, np.zeros(6)
@@ -106,7 +116,7 @@ def lumped_rows(trace, dist, masses_at):
     states = arr[:, [cols.index(c) for c in STATE_COLUMNS]]
     lagged = arr[:, [cols.index(c) for c in ACCEL_COLUMNS]]
     return np.array([
-        [d.G, *d.as_vector()]
+        [d.G, *d[:6]]
         for d in (lump(QuadState(s, a), t, dist, DisturbanceFlags.all_on(), masses_at(t))
                   for s, a, t in zip(states, lagged, arr[:, cols.index("t")].tolist()))
     ])
@@ -332,8 +342,20 @@ class TestRun:
         assert not np.allclose(base.column("z"), other.column("z"))
 
 
-def calls_per_period(params, event):
-    """Profiler ``event``s per stock closed-loop period, from the difference
+#: a period's scenarios: stock, a stepped reference with a moving arm, a stepped open-loop
+#: thrust; every profile steps inside the first 0.1 s, so both runs build the same table
+PERIOD_SCENARIOS = {
+    "stock": Scenario(),
+    "arm_and_reference": Scenario(
+        ref_roll=PiecewiseConstant(((0.0, 0.1), (0.05, -0.05))),
+        d1_profile=PiecewiseConstant(((0.0, 0.8), (0.03, 0.2)))),
+    "open_loop": Scenario(open_loop=True,
+                          open_loop_u1=PiecewiseConstant(((0.0, 19.62), (0.04, 25.0)))),
+}
+
+
+def calls_per_period(params, event, scenario=PERIOD_SCENARIOS["stock"]):
+    """Profiler ``event``s per period of ``scenario``, from the difference
     of a 0.2 s and a 0.1 s run: a deterministic guard against a slower
     period, where wall-clock times on a shared machine are not."""
     def calls(duration):
@@ -347,7 +369,7 @@ def calls_per_period(params, event):
         gc.disable()
         sys.setprofile(profile)
         try:
-            run(Scenario(duration=duration), params)
+            run(replace(scenario, duration=duration), params)
         finally:
             sys.setprofile(None)
             gc.enable()
@@ -361,8 +383,12 @@ def test_python_calls_per_period(params):
     """The period made 63 Python-level calls before the ADRC bank, and 20
     while it called the lump, derivative, bank and mixer kernels and the
     RK4 combinations; rendered as one loop it made one, ``TraceLog.append``,
-    and packing its record in place it makes none."""
-    assert calls_per_period(params, "call") == 0
+    and packing its record in place it makes none.  A stepped reference and
+    an arm profile cost six more (four references, the arm and its CoM
+    offset) and an open-loop thrust one, until each period read them from
+    the run's table of changes."""
+    assert {name: calls_per_period(params, "call", scenario)
+            for name, scenario in PERIOD_SCENARIOS.items()} == dict.fromkeys(PERIOD_SCENARIOS, 0)
 
 
 def test_c_calls_per_period(params):
@@ -373,7 +399,20 @@ def test_c_calls_per_period(params):
     derivatives (three ``sin``, three ``cos``; the first also serves the
     altitude b_hat), b_hat's ``abs``, four ``sqrt`` and the record's
     ``pack_into``.  The bounds test calls nothing while the state is inside."""
-    assert calls_per_period(params, "c_call") <= 33
+    assert max(calls_per_period(params, "c_call", scenario)
+               for scenario in PERIOD_SCENARIOS.values()) <= 33
+
+
+def test_late_first_starts_hold_from_step_zero(params):
+    # a profile holds its first value before its first start, so the table of changes has
+    # an entry at step 0 even when no profile starts there
+    def late(value):
+        return PiecewiseConstant(((0.05, value),))
+    stock = Scenario(duration=0.1)
+    shifted = replace(stock, **{name: late(getattr(stock, name)(0.0)) for name in (
+        "ref_roll", "ref_pitch", "ref_yaw", "ref_z", "open_loop_u1")},
+        d1_profile=late(params.masses.d1))
+    assert run(shifted, params).as_array().tobytes() == run(stock, params).as_array().tobytes()
 
 
 #: configs that each take a branch of the period's hoisted terms, for the public-call reference
