@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import render
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, floats
 
 ROLL, PITCH, YAW, ALTITUDE = "roll", "pitch", "yaw", "altitude"
 SUBSYSTEMS = (ROLL, PITCH, YAW, ALTITUDE)
@@ -65,9 +65,10 @@ class PdGains:
 
 def limits(pair) -> tuple[float, float]:
     """``pair`` as an increasing (lower, upper) pair of floats."""
-    lower, upper = (float(x) for x in pair)
+    refusal = "expected an increasing [lower, upper] pair"
+    lower, upper = floats(pair, 2, refusal)
     if not lower < upper:
-        raise InvalidParameterError("expected an increasing [lower, upper] pair")
+        raise InvalidParameterError(refusal)
     return lower, upper
 
 

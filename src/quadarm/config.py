@@ -237,12 +237,9 @@ def resolve(data: dict | None) -> Config:
               for name in adrc.SUBSYSTEMS}
 
     dist = data["disturbances"]
-    dist_params = _build(problems, "disturbances", lambda: DisturbanceParams(
-        drag=DragParams(tuple(dist["drag"]["k"])),
-        ground_effect=GroundEffectParams(**dist["ground_effect"]),
-        wind=WindParams(**dist["wind"]),
-        strict_signs=dist["strict_signs"],
-    ))
+    channels = {key: _build(problems, f"disturbances.{key}", lambda: make(**dist[key]))
+                for key, make in (("drag", DragParams), ("ground_effect", GroundEffectParams),
+                                  ("wind", WindParams))}
     flags = DisturbanceFlags(**dist["enable"])
 
     sc = data["scenario"]
@@ -285,6 +282,7 @@ def resolve(data: dict | None) -> Config:
                             pd_roll=pd["roll"], pd_pitch=pd["pitch"],
                             pd_yaw=pd["yaw"], pd_altitude=pd["altitude"],
                             u_limits=limits)
+    dist_params = DisturbanceParams(**channels, strict_signs=dist["strict_signs"])
     # the rules that span sections, once every section resolves on its own
     if not scenario.open_loop:
         _build(problems, "physical.inertia", lambda: gains.loops(params))

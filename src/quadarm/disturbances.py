@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import render
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, floats
 from .model import MassProperties, QuadState
 
 
@@ -19,11 +19,10 @@ from .model import MassProperties, QuadState
 class DragParams:
     """Per-axis linear drag coefficients for the six velocity states."""
 
-    k: tuple = (0.3729,) * 6
+    k: tuple = (0.3729,) * 6  # stored as floats
 
     def __post_init__(self):
-        if len(self.k) != 6:
-            raise InvalidParameterError("need six drag coefficients")
+        object.__setattr__(self, "k", floats(self.k, 6, "need six drag coefficients"))  # frozen
         if not all(0 <= ki < math.inf for ki in self.k):
             raise InvalidParameterError("drag coefficients must be finite and non-negative")
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of a fixed-width number list."""
 
 
 class QuadArmError(Exception):
@@ -7,6 +7,14 @@ class QuadArmError(Exception):
 
 class InvalidParameterError(QuadArmError):
     """A physical or controller parameter violates its constraints."""
+
+
+def floats(entries, n: int, refusal: str) -> tuple:
+    """A list or tuple of ``n`` entries as a tuple of ``float()``s, which refuse a
+    non-number; anything else is an ``InvalidParameterError`` saying ``refusal``."""
+    if not (isinstance(entries, (list, tuple)) and len(entries) == n):
+        raise InvalidParameterError(refusal)
+    return tuple(map(float, entries))
 
 
 class InvalidInputError(QuadArmError):

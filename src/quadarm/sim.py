@@ -24,7 +24,7 @@ from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
 from .disturbances import (COUPLING, GUST, LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams,
                            lump_constants)
-from .errors import DivergenceError, IntegrationError, InvalidParameterError
+from .errors import DivergenceError, IntegrationError, InvalidParameterError, floats
 from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, THRUST, TRIG, QuadParams, QuadState,
                     derivative_constants)
 
@@ -41,13 +41,8 @@ class PiecewiseConstant:
     segments: tuple = ((0.0, 0.0),)  # of (t_start, value), stored as floats
 
     def __post_init__(self):
-        segments = []
-        for segment in self.segments:
-            try:
-                t_start, value = segment
-            except (TypeError, ValueError):  # not two entries
-                raise InvalidParameterError("profile segment needs [t_start, value]") from None
-            segments.append((float(t_start), float(value)))
+        segments = [floats(segment, 2, "profile segment needs [t_start, value]")
+                    for segment in self.segments]
         object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats
         if not segments:
             raise InvalidParameterError("profile needs at least one segment")
@@ -258,7 +253,10 @@ class TraceLog:
     def read_header(cls, fh, path) -> None:
         """Read the first line of the trace file ``fh`` opened at ``path``;
         raise ``InvalidParameterError`` naming ``path`` unless it is the header."""
-        line = fh.readline(len(cls._header) + 2)  # a longer line cannot match
+        try:
+            line = fh.readline(len(cls._header) + 2)  # a longer line cannot match
+        except UnicodeDecodeError as exc:  # in the first chunk the reader decodes
+            raise InvalidParameterError(f"{path}: {exc}") from None
         if not line:
             raise InvalidParameterError(f"{path}: empty trace file")
         if line.rstrip("\r\n") != cls._header:

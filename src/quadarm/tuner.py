@@ -18,7 +18,7 @@ import numpy as np
 
 from . import adrc
 from .disturbances import DisturbanceParams
-from .errors import DivergenceError, InvalidParameterError, QuadArmError
+from .errors import DivergenceError, InvalidParameterError, QuadArmError, floats
 from .model import QuadParams
 from .sim import COLUMNS, ControllerGains, Scenario, estimation_oracle, run
 
@@ -92,23 +92,16 @@ class SignalBound:
     def __post_init__(self):
         if self.signal not in COLUMNS:
             raise InvalidParameterError(f"unknown bounded signal {self.signal!r}")
-        prev_end, segments = -math.inf, []
-        for segment in self.segments:
-            try:
-                t0, t1, lo, hi = segment
-            except (TypeError, ValueError):  # not four entries
-                raise InvalidParameterError(
-                    "bound segment needs [t_start, t_end, lower, upper]") from None
-            t0, t1, lo, hi = float(t0), float(t1), float(lo), float(hi)
+        segments = tuple(floats(segment, 4, "bound segment needs [t_start, t_end, lower, upper]")
+                         for segment in self.segments)
+        object.__setattr__(self, "segments", segments)  # frozen: keep the floats
+        for (t0, t1, lo, hi), prev_end in zip(segments, (-math.inf, *(s[1] for s in segments))):
             if not t0 < t1:
                 raise InvalidParameterError("bound segment must have t_start < t_end")
             if not lo <= hi:
                 raise InvalidParameterError("bound segment needs lower <= upper")
             if not t0 >= prev_end:
                 raise InvalidParameterError("bound segments must not overlap")
-            prev_end = t1
-            segments.append((t0, t1, lo, hi))
-        object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats
 
     def violation(self, t: np.ndarray, values: np.ndarray, dt: float) -> float:
         """Integrated excess of the signal outside the band.  A sample on the

@@ -307,3 +307,10 @@ class TestController:
                            match=r"^expected an increasing \[lower, upper\] pair$"):
             SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS,
                             pd=PdGains(1.0, 1.0), u_limits=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("pair", [(0, 1, 2), 3], ids=["three_entries", "number"])
+def test_limits_refuses_a_pair_of_another_width(pair):
+    with pytest.raises(InvalidParameterError,
+                       match=r"^expected an increasing \[lower, upper\] pair$"):
+        adrc.limits(pair)

@@ -15,7 +15,7 @@ from quadarm import tuner as tuner_mod
 from quadarm.cli import FIGURE_SET, main
 from quadarm.adrc import SUBSYSTEMS, EsoGains
 from quadarm.config import DEFAULTS, ConfigError, config_with_gains, load, resolve
-from quadarm.errors import DivergenceError, IntegrationError
+from quadarm.errors import DivergenceError, IntegrationError, InvalidParameterError
 from quadarm.model import MixerParams, QuadParams
 from quadarm.sim import COLUMNS, Scenario, TraceLog
 from quadarm.tuner import table_gains_vector
@@ -323,6 +323,21 @@ class TestPlotsCommand:
             f"plotting failed: {foreign_trace}: header is not the trace's columns"]
         assert not out.exists()
 
+    def test_trace_not_utf8_named(self, tmp_path):
+        # the header is fine, but the first chunk the reader decodes holds a Latin-1 byte
+        trace, out = tmp_path / "latin1.csv", tmp_path / "p"
+        trace.write_bytes(",".join(COLUMNS).encode() + b"\ncaf\xe9\n")
+        position = trace.read_bytes().index(b"\xe9")
+        message = (f"{trace}: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+                   "invalid continuation byte")
+        result = CliRunner().invoke(main, ["plots", str(trace), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"plotting failed: {message}"]
+        assert not out.exists()
+        with pytest.raises(InvalidParameterError) as refused:
+            TraceLog.from_csv(trace)
+        assert str(refused.value) == message
+
     def test_figures_plot_trace_columns(self):
         # plots reads its column indices off COLUMNS, which a checked header matches
         assert {c for _, cols, _ in FIGURE_SET for c in cols} <= set(COLUMNS)
@@ -608,6 +623,31 @@ def test_free_form_leaf_named(data, message):
     assert refused.value.problems == [message]
 
 
+#: a numeric list of the wrong width or with a non-number, and the problems it reads as
+NUMERIC_LIST_ERRORS = [
+    ({"controller": {"u_limits": {"roll": []}}},
+     ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
+    ({"controller": {"u_limits": {"roll": [0, 1, 2]}}},
+     ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
+    ({"controller": {"u_limits": {"roll": [[0], 1]}}},
+     ["controller.u_limits.roll: float() argument must be a string or a real number, not 'list'"]),
+    ({"disturbances": {"drag": {"k": ["a"] * 6}}},
+     ["disturbances.drag: could not convert string to float: 'a'"]),
+    ({"disturbances": {"drag": {"k": [0.1] * 5}}},
+     ["disturbances.drag: need six drag coefficients"]),
+    ({"disturbances": {"drag": {"k": [-1] * 6}, "wind": {"n": -1}}},
+     ["disturbances.drag: drag coefficients must be finite and non-negative",
+      "disturbances.wind: wind frequency must be positive"]),
+]
+
+
+@pytest.mark.parametrize("data, problems", NUMERIC_LIST_ERRORS)
+def test_numeric_list_problems(data, problems):
+    with pytest.raises(ConfigError) as refused:
+        resolve(data)
+    assert refused.value.problems == problems
+
+
 @pytest.mark.parametrize("data, path", [
     ({"tuner": {"layout": "foo"}}, "tuner.layout"),
     ({"tuner": {"box": {"lower": [1e-3] * 2, "upper": [1e5] * 11}}}, "tuner.box.lower"),
@@ -655,8 +695,8 @@ def test_free_form_leaf_named(data, message):
     ({"physical": {"d1": math.nan}}, "physical.d1"),
     ({"physical": {"mixer": {"k_f": math.nan}}}, "physical.mixer.k_f"),
     ({"disturbances": {"ground_effect": {"rho": math.nan}}}, "disturbances.ground_effect.rho"),
-    ({"disturbances": {"drag": {"k": [0.3729] * 5 + [math.nan]}}}, "disturbances"),
-    ({"disturbances": {"drag": {"k": [math.inf] * 6}}}, "disturbances"),
+    ({"disturbances": {"drag": {"k": [0.3729] * 5 + [math.nan]}}}, "disturbances.drag"),
+    ({"disturbances": {"drag": {"k": [math.inf] * 6}}}, "disturbances.drag"),
     ({"scenario": {"references": {"z": [[0.0, 0.0], [math.nan, 5.0]]}}},
      "scenario.references.z"),
     ({"physical": {"g": -math.inf}}, "physical.g"),
@@ -671,6 +711,7 @@ def test_free_form_leaf_named(data, message):
     ({"physical": {"geometry": {"R_q": 0.1, "L_q": 0.1, "L_r": 0.1, "W_r": 0.1, "H_r": 0.1,
                                 "D_r": 0.1, "x": 1}}}, "physical.geometry.x"),
     *((data, message.split(": ")[0]) for data, message in FREE_FORM_LEAF_ERRORS),
+    *((data, problems[-1].split(": ")[0]) for data, problems in NUMERIC_LIST_ERRORS),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []
@@ -714,6 +755,33 @@ def test_resolve_resolves_or_raises_config_error(data):
         resolve(data)
     except ConfigError:
         pass
+
+
+#: where each numeric-list leaf sits in a config
+NUMERIC_LISTS = {
+    "u_limits": lambda v: {"controller": {"u_limits": {"roll": v}}},
+    "drag": lambda v: {"disturbances": {"drag": {"k": v}}},
+    "reference": lambda v: {"scenario": {"references": {"z": v}}},
+    "d1_profile": lambda v: {"scenario": {"d1_profile": v}},
+    "open_loop_u1": lambda v: {"scenario": {"open_loop_u1": v}},
+    "bound": lambda v: {"tuner": {"bounds": [{"signal": "z", "segments": v}]}},
+}
+NUMERIC_ENTRIES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["1", "abc", 10 ** 400]),
+    lambda inner: st.lists(inner, max_size=5), max_leaves=8)
+#: words of Python's own errors, which name no rule of the config
+PYTHON_WORDS = ("unpack", "not supported between", "is not iterable", "is not subscriptable")
+
+
+@pytest.mark.parametrize("place", NUMERIC_LISTS.values(), ids=NUMERIC_LISTS)
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(NUMERIC_ENTRIES, max_size=7))
+def test_numeric_list_loads_or_states_its_rule(place, entries):
+    try:
+        resolve(place(entries))
+    except ConfigError as exc:
+        assert [p for p in exc.problems if any(w in p for w in PYTHON_WORDS)] == []
 
 
 def leaf_paths(tree, path=()):

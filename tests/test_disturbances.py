@@ -26,6 +26,11 @@ class TestDrag:
         with pytest.raises(InvalidParameterError):
             DragParams(k=(-0.1,) * 6)
 
+    def test_coefficients_stored_as_a_float_tuple(self):
+        drag = DragParams(k=[0.1] * 6)
+        assert drag.k == (0.1,) * 6
+        assert hash(drag) == hash(DragParams(k=(0.1,) * 6))
+
 
 @pytest.mark.parametrize("make", [
     lambda: DragParams(k=(0.1,) * 5),
