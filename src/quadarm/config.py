@@ -18,7 +18,7 @@ import yaml
 from . import adrc
 from .disturbances import (DisturbanceFlags, DisturbanceParams, DragParams,
                            GroundEffectParams, WindParams)
-from .errors import ConfigurationError, QuadArmError
+from .errors import ConfigurationError, QuadArmError, number
 from .model import (GeometryParams, InertiaParams, MassProperties, MixerParams,
                     QuadParams, QuadState, compose_inertia)
 from .sim import DEG, ControllerGains, PiecewiseConstant, Scenario
@@ -101,9 +101,8 @@ def _kind(value) -> str | None:
     """The kind of leaf a default asks for, or None for a free-form one."""
     if isinstance(value, bool):
         return "true or false"
-    if (isinstance(value, float) and math.isfinite(value)
-            or isinstance(value, int) and abs(value) < 2 ** 1024):
-        return "a finite number"  # nan, inf and an int past the float range are none
+    if number(value) and math.isfinite(value):
+        return "a finite number"
     return "a list" if isinstance(value, list) else None
 
 
@@ -149,9 +148,9 @@ def _build(problems, path, make):
     """``make()``, or None with the failure recorded under ``path``."""
     try:
         return make()
-    except KeyError as exc:
+    except KeyError as exc:  # a geometry dimension or a box side left out
         problems.append(f"{path}: missing {exc}")
-    except (QuadArmError, TypeError, ValueError, OverflowError) as exc:
+    except QuadArmError as exc:
         problems.append(f"{path}: {exc}")
 
 
@@ -243,8 +242,7 @@ def resolve(data: dict | None) -> Config:
     flags = DisturbanceFlags(**dist["enable"])
 
     sc = data["scenario"]
-    initial = _build(problems, "scenario.initial_state", lambda: QuadState(
-        np.asarray(sc["initial_state"], dtype=float)))
+    initial = _build(problems, "scenario.initial_state", lambda: QuadState(sc["initial_state"]))
     refs = {key: _profile(value, f"scenario.references.{key}", problems,
                           DEG if key.endswith("_deg") else 1.0)
             for key, value in sc["references"].items()}

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the reader of a fixed-width number list."""
+"""Exception types shared across the package, what a number is, and fixed-width number lists."""
 
 
 class QuadArmError(Exception):
@@ -9,10 +9,17 @@ class InvalidParameterError(QuadArmError):
     """A physical or controller parameter violates its constraints."""
 
 
+def number(value) -> bool:
+    """Whether ``value`` is an int or a float in the float range, not a bool; NaN and inf are."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= 1.7976931348623157e308)  # largest float
+
+
 def floats(entries, n: int, refusal: str) -> tuple:
-    """A list or tuple of ``n`` entries as a tuple of ``float()``s, which refuse a
-    non-number; anything else is an ``InvalidParameterError`` saying ``refusal``."""
-    if not (isinstance(entries, (list, tuple)) and len(entries) == n):
+    """A list, tuple or 1-D numpy vector of ``n`` ``number``s as a tuple of floats;
+    anything else is an ``InvalidParameterError`` saying ``refusal``."""
+    entries = entries.tolist() if hasattr(entries, "tolist") else entries  # a numpy vector
+    if not (isinstance(entries, (list, tuple)) and len(entries) == n and all(map(number, entries))):
         raise InvalidParameterError(refusal)
     return tuple(map(float, entries))
 

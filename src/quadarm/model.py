@@ -15,7 +15,7 @@ from math import cos, isfinite, sin, sqrt
 import numpy as np
 
 from . import render
-from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
+from .errors import ConfigurationError, InvalidInputError, InvalidParameterError, floats
 
 GRAVITY = 9.81
 
@@ -35,14 +35,11 @@ class QuadState:
     lagged_accel: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=float)
-        self.lagged_accel = np.asarray(self.lagged_accel, dtype=float)
-        if self.vector.shape != (12,):
-            raise InvalidParameterError("state vector must have 12 entries")
-        if self.lagged_accel.shape != (6,):
-            raise InvalidParameterError("lagged_accel must have 6 entries")
-        if not (np.all(np.isfinite(self.vector)) and np.all(np.isfinite(self.lagged_accel))):
+        vector = floats(self.vector, 12, "state vector must have 12 entries")
+        lagged = floats(self.lagged_accel, 6, "lagged_accel must have 6 entries")
+        if not all(map(isfinite, vector + lagged)):
             raise InvalidParameterError("state entries must be finite")
+        self.vector, self.lagged_accel = np.array(vector), np.array(lagged)
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,12 @@ class InertiaParams:
     l: float = 0.45  # arm length of the airframe cross
 
     def __post_init__(self):
-        if not (self.I_xx > 0 and self.I_yy > 0 and self.I_zz > 0):
-            raise InvalidParameterError("principal inertias must be positive")
+        if not all(0 < i and isfinite(i) for i in (self.I_xx, self.I_yy, self.I_zz)):
+            raise InvalidParameterError("principal inertias must be positive and finite")
+        if not self.J_r >= 0:
+            raise InvalidParameterError("rotor inertia J_r must be non-negative")
+        if not self.l > 0:
+            raise InvalidParameterError("arm length l must be positive")
 
     @property
     def a1(self):
@@ -148,13 +149,16 @@ def compose_inertia(geometry: GeometryParams, masses: MassProperties,
     this geometric path is an optional alternative.
     """
     g, mp = geometry, masses
-    I_xq = mp.m_q * (g.R_q ** 2 / 4 + g.L_q ** 2 / 12 + g.R_q ** 2 / 2)
-    I_yq = I_xq
-    I_zq = mp.m_q * (g.R_q ** 2 / 4 + g.L_q ** 2 / 12 + g.R_q ** 2 / 4 + g.L_q ** 2 / 12)
+    try:
+        I_xq = mp.m_q * (g.R_q ** 2 / 4 + g.L_q ** 2 / 12 + g.R_q ** 2 / 2)
+        I_yq = I_xq
+        I_zq = mp.m_q * (g.R_q ** 2 / 4 + g.L_q ** 2 / 12 + g.R_q ** 2 / 4 + g.L_q ** 2 / 12)
 
-    I_xr = mp.m_r * (g.W_r ** 2 / 12 + g.H_r ** 2 / 12 + g.D_r ** 2)
-    I_yr = mp.m_r * (g.L_r ** 2 / 12 + g.H_r ** 2 / 12 + g.D_r ** 2)
-    I_zr = mp.m_r * (g.L_r ** 2 / 2 + g.W_r ** 2 / 2)
+        I_xr = mp.m_r * (g.W_r ** 2 / 12 + g.H_r ** 2 / 12 + g.D_r ** 2)
+        I_yr = mp.m_r * (g.L_r ** 2 / 12 + g.H_r ** 2 / 12 + g.D_r ** 2)
+        I_zr = mp.m_r * (g.L_r ** 2 / 2 + g.W_r ** 2 / 2)
+    except OverflowError:  # a square or a quotient past the float range
+        raise InvalidParameterError("principal inertias must be positive and finite") from None
 
     return InertiaParams(I_xx=I_xq + I_xr, I_yy=I_yq + I_yr, I_zz=I_zq + I_zr,
                          J_r=J_r, l=l)
@@ -183,7 +187,7 @@ class MixerParams:
             [0.0, -kf, 0.0, kf],
             [kf, 0.0, -kf, 0.0],
             [km, -km, km, -km],
-        ])
+        ], dtype=float)  # an int past 2**63 would make an object array
 
     @cached_property
     def inverse(self) -> tuple:
@@ -272,6 +276,10 @@ class QuadParams:
     inertia: InertiaParams = field(default_factory=InertiaParams)
     mixer: MixerParams = field(default_factory=MixerParams)
     g: float = GRAVITY
+
+    def __post_init__(self):
+        if not (self.g > 0 and isfinite(self.g)):
+            raise InvalidParameterError("g must be positive and finite")
 
     @property
     def m(self) -> float:

@@ -41,6 +41,8 @@ class PiecewiseConstant:
     segments: tuple = ((0.0, 0.0),)  # of (t_start, value), stored as floats
 
     def __post_init__(self):
+        if not isinstance(self.segments, (list, tuple)):
+            raise InvalidParameterError("profile needs a list of [t_start, value] segments")
         segments = [floats(segment, 2, "profile segment needs [t_start, value]")
                     for segment in self.segments]
         object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats

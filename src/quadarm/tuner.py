@@ -10,7 +10,6 @@ are expressed as piecewise bounds whose integrated excess is penalized.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import adrc
 from .disturbances import DisturbanceParams
-from .errors import DivergenceError, InvalidParameterError, QuadArmError, floats
+from .errors import DivergenceError, InvalidParameterError, QuadArmError, floats, number
 from .model import QuadParams
 from .sim import COLUMNS, ControllerGains, Scenario, estimation_oracle, run
 
@@ -45,13 +44,12 @@ def layout_names(layout: str) -> tuple:
 
 
 def layout_vector(vector, layout: str) -> np.ndarray:
-    """``vector`` as a finite float array, checked against the width of ``layout``."""
+    """``vector`` as a float array of as many finite numbers as ``layout`` names."""
     n = len(layout_names(layout))
-    v = np.asarray(vector, dtype=float)
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
-        raise InvalidParameterError(f"the {layout} layout needs {n} finite parameters, "
-                                    f"got {v.tolist()}")
-    return v
+    refusal = f"the {layout} layout needs {n} finite parameters"
+    if not all(map(math.isfinite, v := floats(vector, n, refusal))):
+        raise InvalidParameterError(refusal)
+    return np.array(v)
 
 
 def gains_vector(gains: ControllerGains, layout: str = "shared") -> np.ndarray:
@@ -214,16 +212,13 @@ class TuneOptions:
 
     def __post_init__(self):
         for name, least in (("max_iterations", 0), ("max_backtracks", 1)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+            if not (number(n := getattr(self, name)) and isinstance(n, int)) or n < least:
                 raise InvalidParameterError(f"{name} must be an integer >= {least}")
-        for name, zero_ok in (("fd_eps_rel", False), ("fd_eps_floor", False),
-                              ("initial_step", False), ("rel_tol", True)):
+        for name, sign in (("fd_eps_rel", ">"), ("fd_eps_floor", ">"), ("initial_step", ">"),
+                           ("rel_tol", ">=")):
             x = getattr(self, name)
-            if (isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x)
-                    or x < 0 or (x == 0 and not zero_ok)):
-                raise InvalidParameterError(
-                    f"{name} must be a finite number {'>=' if zero_ok else '>'} 0")
+            if not (number(x) and 0 <= x < math.inf) or (x == 0 and sign == ">"):
+                raise InvalidParameterError(f"{name} must be a finite number {sign} 0")
 
 
 @dataclass

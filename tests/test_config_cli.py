@@ -1,4 +1,5 @@
 import errno
+import functools
 import math
 import os
 
@@ -595,7 +596,7 @@ FREE_FORM_LEAF_ERRORS = [
     ({"physical": {"geometry": {k: v for k, v in GEOMETRY.items() if k != "D_r"}}},
      "physical.geometry: missing 'D_r'"),
     ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, "a", 10.0]]}]}},
-     "tuner.bounds[0]: could not convert string to float: 'a'"),
+     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
     ({"tuner": {"bounds": [None]}}, "tuner.bounds[0]: expected a mapping"),
     ({"tuner": {"bounds": [{"signal": "z", "segments": [1]}]}},
      "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
@@ -612,7 +613,7 @@ FREE_FORM_LEAF_ERRORS = [
     ({"scenario": {"references": {"roll_deg": [[0, 5], [1, 2, 3]]}}},
      "scenario.references.roll_deg: profile segment needs [t_start, value]"),
     ({"scenario": {"d1_profile": [[0, "a"]]}},
-     "scenario.d1_profile: could not convert string to float: 'a'"),
+     "scenario.d1_profile: profile segment needs [t_start, value]"),
 ]
 
 
@@ -630,9 +631,9 @@ NUMERIC_LIST_ERRORS = [
     ({"controller": {"u_limits": {"roll": [0, 1, 2]}}},
      ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
     ({"controller": {"u_limits": {"roll": [[0], 1]}}},
-     ["controller.u_limits.roll: float() argument must be a string or a real number, not 'list'"]),
+     ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
     ({"disturbances": {"drag": {"k": ["a"] * 6}}},
-     ["disturbances.drag: could not convert string to float: 'a'"]),
+     ["disturbances.drag: need six drag coefficients"]),
     ({"disturbances": {"drag": {"k": [0.1] * 5}}},
      ["disturbances.drag: need six drag coefficients"]),
     ({"disturbances": {"drag": {"k": [-1] * 6}, "wind": {"n": -1}}},
@@ -712,6 +713,11 @@ def test_numeric_list_problems(data, problems):
                                 "D_r": 0.1, "x": 1}}}, "physical.geometry.x"),
     *((data, message.split(": ")[0]) for data, message in FREE_FORM_LEAF_ERRORS),
     *((data, problems[-1].split(": ")[0]) for data, problems in NUMERIC_LIST_ERRORS),
+    ({"scenario": {"d1_profile": 5}}, "scenario.d1_profile"),
+    ({"physical": {"g": 0}}, "physical"),
+    ({"physical": {"g": -1}}, "physical"),
+    ({"physical": {"inertia": {"l": -1}}}, "physical"),
+    ({"physical": {"inertia": {"J_r": -1}}}, "physical"),
 ])
 def test_schema_error_exit_2_names_key_path(tmp_path, monkeypatch, data, path):
     calls = []
@@ -771,7 +777,8 @@ NUMERIC_ENTRIES = st.recursive(
     | st.sampled_from(["1", "abc", 10 ** 400]),
     lambda inner: st.lists(inner, max_size=5), max_leaves=8)
 #: words of Python's own errors, which name no rule of the config
-PYTHON_WORDS = ("unpack", "not supported between", "is not iterable", "is not subscriptable")
+PYTHON_WORDS = ("unpack", "not supported between", "is not iterable", "is not subscriptable",
+                "could not convert", "float() argument", "too large to convert")
 
 
 @pytest.mark.parametrize("place", NUMERIC_LISTS.values(), ids=NUMERIC_LISTS)
@@ -789,6 +796,39 @@ def leaf_paths(tree, path=()):
     if not isinstance(tree, dict) or not tree:
         return [path]
     return [leaf for key, value in tree.items() for leaf in leaf_paths(value, (*path, key))]
+
+
+def nested(path, value):
+    """The config that sets only the leaf at the key path ``path``, to ``value``."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+#: where the sweep puts a value: every default leaf, each side of a tuner box, a bound's segments
+SWEPT = {**{".".join(p): functools.partial(nested, p) for p in leaf_paths(DEFAULTS)},
+         "tuner.box.lower": lambda v: {"tuner": {"box": {"lower": v, "upper": [1e5] * 11}}},
+         "tuner.box.upper": lambda v: {"tuner": {"box": {"lower": [1e-3] * 11, "upper": v}}},
+         "tuner.bounds[0].segments": lambda v: {"tuner": {"bounds": [{"signal": "z",
+                                                                      "segments": v}]}}}
+SWEEP_VALUES = [None, True, False, "abc", "1", "5", [], [1], [[1]], {"x": 1}, {"a": {"b": 1}},
+                math.inf, -math.inf, math.nan, 10 ** 400, 1e300, -1e300, -1, 0, 5, [True, False],
+                ["-5", "5"], [[0, "a"]], [[0, True]], [None] * 12, ["0"] * 12, [True] * 11,
+                [[0, 1, 2, 3]], [0.0] * 11, [0.0] * 20, [[0, math.inf, 0, 1]]]
+
+
+def test_every_leaf_loads_or_states_its_rule():
+    # each value alone at each place: a config loads, or is a ConfigError whose
+    # problems name the program's own rules
+    worded = []
+    for where, place in SWEPT.items():
+        for value in SWEEP_VALUES:
+            try:
+                resolve(place(value))
+            except ConfigError as exc:
+                worded += [(where, value, p) for p in exc.problems
+                           if any(w in p for w in PYTHON_WORDS)]
+    assert worded == []
 
 
 # scenario.duration stays at 0.01 s, so no example integrates more than ten steps

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadarm import (ControlInputs, DisturbanceOutputs, GeometryParams, InertiaParams,
-                     MassProperties, MixerParams, QuadState, WindParams, compose_inertia, mix,
-                     state_derivative, unmix)
+                     MassProperties, MixerParams, QuadParams, QuadState, WindParams,
+                     compose_inertia, mix, state_derivative, unmix)
 from quadarm.errors import InvalidInputError, InvalidParameterError
 from quadarm.model import rotor_speeds
 
@@ -119,6 +119,11 @@ class TestMixer:
             rows = MixerParams(k_f=1e300).inverse
         assert np.all(np.isfinite(rows))
 
+    def test_huge_int_constant_reads_as_a_float(self):
+        # an int past 2**63 would make numpy build an array of Python objects
+        assert MixerParams(k_f=2 ** 1000).matrix().dtype == np.float64
+        assert np.all(np.isfinite(MixerParams(k_f=2 ** 1000).inverse))
+
     def test_clamp_sets_flag(self):
         p = MixerParams()
         # pure roll torque with zero thrust forces a negative solution
@@ -200,6 +205,33 @@ def test_nan_parameter_refused(make):
         make()
 
 
+GEOMETRY = dict(R_q=0.1, L_q=0.45, L_r=0.2, W_r=0.05, H_r=0.05, D_r=0.1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuadParams(g=0.0), "g must be positive and finite"),
+    (lambda: QuadParams(g=-1.0), "g must be positive and finite"),
+    (lambda: QuadParams(g=math.inf), "g must be positive and finite"),
+    (lambda: InertiaParams(l=0.0), "arm length l must be positive"),
+    (lambda: InertiaParams(l=-1.0), "arm length l must be positive"),
+    (lambda: InertiaParams(J_r=-1.0), "rotor inertia J_r must be non-negative"),
+    (lambda: InertiaParams(I_zz=math.inf), "principal inertias must be positive and finite"),
+    (lambda: compose_inertia(GeometryParams(**{**GEOMETRY, "L_q": 1e300}), MassProperties()),
+     "principal inertias must be positive and finite"),
+    (lambda: compose_inertia(GeometryParams(**{**GEOMETRY, "D_r": 2 ** 1000}), MassProperties()),
+     "principal inertias must be positive and finite"),
+], ids=["g_zero", "g_negative", "g_inf", "l_zero", "l_negative", "J_r_negative", "I_zz_inf",
+        "geometry_float_overflow", "geometry_int_overflow"])
+def test_physical_range_refused(make, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        make()
+
+
+def test_physical_range_edges_accepted():
+    assert InertiaParams(J_r=0.0).a2 == 0.0
+    assert QuadParams(g=1e-3).g == 1e-3
+
+
 def test_quadstate_validation():
     with pytest.raises(InvalidParameterError):
         QuadState(np.zeros(11))
@@ -207,6 +239,15 @@ def test_quadstate_validation():
         QuadState(np.full(12, math.nan))
     with pytest.raises(InvalidParameterError):
         QuadState(lagged_accel=np.zeros(5))
+    for entries in (["0"] * 12, [True] * 12, [[0.0]] * 12, np.zeros((12, 1))):
+        with pytest.raises(InvalidParameterError, match="^state vector must have 12 entries$"):
+            QuadState(entries)
+
+
+def test_quadstate_reads_numbers_as_a_float_vector():
+    state = QuadState([0] * 11 + [2 ** 60], lagged_accel=(1, 2, 3, 4, 5, 6.5))
+    assert state.vector.dtype == state.lagged_accel.dtype == np.float64
+    assert state.vector[-1] == 2.0 ** 60 and state.lagged_accel.tolist() == [1, 2, 3, 4, 5, 6.5]
 
 
 def test_mass_properties_com():

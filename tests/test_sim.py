@@ -84,9 +84,19 @@ class TestPiecewiseConstant:
             PiecewiseConstant(((0.0, 1.0), segment))
 
     def test_segments_stored_as_floats(self):
-        p = PiecewiseConstant(((0, 1), (True, "2.5")))
-        assert p.segments == ((0.0, 1.0), (1.0, 2.5))
+        p = PiecewiseConstant(((0, 1), (2, 3)))
+        assert p.segments == ((0.0, 1.0), (2.0, 3.0))
         assert all(type(x) is float for segment in p.segments for x in segment)
+        for pair in ((True, 2.5), (1, "2.5")):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^profile segment needs \[t_start, value\]$"):
+                PiecewiseConstant(((0, 1), pair))
+
+    @pytest.mark.parametrize("segments", [5, True, math.inf, "abc", {"x": 1}])
+    def test_segments_not_a_list_refused(self, segments):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^profile needs a list of \[t_start, value\] segments$"):
+            PiecewiseConstant(segments)
 
 
 def exp_decay(t, y, lagged):
