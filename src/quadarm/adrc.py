@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import render
-from .errors import ConfigurationError, InvalidParameterError, floats
+from .errors import ConfigurationError, InvalidParameterError, floats, in_range
 
 ROLL, PITCH, YAW, ALTITUDE = "roll", "pitch", "yaw", "altitude"
 SUBSYSTEMS = (ROLL, PITCH, YAW, ALTITUDE)
@@ -36,10 +36,10 @@ class EsoGains:
 
     def __post_init__(self):
         p = (self.p1, self.p2, self.p3)
-        # Hurwitz gains are positive, so the largest is finite only if all are
-        if not (is_hurwitz(*p) and max(p) < math.inf):
+        in_range("finite", **vars(self))
+        if not is_hurwitz(*p):
             raise ConfigurationError(
-                f"observer gains {p} are not finite and Hurwitz (need p1>0, p3>0, p1*p2>p3)")
+                f"observer gains {p} are not Hurwitz (need p1>0, p3>0, p1*p2>p3)")
 
     @classmethod
     def from_bandwidth(cls, omega0: float) -> "EsoGains":
@@ -57,15 +57,12 @@ class PdGains:
     kd: float
 
     def __post_init__(self):
-        if not (self.kp > 0 and self.kd > 0):
-            raise InvalidParameterError("PD gains must be positive")
-        if not max(self.kp, self.kd) < math.inf:
-            raise InvalidParameterError("PD gains must be finite")
+        in_range("positive", **vars(self))
 
 
 def limits(pair) -> tuple[float, float]:
     """``pair`` as an increasing (lower, upper) pair of floats."""
-    refusal = "expected an increasing [lower, upper] pair"
+    refusal = "expected an increasing [lower, upper] pair of numbers"
     lower, upper = floats(pair, 2, refusal)
     if not lower < upper:
         raise InvalidParameterError(refusal)
@@ -142,24 +139,19 @@ def loop_gains(c: SubsystemConfig) -> tuple:
     return (c.eso.p1, c.eso.p2, c.eso.p3, c.pd.kp, c.pd.kd, *c.u_limits)
 
 
-def check_dt(dt: float) -> float:
-    """``dt``, refused unless positive and finite: the one home of that rule."""
-    if not 0 < dt < math.inf:  # NaN too
-        raise InvalidParameterError("dt must be positive and finite")
-    return dt
-
-
 def control_kernel(config: SubsystemConfig, dt: float):
     """``CLAMP`` and ``CONTROL`` for the loop ``config``: ``f(k, x1, x2, x3, u, y, ref,
     rate, b) -> ((x1, x2, x3, u), (u, u0, x3, x1, x2, saturated), clamped)``."""
-    constants = {**dict(zip(GAINS, loop_gains(config))), "dt": check_dt(dt), "b_min": B_MIN}
+    in_range("positive", dt=dt)
+    constants = {**dict(zip(GAINS, loop_gains(config))), "dt": dt, "b_min": B_MIN}
     return render.kernel("control", constants, "k, x1, x2, x3, u, y, ref, rate, b", _CONTROL)
 
 
 def eso_step(eso: EsoState, y: float, u: float, b_hat: float,
              gains: EsoGains, dt: float) -> EsoState:
     """``OBSERVE``: advance the observer one step (RK4, measurement held over the step)."""
-    constants = {"p1": gains.p1, "p2": gains.p2, "p3": gains.p3, "dt": check_dt(dt)}
+    in_range("positive", dt=dt)
+    constants = {"p1": gains.p1, "p2": gains.p2, "p3": gains.p3, "dt": dt}
     return EsoState._make(render.kernel("observe", constants, "x1, x2, x3, u, y, b", _OBSERVE)(
         *eso, u, y, b_hat))
 

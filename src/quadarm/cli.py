@@ -70,9 +70,7 @@ def _check_out_dir(path, is_dir=False):
               help="YAML config; omit for the stock tracking scenario.")
 @click.option("--out", "out_path", type=click.Path(), default="trace.csv",
               show_default=True, help="Output CSV trace.")
-@click.option("--seed", type=int, default=None,
-              help="Reserved; the simulation is deterministic.")
-def simulate(config_path, out_path, seed):
+def simulate(config_path, out_path):
     """Run one scenario and write the trace log as CSV."""
     cfg = config_mod.load(config_path)
     _check_out_dir(out_path)
@@ -86,9 +84,7 @@ def simulate(config_path, out_path, seed):
               help="YAML config with a tuner section.")
 @click.option("--out", "out_path", type=click.Path(), default="tuned.yaml",
               show_default=True, help="Output config with the tuned gains.")
-@click.option("--seed", type=int, default=None,
-              help="Reserved; the optimizer is deterministic.")
-def tune(config_path, out_path, seed):
+def tune(config_path, out_path):
     """Optimize the controller gains against the configured scenario."""
     cfg = config_mod.load(config_path)
     problem, x0 = cfg.tune_problem(), cfg.tune_initial()

@@ -8,7 +8,6 @@ and converted to radians on load.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 
@@ -18,7 +17,7 @@ import yaml
 from . import adrc
 from .disturbances import (DisturbanceFlags, DisturbanceParams, DragParams,
                            GroundEffectParams, WindParams)
-from .errors import ConfigurationError, QuadArmError, number
+from .errors import ConfigurationError, QuadArmError, admits
 from .model import (GeometryParams, InertiaParams, MassProperties, MixerParams,
                     QuadParams, QuadState, compose_inertia)
 from .sim import DEG, ControllerGains, PiecewiseConstant, Scenario
@@ -101,7 +100,7 @@ def _kind(value) -> str | None:
     """The kind of leaf a default asks for, or None for a free-form one."""
     if isinstance(value, bool):
         return "true or false"
-    if number(value) and math.isfinite(value):
+    if admits("finite", value):
         return "a finite number"
     return "a list" if isinstance(value, list) else None
 

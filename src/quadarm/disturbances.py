@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import render
-from .errors import InvalidParameterError, floats
+from .errors import InvalidParameterError, floats, in_range
 from .model import MassProperties, QuadState
 
 
@@ -22,9 +22,8 @@ class DragParams:
     k: tuple = (0.3729,) * 6  # stored as floats
 
     def __post_init__(self):
-        object.__setattr__(self, "k", floats(self.k, 6, "need six drag coefficients"))  # frozen
-        if not all(0 <= ki < math.inf for ki in self.k):
-            raise InvalidParameterError("drag coefficients must be finite and non-negative")
+        object.__setattr__(self, "k", floats(  # frozen
+            self.k, 6, "need six non-negative finite drag coefficients", "non-negative"))
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class GroundEffectParams:
     z_min: float = 0.2  # altitude clamp floor, m (landing skids keep z > 0)
 
     def __post_init__(self):
-        if not (self.rho > 0 and self.r > 0):
-            raise InvalidParameterError("rho and r must be positive")
+        in_range("positive", rho=self.rho, r=self.r)
+        in_range("finite", z_min=self.z_min)
         # below r*sqrt(rho)/4 the thrust scaling is singular
         singular = self.r * math.sqrt(self.rho) / 4
         if not self.z_min > singular:
@@ -58,10 +57,8 @@ class WindParams:
     n: float = 0.002  # rad/s
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.n)):
-            raise InvalidParameterError("wind parameters must be finite")
-        if not self.n > 0:
-            raise InvalidParameterError("wind frequency must be positive")
+        in_range("finite", alpha=self.alpha, beta=self.beta)
+        in_range("positive", n=self.n)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, what a number is, and fixed-width number lists."""
+"""Exception types shared across the package, what a number is, its ranges, and number lists."""
+
+from math import isfinite
 
 
 class QuadArmError(Exception):
@@ -15,11 +17,32 @@ def number(value) -> bool:
                                         and abs(value) <= 1.7976931348623157e308)  # largest float
 
 
-def floats(entries, n: int, refusal: str) -> tuple:
-    """A list, tuple or 1-D numpy vector of ``n`` ``number``s as a tuple of floats;
-    anything else is an ``InvalidParameterError`` saying ``refusal``."""
+#: each range a parameter may be asked to lie in: its words in a refusal, what it admits
+RANGES = {"positive": ("positive and finite", lambda x: x > 0),
+          "non-negative": ("non-negative and finite", lambda x: x >= 0),
+          "finite": ("finite", lambda x: True)}
+
+
+def admits(range: str, value) -> bool:
+    """Whether ``value`` is a finite ``number`` in ``range``, a key of ``RANGES``."""
+    return number(value) and isfinite(value) and RANGES[range][1](value)
+
+
+def in_range(range: str, **values) -> None:
+    """Refuse the first of the named ``values`` that ``range`` does not admit with an
+    ``InvalidParameterError``: ``<name> must be positive and finite``, say."""
+    for name, value in values.items():
+        if not admits(range, value):
+            raise InvalidParameterError(f"{name} must be {RANGES[range][0]}")
+
+
+def floats(entries, n: int, refusal: str, range: str | None = None) -> tuple:
+    """A list, tuple or 1-D numpy vector of ``n`` ``number``s, each in ``range`` unless that
+    is None, as a tuple of floats; anything else is an ``InvalidParameterError`` saying
+    ``refusal``."""
     entries = entries.tolist() if hasattr(entries, "tolist") else entries  # a numpy vector
-    if not (isinstance(entries, (list, tuple)) and len(entries) == n and all(map(number, entries))):
+    if not (isinstance(entries, (list, tuple)) and len(entries) == n and all(
+            admits(range, x) if range else number(x) for x in entries)):
         raise InvalidParameterError(refusal)
     return tuple(map(float, entries))
 

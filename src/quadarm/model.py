@@ -15,7 +15,8 @@ from math import cos, isfinite, sin, sqrt
 import numpy as np
 
 from . import render
-from .errors import ConfigurationError, InvalidInputError, InvalidParameterError, floats
+from .errors import (ConfigurationError, InvalidInputError, InvalidParameterError, floats,
+                     in_range)
 
 GRAVITY = 9.81
 
@@ -35,10 +36,8 @@ class QuadState:
     lagged_accel: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        vector = floats(self.vector, 12, "state vector must have 12 entries")
-        lagged = floats(self.lagged_accel, 6, "lagged_accel must have 6 entries")
-        if not all(map(isfinite, vector + lagged)):
-            raise InvalidParameterError("state entries must be finite")
+        vector = floats(self.vector, 12, "state vector needs 12 finite numbers", "finite")
+        lagged = floats(self.lagged_accel, 6, "lagged_accel needs 6 finite numbers", "finite")
         self.vector, self.lagged_accel = np.array(vector), np.array(lagged)
 
 
@@ -52,10 +51,9 @@ class MassProperties:
     d1: float = 0.8  # arm CoM distance from d0, m
 
     def __post_init__(self):
-        if not self.m_q > 0:
-            raise InvalidParameterError("m_q must be positive")
-        if not self.m_r >= 0:
-            raise InvalidParameterError("m_r must be non-negative")
+        in_range("positive", m_q=self.m_q)
+        in_range("non-negative", m_r=self.m_r)
+        in_range("finite", d0=self.d0, d1=self.d1)
 
     @property
     def m(self) -> float:
@@ -82,9 +80,7 @@ class GeometryParams:
     D_r: float  # cuboid distance to the central axis
 
     def __post_init__(self):
-        for name in ("R_q", "L_q", "L_r", "W_r", "H_r", "D_r"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"geometry dimension {name} must be positive")
+        in_range("positive", **vars(self))
 
 
 @dataclass(frozen=True)
@@ -98,12 +94,8 @@ class InertiaParams:
     l: float = 0.45  # arm length of the airframe cross
 
     def __post_init__(self):
-        if not all(0 < i and isfinite(i) for i in (self.I_xx, self.I_yy, self.I_zz)):
-            raise InvalidParameterError("principal inertias must be positive and finite")
-        if not self.J_r >= 0:
-            raise InvalidParameterError("rotor inertia J_r must be non-negative")
-        if not self.l > 0:
-            raise InvalidParameterError("arm length l must be positive")
+        in_range("positive", I_xx=self.I_xx, I_yy=self.I_yy, I_zz=self.I_zz, l=self.l)
+        in_range("non-negative", J_r=self.J_r)
 
     @property
     def a1(self):
@@ -177,8 +169,7 @@ class MixerParams:
     k_m: float = 1.5e-6  # N m s^2 / rad^2
 
     def __post_init__(self):
-        if not (self.k_f > 0 and self.k_m > 0):
-            raise InvalidParameterError("k_f and k_m must be positive")
+        in_range("positive", **vars(self))
 
     def matrix(self) -> np.ndarray:
         kf, km = self.k_f, self.k_m
@@ -278,8 +269,7 @@ class QuadParams:
     g: float = GRAVITY
 
     def __post_init__(self):
-        if not (self.g > 0 and isfinite(self.g)):
-            raise InvalidParameterError("g must be positive and finite")
+        in_range("positive", g=self.g)
 
     @property
     def m(self) -> float:

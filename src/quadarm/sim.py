@@ -24,7 +24,7 @@ from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
 from .disturbances import (COUPLING, GUST, LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams,
                            lump_constants)
-from .errors import DivergenceError, IntegrationError, InvalidParameterError, floats
+from .errors import DivergenceError, IntegrationError, InvalidParameterError, floats, in_range
 from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, THRUST, TRIG, QuadParams, QuadState,
                     derivative_constants)
 
@@ -43,13 +43,11 @@ class PiecewiseConstant:
     def __post_init__(self):
         if not isinstance(self.segments, (list, tuple)):
             raise InvalidParameterError("profile needs a list of [t_start, value] segments")
-        segments = [floats(segment, 2, "profile segment needs [t_start, value]")
-                    for segment in self.segments]
+        segments = [floats(segment, 2, "profile segment needs [t_start, value] as two finite "
+                           "numbers", "finite") for segment in self.segments]
         object.__setattr__(self, "segments", tuple(segments))  # frozen: keep the floats
         if not segments:
             raise InvalidParameterError("profile needs at least one segment")
-        if not all(math.isfinite(t) and math.isfinite(v) for t, v in segments):
-            raise InvalidParameterError("profile times and values must be finite")
         if segments != sorted(segments, key=lambda segment: segment[0]):
             raise InvalidParameterError("profile segments must be time-sorted")
 
@@ -79,9 +77,8 @@ class Scenario:
     open_loop_u1: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(0.0))
 
     def __post_init__(self):
-        adrc.check_dt(self.dt)
-        if not 0 <= self.duration < math.inf:
-            raise InvalidParameterError("duration must be non-negative and finite")
+        in_range("positive", dt=self.dt)
+        in_range("non-negative", duration=self.duration)
 
     @property
     def n_steps(self) -> int:
@@ -314,7 +311,7 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
     lagged accelerations are held constant over the step and replaced by
     the final-stage accelerations afterwards.
     """
-    adrc.check_dt(dt)
+    in_range("positive", dt=dt)
     y, h, k = state.vector, 0.5 * dt, []
     with np.errstate(all="ignore"):  # float arithmetic: an overflow is inf, checked below
         for tau, step in ((t, None), (t + h, h), (t + h, h), (t + dt, dt)):

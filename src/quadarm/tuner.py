@@ -17,7 +17,8 @@ import numpy as np
 
 from . import adrc
 from .disturbances import DisturbanceParams
-from .errors import DivergenceError, InvalidParameterError, QuadArmError, floats, number
+from .errors import (DivergenceError, InvalidParameterError, QuadArmError, floats, in_range,
+                     number)
 from .model import QuadParams
 from .sim import COLUMNS, ControllerGains, Scenario, estimation_oracle, run
 
@@ -46,10 +47,8 @@ def layout_names(layout: str) -> tuple:
 def layout_vector(vector, layout: str) -> np.ndarray:
     """``vector`` as a float array of as many finite numbers as ``layout`` names."""
     n = len(layout_names(layout))
-    refusal = f"the {layout} layout needs {n} finite parameters"
-    if not all(map(math.isfinite, v := floats(vector, n, refusal))):
-        raise InvalidParameterError(refusal)
-    return np.array(v)
+    return np.array(floats(vector, n, f"the {layout} layout needs {n} finite parameters",
+                           "finite"))
 
 
 def gains_vector(gains: ControllerGains, layout: str = "shared") -> np.ndarray:
@@ -90,8 +89,11 @@ class SignalBound:
     def __post_init__(self):
         if self.signal not in COLUMNS:
             raise InvalidParameterError(f"unknown bounded signal {self.signal!r}")
-        segments = tuple(floats(segment, 4, "bound segment needs [t_start, t_end, lower, upper]")
-                         for segment in self.segments)
+        if not isinstance(self.segments, (list, tuple)):
+            raise InvalidParameterError("bound needs a list of [t_start, t_end, lower, upper] "
+                                        "segments")
+        segments = tuple(floats(segment, 4, "bound segment needs [t_start, t_end, lower, upper] "
+                                "as four numbers") for segment in self.segments)
         object.__setattr__(self, "segments", segments)  # frozen: keep the floats
         for (t0, t1, lo, hi), prev_end in zip(segments, (-math.inf, *(s[1] for s in segments))):
             if not t0 < t1:
@@ -121,11 +123,7 @@ class CostWeights:
     bound_penalty: float = 1e3
 
     def __post_init__(self):
-        weights = (self.tracking, self.estimation, self.effort, self.bound_penalty)
-        if not all(map(math.isfinite, weights)):
-            raise InvalidParameterError("cost weights must be finite")
-        if not all(w >= 0 for w in weights):
-            raise InvalidParameterError("cost weights must be non-negative")
+        in_range("non-negative", **vars(self))
 
 
 @dataclass
@@ -214,11 +212,9 @@ class TuneOptions:
         for name, least in (("max_iterations", 0), ("max_backtracks", 1)):
             if not (number(n := getattr(self, name)) and isinstance(n, int)) or n < least:
                 raise InvalidParameterError(f"{name} must be an integer >= {least}")
-        for name, sign in (("fd_eps_rel", ">"), ("fd_eps_floor", ">"), ("initial_step", ">"),
-                           ("rel_tol", ">=")):
-            x = getattr(self, name)
-            if not (number(x) and 0 <= x < math.inf) or (x == 0 and sign == ">"):
-                raise InvalidParameterError(f"{name} must be a finite number {sign} 0")
+        in_range("positive", fd_eps_rel=self.fd_eps_rel, fd_eps_floor=self.fd_eps_floor,
+                 initial_step=self.initial_step)
+        in_range("non-negative", rel_tol=self.rel_tol)
 
 
 @dataclass

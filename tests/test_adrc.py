@@ -62,8 +62,10 @@ class TestHurwitz:
     @pytest.mark.parametrize("p", [(math.inf, math.inf, 1.0), (math.inf, 1.0, 1.0),
                                    (1.0, math.inf, 1.0)])
     def test_infinite_gains_rejected(self, p):
-        # each passes the Routh inequalities: an infinite p1 or p2 makes p1 * p2 > p3
-        with pytest.raises(ConfigurationError, match="are not finite and Hurwitz"):
+        # each passes the Routh inequalities (an infinite p1 or p2 makes p1 * p2 > p3), so
+        # the finite range refuses it, at its first infinite gain
+        name = f"p{p.index(math.inf) + 1}"
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite$"):
             EsoGains(*p)
 
     def test_bandwidth_form(self):
@@ -193,7 +195,8 @@ class TestPd:
 
     @pytest.mark.parametrize("kp, kd", [(math.inf, 1.0), (1.0, math.inf)])
     def test_infinite_gain_rejected(self, kp, kd):
-        with pytest.raises(InvalidParameterError, match="^PD gains must be finite$"):
+        name = "kp" if kp == math.inf else "kd"
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be positive and finite$"):
             PdGains(kp, kd)
 
     @given(ref=st.floats(-1e6, 1e6), rate=st.floats(-1e6, 1e6), x1=st.floats(-1e6, 1e6),
@@ -304,7 +307,7 @@ class TestController:
             SubsystemConfig(which="pitch", b_hat=-0.01, eso=TABLE_GAINS,
                             pd=PdGains(1.0, 1.0), u_limits=(-1.0, 1.0))
         with pytest.raises(InvalidParameterError,
-                           match=r"^expected an increasing \[lower, upper\] pair$"):
+                           match=r"^expected an increasing \[lower, upper\] pair of numbers$"):
             SubsystemConfig(which="roll", b_hat=1.0, eso=TABLE_GAINS,
                             pd=PdGains(1.0, 1.0), u_limits=(1.0, 1.0))
 
@@ -312,5 +315,5 @@ class TestController:
 @pytest.mark.parametrize("pair", [(0, 1, 2), 3], ids=["three_entries", "number"])
 def test_limits_refuses_a_pair_of_another_width(pair):
     with pytest.raises(InvalidParameterError,
-                       match=r"^expected an increasing \[lower, upper\] pair$"):
+                       match=r"^expected an increasing \[lower, upper\] pair of numbers$"):
         adrc.limits(pair)

@@ -113,7 +113,7 @@ class TestConfig:
                               {"tuner": {"box": {"lower": [1e5] * 11, "upper": [1e-3] * 11}}})
         with pytest.raises(ConfigError) as refused:
             resolve({**weak, **reversed_box, "controller": {"pd": {"roll": {"kp": -1.0}}}})
-        assert refused.value.problems == ["controller.pd.roll: PD gains must be positive"]
+        assert refused.value.problems == ["controller.pd.roll: kp must be positive and finite"]
         with pytest.raises(ConfigError) as refused:
             resolve({**weak, **reversed_box})
         assert refused.value.problems == ["physical.inertia: b_hat of roll is below 0.05",
@@ -123,7 +123,7 @@ class TestConfig:
         with pytest.raises(ConfigError) as refused:
             resolve({"controller": {"u_limits": {"yaw": [5, -5]}}})
         assert refused.value.problems == [
-            "controller.u_limits.yaw: expected an increasing [lower, upper] pair"]
+            "controller.u_limits.yaw: expected an increasing [lower, upper] pair of numbers"]
 
     def test_tune_problem_built_once(self):
         cfg = resolve({"tuner": {"layout": "per_subsystem",
@@ -180,6 +180,18 @@ class TestSimulateCommand:
                                         "--out", str(out)]).exit_code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "tune"])
+    def test_seed_option_is_gone(self, tmp_path, monkeypatch, command):
+        # both commands are deterministic and take no seed: an unknown option, before any run
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli.tuner_mod, "tune", lambda *a, **k: calls.append(a))
+        result = CliRunner().invoke(main, [command, "--seed", "1",
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--seed" in result.output
+        assert calls == []
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {"physical": {"mass": 2.0}})
@@ -596,24 +608,24 @@ FREE_FORM_LEAF_ERRORS = [
     ({"physical": {"geometry": {k: v for k, v in GEOMETRY.items() if k != "D_r"}}},
      "physical.geometry: missing 'D_r'"),
     ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, "a", 10.0]]}]}},
-     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
+     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper] as four numbers"),
     ({"tuner": {"bounds": [None]}}, "tuner.bounds[0]: expected a mapping"),
     ({"tuner": {"bounds": [{"signal": "z", "segments": [1]}]}},
-     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
+     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper] as four numbers"),
     ({"tuner": {"bounds": [{"signal": "z", "segments": [[0.0, 1.0, 2.0]]}]}},
-     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper]"),
+     "tuner.bounds[0]: bound segment needs [t_start, t_end, lower, upper] as four numbers"),
     ({"controller": {"eso_overrides": {"bogus": {"p1": 1.0}}}},
      "controller.eso_overrides.bogus: unknown key"),
     ({"scenario": {"references": {"z": [[0, 5, 1]]}}},
-     "scenario.references.z: profile segment needs [t_start, value]"),
+     "scenario.references.z: profile segment needs [t_start, value] as two finite numbers"),
     ({"scenario": {"references": {"z": [5]}}},
-     "scenario.references.z: profile segment needs [t_start, value]"),
+     "scenario.references.z: profile segment needs [t_start, value] as two finite numbers"),
     ({"scenario": {"references": {"z": [[0]]}}},
-     "scenario.references.z: profile segment needs [t_start, value]"),
+     "scenario.references.z: profile segment needs [t_start, value] as two finite numbers"),
     ({"scenario": {"references": {"roll_deg": [[0, 5], [1, 2, 3]]}}},
-     "scenario.references.roll_deg: profile segment needs [t_start, value]"),
+     "scenario.references.roll_deg: profile segment needs [t_start, value] as two finite numbers"),
     ({"scenario": {"d1_profile": [[0, "a"]]}},
-     "scenario.d1_profile: profile segment needs [t_start, value]"),
+     "scenario.d1_profile: profile segment needs [t_start, value] as two finite numbers"),
 ]
 
 
@@ -627,18 +639,18 @@ def test_free_form_leaf_named(data, message):
 #: a numeric list of the wrong width or with a non-number, and the problems it reads as
 NUMERIC_LIST_ERRORS = [
     ({"controller": {"u_limits": {"roll": []}}},
-     ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
+     ["controller.u_limits.roll: expected an increasing [lower, upper] pair of numbers"]),
     ({"controller": {"u_limits": {"roll": [0, 1, 2]}}},
-     ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
+     ["controller.u_limits.roll: expected an increasing [lower, upper] pair of numbers"]),
     ({"controller": {"u_limits": {"roll": [[0], 1]}}},
-     ["controller.u_limits.roll: expected an increasing [lower, upper] pair"]),
+     ["controller.u_limits.roll: expected an increasing [lower, upper] pair of numbers"]),
     ({"disturbances": {"drag": {"k": ["a"] * 6}}},
-     ["disturbances.drag: need six drag coefficients"]),
+     ["disturbances.drag: need six non-negative finite drag coefficients"]),
     ({"disturbances": {"drag": {"k": [0.1] * 5}}},
-     ["disturbances.drag: need six drag coefficients"]),
+     ["disturbances.drag: need six non-negative finite drag coefficients"]),
     ({"disturbances": {"drag": {"k": [-1] * 6}, "wind": {"n": -1}}},
-     ["disturbances.drag: drag coefficients must be finite and non-negative",
-      "disturbances.wind: wind frequency must be positive"]),
+     ["disturbances.drag: need six non-negative finite drag coefficients",
+      "disturbances.wind: n must be positive and finite"]),
 ]
 
 

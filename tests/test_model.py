@@ -212,10 +212,10 @@ GEOMETRY = dict(R_q=0.1, L_q=0.45, L_r=0.2, W_r=0.05, H_r=0.05, D_r=0.1)
     (lambda: QuadParams(g=0.0), "g must be positive and finite"),
     (lambda: QuadParams(g=-1.0), "g must be positive and finite"),
     (lambda: QuadParams(g=math.inf), "g must be positive and finite"),
-    (lambda: InertiaParams(l=0.0), "arm length l must be positive"),
-    (lambda: InertiaParams(l=-1.0), "arm length l must be positive"),
-    (lambda: InertiaParams(J_r=-1.0), "rotor inertia J_r must be non-negative"),
-    (lambda: InertiaParams(I_zz=math.inf), "principal inertias must be positive and finite"),
+    (lambda: InertiaParams(l=0.0), "l must be positive and finite"),
+    (lambda: InertiaParams(l=-1.0), "l must be positive and finite"),
+    (lambda: InertiaParams(J_r=-1.0), "J_r must be non-negative and finite"),
+    (lambda: InertiaParams(I_zz=math.inf), "I_zz must be positive and finite"),
     (lambda: compose_inertia(GeometryParams(**{**GEOMETRY, "L_q": 1e300}), MassProperties()),
      "principal inertias must be positive and finite"),
     (lambda: compose_inertia(GeometryParams(**{**GEOMETRY, "D_r": 2 ** 1000}), MassProperties()),
@@ -240,7 +240,7 @@ def test_quadstate_validation():
     with pytest.raises(InvalidParameterError):
         QuadState(lagged_accel=np.zeros(5))
     for entries in (["0"] * 12, [True] * 12, [[0.0]] * 12, np.zeros((12, 1))):
-        with pytest.raises(InvalidParameterError, match="^state vector must have 12 entries$"):
+        with pytest.raises(InvalidParameterError, match="^state vector needs 12 finite numbers$"):
             QuadState(entries)
 
 

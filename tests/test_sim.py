@@ -88,8 +88,8 @@ class TestPiecewiseConstant:
         assert p.segments == ((0.0, 1.0), (2.0, 3.0))
         assert all(type(x) is float for segment in p.segments for x in segment)
         for pair in ((True, 2.5), (1, "2.5")):
-            with pytest.raises(InvalidParameterError,
-                               match=r"^profile segment needs \[t_start, value\]$"):
+            with pytest.raises(InvalidParameterError, match=r"^profile segment needs "
+                               r"\[t_start, value\] as two finite numbers$"):
                 PiecewiseConstant(((0, 1), pair))
 
     @pytest.mark.parametrize("segments", [5, True, math.inf, "abc", {"x": 1}])

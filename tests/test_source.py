@@ -216,6 +216,43 @@ def test_merge_has_no_per_path_branch():
     assert compared_strings((PACKAGE / "config.py").read_text(encoding="utf-8"), "_merge") == []
 
 
+def numeric_literal(node) -> bool:
+    """Whether ``node`` is a number written out, signed or not, or ``inf``."""
+    node = node.operand if isinstance(node, ast.UnaryOp) else node
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            or ast.unparse(node) in ("inf", "math.inf"))
+
+
+def range_comparisons(source: str) -> list:
+    """The comparisons with a ``numeric_literal`` in the ``__post_init__`` of each
+    dataclass of a source, in source order: a range written out by hand."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            found += [node for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                      and fn.name == "__post_init__" for node in ast.walk(fn)
+                      if isinstance(node, ast.Compare)
+                      and any(map(numeric_literal, (node.left, *node.comparators)))]
+    return [ast.unparse(n) for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_detects_range_comparisons():
+    source = ("@dataclass(frozen=True)\nclass A:\n    def __post_init__(self):\n"
+              "        if not self.x > 0 or not all(0 <= k < math.inf for k in self.k):\n"
+              "            raise E\n"
+              "        if self.y == -1.5 or self.n < least or self.s == 'a':\n"
+              "            raise E\n\n    def rate(self):\n        return self.x > 0\n\n"
+              "class B:\n    def __post_init__(self):\n        assert self.x > 0\n")
+    assert range_comparisons(source) == ["self.x > 0", "0 <= k < math.inf", "self.y == -1.5"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_state_ranges_through_the_rule(path):
+    # a parameter's range has one home: ``errors.in_range`` and its ``RANGES``
+    assert range_comparisons(path.read_text(encoding="utf-8")) == []
+
+
 def raised_names(source: str) -> list:
     """What each ``raise`` in a source raises, in line order: the exception
     class, or None for a bare re-raise."""

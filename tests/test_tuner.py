@@ -114,8 +114,15 @@ class TestSignalBound:
                              ids=["three_numbers", "number", "five_numbers"])
     def test_misshaped_segment_rejected(self, segment):
         with pytest.raises(InvalidParameterError,
-                           match=r"^bound segment needs \[t_start, t_end, lower, upper\]$"):
+                           match=r"^bound segment needs \[t_start, t_end, lower, upper\] "
+                                 r"as four numbers$"):
             SignalBound("z", (segment,))
+
+    @pytest.mark.parametrize("segments", [5, None, "abcd", {"x": 1}])
+    def test_segments_not_a_list_refused(self, segments):
+        with pytest.raises(InvalidParameterError, match=r"^bound needs a list of "
+                           r"\[t_start, t_end, lower, upper\] segments$"):
+            SignalBound("z", segments)
 
     def test_touching_segments_count_a_shared_sample_once(self):
         # the spike at t = 1 belongs to the segment that starts there; an end
@@ -325,14 +332,16 @@ class TestCost:
             short_problem(**box)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidParameterError, match="^cost weights must be non-negative$"):
+        with pytest.raises(InvalidParameterError,
+                           match="^tracking must be non-negative and finite$"):
             CostWeights(tracking=-1.0)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["tracking", "estimation", "effort", "bound_penalty"])
     def test_non_finite_weight_rejected(self, name, bad):
         # an infinite weight makes a cost inf, or NaN on a zero term
-        with pytest.raises(InvalidParameterError, match="^cost weights must be finite$"):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must be non-negative and finite$"):
             CostWeights(**{name: bad})
 
     def test_unknown_bound_signal_rejected(self):
