@@ -80,7 +80,8 @@ class SubsystemConfig:
     def __post_init__(self):
         if self.which not in SUBSYSTEMS:
             raise InvalidParameterError(f"unknown subsystem {self.which!r}")
-        if self.which != ALTITUDE and not abs(self.b_hat) >= B_MIN:
+        in_range("finite", **{f"b_hat of {self.which}": self.b_hat})
+        if self.which != ALTITUDE and abs(self.b_hat) < B_MIN:
             raise InvalidParameterError(f"b_hat of {self.which} is below {B_MIN}")
         limits(self.u_limits)
 

@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import render
-from .errors import InvalidParameterError, floats, in_range
+from .errors import InvalidParameterError, floats, in_range, switches
 from .model import MassProperties, QuadState
 
 
@@ -68,6 +68,9 @@ class DisturbanceFlags:
     wind: bool = False
     com: bool = False
 
+    def __post_init__(self):
+        switches(**vars(self))
+
     @classmethod
     def all_on(cls):
         return cls(drag=True, ground_effect=True, wind=True, com=True)
@@ -82,6 +85,9 @@ class DisturbanceParams:
     # CoM term enters with + and the altitude drag with +); set False for
     # the uniformly-dissipative variant
     strict_signs: bool = True
+
+    def __post_init__(self):
+        switches(strict_signs=self.strict_signs)
 
 
 #: the lumped disturbance accelerations and the thrust scaling factor, ``LUMP``'s results
@@ -147,4 +153,4 @@ def lump(state: QuadState, t: float, params: DisturbanceParams,
          flags: DisturbanceFlags, masses: MassProperties) -> DisturbanceOutputs:
     """Assemble delta_a..delta_f from the enabled channels plus G."""
     return DisturbanceOutputs._make(lump_kernel(params, flags, masses.m)(
-        state.vector.tolist(), state.lagged_accel.tolist(), t, masses.z_G))
+        *state.read(), t, masses.z_G))

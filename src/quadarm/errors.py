@@ -1,4 +1,4 @@
-"""Exception types shared across the package, what a number is, its ranges, and number lists."""
+"""Exception types of the package, what a number is, its ranges, switches, and number lists."""
 
 from math import isfinite
 
@@ -36,6 +36,13 @@ def in_range(range: str, **values) -> None:
             raise InvalidParameterError(f"{name} must be {RANGES[range][0]}")
 
 
+def switches(**values) -> None:
+    """Refuse the first of ``values`` that is not a bool: ``<name> must be true or false``."""
+    for name, value in values.items():
+        if not isinstance(value, bool):
+            raise InvalidParameterError(f"{name} must be true or false")
+
+
 def floats(entries, n: int, refusal: str, range: str | None = None) -> tuple:
     """A list, tuple or 1-D numpy vector of ``n`` ``number``s, each in ``range`` unless that
     is None, as a tuple of floats; anything else is an ``InvalidParameterError`` saying
@@ -45,10 +52,6 @@ def floats(entries, n: int, refusal: str, range: str | None = None) -> tuple:
             admits(range, x) if range else number(x) for x in entries)):
         raise InvalidParameterError(refusal)
     return tuple(map(float, entries))
-
-
-class InvalidInputError(QuadArmError):
-    """A runtime input (rotor speed, control vector, ...) is out of domain."""
 
 
 class ConfigurationError(QuadArmError):

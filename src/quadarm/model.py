@@ -10,13 +10,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import cos, isfinite, sin, sqrt
+from math import cos, sin, sqrt
 
 import numpy as np
 
 from . import render
-from .errors import (ConfigurationError, InvalidInputError, InvalidParameterError, floats,
-                     in_range)
+from .errors import ConfigurationError, InvalidParameterError, floats, in_range
 
 GRAVITY = 9.81
 
@@ -36,9 +35,13 @@ class QuadState:
     lagged_accel: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        vector = floats(self.vector, 12, "state vector needs 12 finite numbers", "finite")
-        lagged = floats(self.lagged_accel, 6, "lagged_accel needs 6 finite numbers", "finite")
-        self.vector, self.lagged_accel = np.array(vector), np.array(lagged)
+        self.vector, self.lagged_accel = map(np.array, self.read())
+
+    def read(self) -> tuple[tuple, tuple]:
+        """The vector and the lagged accelerations as tuples of 12 and 6 finite floats, read
+        again on each call: the numpy vectors can change after the state is built."""
+        return (floats(self.vector, 12, "state vector needs 12 finite numbers", "finite"),
+                floats(self.lagged_accel, 6, "lagged_accel needs 6 finite numbers", "finite"))
 
 
 @dataclass(frozen=True)
@@ -202,13 +205,10 @@ ControlInputs = namedtuple("ControlInputs", (*INPUTS, "rotor_saturated"),
 
 def mix(omega_squared, params: MixerParams) -> ControlInputs:
     """Map squared rotor speeds to the generalized inputs U1..U4."""
-    w2 = np.asarray(omega_squared, dtype=float)
-    if w2.shape != (4,):
-        raise InvalidInputError("expected four squared rotor speeds")
-    if not np.all(np.isfinite(w2) & (w2 >= 0)):
-        raise InvalidInputError("squared rotor speeds must be finite and non-negative")
+    w2 = floats(omega_squared, 4, "squared rotor speeds need 4 non-negative finite numbers",
+                "non-negative")
     omega_r = render.kernel("speed", {"sqrt": sqrt}, "w1, w2, w3, w4",
-                            SPEED + "return omega_r\n")(*w2.tolist())
+                            SPEED + "return omega_r\n")(*w2)
     return ControlInputs(*(params.matrix() @ w2).tolist(), omega_r)
 
 
@@ -225,16 +225,15 @@ rotor_sat = w1 < 0 or w2 < 0 or w3 < 0 or w4 < 0
 w1, w2 = 0.0 if w1 <= 0.0 else w1, 0.0 if w2 <= 0.0 else w2
 w3, w4 = 0.0 if w3 <= 0.0 else w3, 0.0 if w4 <= 0.0 else w4
 """
-_MIXER = ("if not all(map(isfinite, (U1, U2, U3, U4))):  # a NaN passes MIXER unflagged\n"
-          "    raise InvalidInputError('generalized inputs must be finite')\n"
-          + INVERSE + MIXER + SPEED + "return (w1, w2, w3, w4), rotor_sat, omega_r\n")
+_MIXER = INVERSE + MIXER + SPEED + "return (w1, w2, w3, w4), rotor_sat, omega_r\n"
+_INPUTS_REFUSAL = "generalized inputs need 4 finite numbers"
 
 
 def mixer_kernel(params: MixerParams):
     """``MIXER`` and ``SPEED`` behind ``unmix`` and ``rotor_speeds``:
-    ``f(U1, U2, U3, U4) -> (w2, saturated, omega_r)``."""
-    return render.kernel("mixer", {"inverse": params.inverse, "sqrt": sqrt, "isfinite": isfinite,
-                                   "InvalidInputError": InvalidInputError}, "U1, U2, U3, U4", _MIXER)
+    ``f(U1, U2, U3, U4) -> (w2, saturated, omega_r)``; unchecked."""
+    return render.kernel("mixer", {"inverse": params.inverse, "sqrt": sqrt}, "U1, U2, U3, U4",
+                         _MIXER)
 
 
 def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
@@ -243,7 +242,7 @@ def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     Components that solve negative are clamped to zero; the second return
     value flags that saturation.
     """
-    w2, saturated, _ = mixer_kernel(params)(*np.asarray(u[:4], dtype=float).tolist())
+    w2, saturated, _ = mixer_kernel(params)(*floats(u[:4], 4, _INPUTS_REFUSAL, "finite"))
     return np.array(w2), saturated
 
 
@@ -254,7 +253,7 @@ def rotor_speeds(u, params: MixerParams) -> ControlInputs:
     The commanded U1..U4 are kept verbatim for the dynamics; the rotor
     decomposition only feeds the gyroscopic relative-speed term.
     """
-    uv = np.asarray(u[:4], dtype=float).tolist()
+    uv = floats(u[:4], 4, _INPUTS_REFUSAL, "finite")
     _, saturated, omega_r = mixer_kernel(params)(*uv)
     return ControlInputs(*uv, omega_r, saturated)
 
@@ -321,8 +320,5 @@ def state_derivative(state: QuadState, u: ControlInputs, dist,
     accelerations are returned separately so the caller can store them as
     the next step's lagged values.
     """
-    s = state.vector.tolist()  # the vector may have changed since it was built
-    if not all(map(isfinite, s)):
-        raise InvalidInputError("state must be finite")
-    deriv = derivative_kernel(params)(s, u[:5], dist)
+    deriv = derivative_kernel(params)(state.read()[0], u[:5], dist)
     return np.array(deriv), np.array(deriv[1::2])

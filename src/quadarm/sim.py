@@ -24,11 +24,14 @@ from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
 from .disturbances import (COUPLING, GUST, LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams,
                            lump_constants)
-from .errors import DivergenceError, IntegrationError, InvalidParameterError, floats, in_range
+from .errors import (DivergenceError, IntegrationError, InvalidParameterError, floats, in_range,
+                     switches)
 from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, THRUST, TRIG, QuadParams, QuadState,
                     derivative_constants)
 
 DIVERGENCE_LIMIT = 1e6
+#: the largest |roll| and |pitch| of a run; past it the thrust no longer lifts
+ATTITUDE_LIMIT = math.pi / 2
 MAX_STEPS = 10 ** 7  #: most steps a scenario may ask for: 4.5 GB of trace at 448 B a record
 
 DEG = math.pi / 180.0
@@ -79,6 +82,7 @@ class Scenario:
     def __post_init__(self):
         in_range("positive", dt=self.dt)
         in_range("non-negative", duration=self.duration)
+        switches(open_loop=self.open_loop)
 
     @property
     def n_steps(self) -> int:
@@ -390,7 +394,7 @@ try:
             break
         @stages
         # NaN lies within no bound; past one, a non-finite entry means a non-finite slope
-        if not (low <= y1 <= limit and low <= y2 <= limit and low <= y3 <= limit
+        if not (tilt_low <= y1 <= tilt and low <= y2 <= limit and tilt_low <= y3 <= tilt
                 and low <= y4 <= limit and low <= y5 <= limit and low <= y6 <= limit
                 and low <= y7 <= limit and low <= y8 <= limit and low <= y9 <= limit
                 and low <= y10 <= limit and low <= y11 <= limit and low <= y12 <= limit):
@@ -449,7 +453,7 @@ def run(scenario: Scenario, params: QuadParams,
     changes = {k: (*(p(k * dt) for p in refs), masses.z_G_at(arm(k * dt)), u1(k * dt))
                for k in steps if k <= n}
     loops = None if open_loop else (gains or ControllerGains()).loops(params)
-    log, state = TraceLog(n + 1), scenario.initial_state
+    log = TraceLog(n + 1)
     constants = {
         **lump_constants(dist_params or DisturbanceParams(), scenario.flags, params.m),
         **derivative_constants(params), "dt": dt, "steps": n, "open_loop": open_loop,
@@ -458,11 +462,11 @@ def run(scenario: Scenario, params: QuadParams,
         "inverse": None if open_loop else params.mixer.inverse,
         "rate": 0.0,  # a piecewise-constant reference has no rate
         "b_min": adrc.B_MIN, "sqrt": sqrt, "isfinite": isfinite, "low": -DIVERGENCE_LIMIT,
-        "limit": DIVERGENCE_LIMIT, "IntegrationError": IntegrationError,
-        "DivergenceError": DivergenceError, "pack_into": log._row.pack_into,
-        "records": memoryview(log._data), "row_bytes": log._row.size}
-    render.kernel("loop", constants, "y, lagged", loop_text())(
-        state.vector.tolist(), state.lagged_accel.tolist())
+        "limit": DIVERGENCE_LIMIT, "tilt_low": -ATTITUDE_LIMIT, "tilt": ATTITUDE_LIMIT,
+        "IntegrationError": IntegrationError, "DivergenceError": DivergenceError,
+        "pack_into": log._row.pack_into, "records": memoryview(log._data),
+        "row_bytes": log._row.size}
+    render.kernel("loop", constants, "y, lagged", loop_text())(*scenario.initial_state.read())
     log._n = n + 1  # every record, packed in place by the loop
     return log
 

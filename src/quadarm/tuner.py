@@ -237,9 +237,9 @@ def tune(problem, x0, options: TuneOptions | None = None) -> TuneResult:
     """
     options = options or TuneOptions()
     lower, upper = np.asarray(problem.box_lower), np.asarray(problem.box_upper)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != lower.shape or not np.all((lower <= x) & (x <= upper)):  # NaN too
-        raise InvalidParameterError("initial vector outside box bounds")
+    x = np.array(floats(x0, len(lower), refusal := "initial vector outside box bounds", "finite"))
+    if not np.all((lower <= x) & (x <= upper)):
+        raise InvalidParameterError(refusal)
 
     f, report = problem.evaluate(x)
     if not f < SENTINEL_COST:  # NaN too

@@ -171,6 +171,23 @@ class TestBank:
         assert not clamped
 
 
+class TestSubsystemConfig:
+    @pytest.mark.parametrize("which", adrc.SUBSYSTEMS)
+    @pytest.mark.parametrize("b_hat", [None, "a", True, math.nan, math.inf, -math.inf])
+    def test_b_hat_is_finite(self, which, b_hat):
+        # every loop's, before the attitude loops' B_MIN rule; altitude's is recomputed
+        with pytest.raises(InvalidParameterError, match=f"^b_hat of {which} must be finite$"):
+            SubsystemConfig(which=which, b_hat=b_hat, eso=TABLE_GAINS, pd=PdGains(2.0, 1.0),
+                            u_limits=(-1.0, 1.0))
+
+    def test_small_b_hat_is_altitude_only(self):
+        SubsystemConfig(which="altitude", b_hat=0.0, eso=TABLE_GAINS, pd=PdGains(2.0, 1.0),
+                        u_limits=(-1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match=f"^b_hat of roll is below {B_MIN}$"):
+            SubsystemConfig(which="roll", b_hat=0.0, eso=TABLE_GAINS, pd=PdGains(2.0, 1.0),
+                            u_limits=(-1.0, 1.0))
+
+
 class TestPd:
     def test_zero_errors(self):
         assert pd(1.0, 0.0, 1.0, 0.0, PdGains(10.0, 5.0)) == 0.0

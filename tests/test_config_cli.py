@@ -268,6 +268,31 @@ class TestSimulateCommand:
         assert result.output.strip().splitlines() == [
             "simulation failed: non-finite derivative at t=0 s"]
 
+    def test_tumbling_run_one_line_exit_1(self, tmp_path):
+        # with every channel off, dt = 0.04 saturates the roll and altitude inputs and the
+        # vehicle rolls past 90 degrees, where its thrust no longer lifts it
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "scenario": {"duration": 12.0, "dt": 0.04},
+            "disturbances": {"enable": dict.fromkeys(("drag", "ground_effect", "wind", "com"),
+                                                     False)}})
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                           "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "simulation failed: simulation diverged at t=0.48 s"]
+
+    @pytest.mark.parametrize("physical, loop", [({"inertia": {"I_xx": 1.0e-310}}, "roll"),
+                                                ({"m_q": 1.0e-320, "m_r": 0.0}, "altitude")])
+    def test_infinite_b_hat_exit_2(self, tmp_path, physical, loop):
+        # l / I_xx and -1 / m overflow to an infinite effectiveness: refused at load, not
+        # as a non-finite derivative in the first periods
+        cfg = write_yaml(tmp_path / "c.yaml", {"physical": physical})
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                           "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            "invalid configuration:", f"  physical.inertia: b_hat of {loop} must be finite"]
+
 
 class TestPlotsCommand:
     def test_emits_figure_scripts(self, tmp_path):

@@ -130,7 +130,7 @@ def test_tune_output_bytes(tmp_path, config, tuned_digest, history_digest):
 
 
 #: sha256 of the source text of ``sim.run``'s rendered loop
-LOOP_TEXT_DIGEST = "32199dc564541309e862131d19fce52cb9f751a89cf09975365c766d29ae41d3"
+LOOP_TEXT_DIGEST = "73a328e2f949b21113c349e26877a840744e32971d7db66870ea701f59ae0a56"
 
 
 def rendered_loop(monkeypatch, *args, **kwargs) -> str:

@@ -1,0 +1,106 @@
+"""Every number list a one-call function takes returns numbers or is refused in its own words."""
+
+import math
+
+import numpy as np
+import pytest
+
+from quadarm import (ControlInputs, DisturbanceFlags, DisturbanceOutputs, DisturbanceParams,
+                     MassProperties, QuadParams, QuadState, TuneOptions, TuneResult, tune)
+from quadarm.disturbances import lump
+from quadarm.errors import InvalidParameterError, QuadArmError
+from quadarm.model import mix, rotor_speeds, state_derivative, unmix
+
+PARAMS = QuadParams()
+SPEEDS = "squared rotor speeds need 4 non-negative finite numbers"
+INPUTS = "generalized inputs need 4 finite numbers"
+STATE = "state vector needs 12 finite numbers"
+LAGGED = "lagged_accel needs 6 finite numbers"
+START = "initial vector outside box bounds"
+
+
+def changed(**vectors) -> QuadState:
+    """A state at rest whose ``vector`` or ``lagged_accel`` changed after it was built."""
+    state = QuadState()
+    for name, entries in vectors.items():
+        setattr(state, name, entries)
+    return state
+
+
+class Bowl:
+    """An analytic tuning problem: the squared norm in the box [-1, 1]^3."""
+
+    box_lower, box_upper = np.full(3, -1.0), np.full(3, 1.0)
+
+    def evaluate(self, vector):
+        return float(np.sum(np.square(vector))), {}
+
+
+#: each one-call function on a list of numbers: the call, the width it reads, its
+#: refusal, and whether its range admits a negative entry
+CALLS = {
+    "mix": (lambda v: mix(v, PARAMS.mixer), 4, SPEEDS, False),
+    "unmix": (lambda v: unmix(v, PARAMS.mixer), 4, INPUTS, True),
+    "rotor_speeds": (lambda v: rotor_speeds(v, PARAMS.mixer), 4, INPUTS, True),
+    "state_derivative": (lambda v: state_derivative(
+        changed(vector=v), ControlInputs(), DisturbanceOutputs(), PARAMS), 12, STATE, True),
+    "lump": (lambda v: lump(changed(vector=v), 0.0, DisturbanceParams(),
+                            DisturbanceFlags.all_on(), MassProperties()), 12, STATE, True),
+    "lump_lagged": (lambda v: lump(changed(lagged_accel=v), 0.0, DisturbanceParams(),
+                                   DisturbanceFlags.all_on(), MassProperties()), 6, LAGGED, True),
+    "tune": (lambda v: tune(Bowl(), v, TuneOptions(max_iterations=1)), 3, START, True),
+}
+
+#: what a sweep sets one entry to, one value at a time
+VALUES = [None, "1", True, math.nan, math.inf, -math.inf, -1]
+
+
+def numbers(result) -> list:
+    """The numbers a call returned, its tuples, arrays and tuned vector opened."""
+    if isinstance(result, TuneResult):
+        return numbers(result.vector)
+    if isinstance(result, (tuple, list, np.ndarray)):
+        return [x for part in result for x in numbers(part)]
+    return [result]
+
+
+def test_numbers_opens_every_container():
+    assert numbers(((1.0, np.array([2.0, 3.0])), False)) == [1.0, 2.0, 3.0, False]
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_list_returns_numbers_or_is_refused(name):
+    call, width, refusal, negatives = CALLS[name]
+    # the reads of ``u[:4]`` take the first four of a longer list
+    cases = {**{repr(value): ([0.5] * (width - 1) + [value], value == -1 and negatives)
+                for value in VALUES},
+             "width 2": ([0.5] * 2, False), "width 5": ([0.5] * 5, width == 4 and name != "mix")}
+    for case, (entries, loads) in cases.items():
+        try:
+            result = call(entries)
+        except QuadArmError as exc:  # a TypeError, ValueError or AttributeError fails the test
+            assert not loads and str(exc) == refusal, (case, str(exc))
+        else:
+            assert loads, case
+            assert all(isinstance(x, (float, bool)) and math.isfinite(x)
+                       for x in numbers(result)), case
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: mix(["1"] * 4, PARAMS.mixer), SPEEDS),
+    (lambda: mix([True] * 4, PARAMS.mixer), SPEEDS),
+    (lambda: unmix([1.0, 2.0], PARAMS.mixer), INPUTS),
+    (lambda: rotor_speeds("abcd", PARAMS.mixer), INPUTS),
+    (lambda: tune(Bowl(), ["a", "b"]), START),
+], ids=["mix_strings", "mix_booleans", "unmix_two", "rotor_speeds_string", "tune_strings"])
+def test_input_once_let_through_is_refused(call, refusal):
+    with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
+        call()
+
+
+def test_state_is_read_as_it_is_now():
+    # a vector changed in place after the state was built is read again, not trusted
+    state = QuadState()
+    state.vector[6] = math.nan
+    with pytest.raises(InvalidParameterError, match=f"^{STATE}$"):
+        lump(state, 0.0, DisturbanceParams(), DisturbanceFlags(), MassProperties())

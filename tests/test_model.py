@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quadarm import (ControlInputs, DisturbanceOutputs, GeometryParams, InertiaParams,
                      MassProperties, MixerParams, QuadParams, QuadState, WindParams,
                      compose_inertia, mix, state_derivative, unmix)
-from quadarm.errors import InvalidInputError, InvalidParameterError
+from quadarm.errors import InvalidParameterError
 from quadarm.model import rotor_speeds
 
 
@@ -77,17 +77,19 @@ class TestMixer:
         assert (u.U1, u.U2, u.U3, u.U4) == pytest.approx((1.0, 1.0, 0.0, -1.0))
 
     def test_negative_speed_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidParameterError,
+                           match="^squared rotor speeds need 4 non-negative finite numbers$"):
             mix([1, 1, -1, 1], MixerParams())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_speed_rejected(self, bad):
-        with pytest.raises(InvalidInputError,
-                           match="^squared rotor speeds must be finite and non-negative$"):
+        with pytest.raises(InvalidParameterError,
+                           match="^squared rotor speeds need 4 non-negative finite numbers$"):
             mix([1.0, 1.0, bad, 1.0], MixerParams())
 
     def test_three_speeds_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidParameterError,
+                           match="^squared rotor speeds need 4 non-negative finite numbers$"):
             mix(np.ones(3), MixerParams())
 
     def test_hover_inverse(self):
@@ -149,7 +151,8 @@ class TestMixer:
     @pytest.mark.parametrize("call", [unmix, rotor_speeds], ids=["unmix", "rotor_speeds"])
     def test_non_finite_input_rejected(self, call, bad):
         # the mixer's clamp and saturation flag would pass a NaN through as unsaturated
-        with pytest.raises(InvalidInputError, match="^generalized inputs must be finite$"):
+        with pytest.raises(InvalidParameterError,
+                           match="^generalized inputs need 4 finite numbers$"):
             call([bad, 1.0, 0.0, 0.0], MixerParams())
 
 
@@ -187,7 +190,7 @@ class TestStateDerivative:
     def test_non_finite_state_rejected(self, params):
         state = QuadState()
         state.vector[0] = math.inf
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidParameterError, match="^state vector needs 12 finite numbers$"):
             state_derivative(state, ControlInputs(), DisturbanceOutputs(), params)
 
 

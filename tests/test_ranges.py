@@ -7,9 +7,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from quadarm import (CostWeights, DragParams, EsoGains, GeometryParams, GroundEffectParams,
-                     InertiaParams, MassProperties, MixerParams, PdGains, PiecewiseConstant,
-                     QuadParams, QuadState, Scenario, TuneOptions, WindParams)
+from quadarm import (CostWeights, DisturbanceFlags, DisturbanceParams, DragParams, EsoGains,
+                     GeometryParams, GroundEffectParams, InertiaParams, MassProperties,
+                     MixerParams, PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
+                     TuneOptions, WindParams)
 from quadarm.errors import InvalidParameterError, QuadArmError, floats, in_range
 
 GEOMETRY = dict(R_q=0.1, L_q=0.45, L_r=0.2, W_r=0.05, H_r=0.05, D_r=0.1)
@@ -43,6 +44,26 @@ def test_field_loads_or_is_refused_by_name(record, given, name):
             assert re.search(rf"\b{name}\b", str(exc)), (value, str(exc))
         else:
             assert type(value) is int and getattr(made, name) == value, value
+
+
+#: each record's switches: the fields annotated as a bool
+SWITCHES = [(record, f.name) for record in (DisturbanceFlags, DisturbanceParams, Scenario)
+            for f in fields(record) if f.type == "bool"]
+
+
+def test_switches_found():
+    assert len(SWITCHES) == 6
+
+
+@pytest.mark.parametrize("record, name", SWITCHES,
+                         ids=[f"{record.__name__}.{name}" for record, name in SWITCHES])
+def test_switch_is_true_or_false(record, name):
+    for value in (True, False):
+        assert getattr(record(**{name: value}), name) is value
+    for value in [*VALUES, "no", "false", 1]:  # a non-empty string is truthy
+        if value is not True:
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be true or false$"):
+                record(**{name: value})
 
 
 #: each list record, the list it builds from a number ``x`` in one entry, and its refusal

@@ -455,12 +455,12 @@ class TestPeriodHoists:
         assert run(c.scenario, c.params, c.dist_params, c.gains).column("sat_pitch").any()
 
     def test_divergence_time_is_kept(self, params):
-        # an unstable roll loop with wide limits leaves the box in its second period
+        # an unstable roll loop with wide limits tips past 90 degrees in its first period
         gains = ControllerGains(pd_roll=PdGains(1e7, 0.01),
                                 u_limits={**ControllerGains().u_limits, "roll": (-1e9, 1e9)})
         with pytest.raises(DivergenceError) as exc_info:
             run(Scenario(duration=1.0), params, gains=gains)
-        assert exc_info.value.time == 0.002
+        assert exc_info.value.time == 0.001
 
     def test_non_finite_state_time_is_kept(self, params):
         # from t = 0.05 a thrust of 1e308 sums to an infinite altitude rate with no

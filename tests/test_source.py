@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from quadarm import adrc, disturbances, model, sim
+from quadarm import (AdrcController, ControlInputs, ControllerGains, DisturbanceFlags,
+                     DisturbanceOutputs, DisturbanceParams, EsoGains, EsoState, MassProperties,
+                     PdGains, QuadParams, QuadState, adrc, disturbances, errors, model, render,
+                     sim)
 from quadarm.config import Config
 from quadarm.sim import TraceLog
 
@@ -266,6 +269,59 @@ def test_detects_raised_names():
     source = ("def f(x):\n    if x:\n        raise errors.Bad('x') from None\n"
               "    try:\n        g()\n    except E:\n        raise\n    raise E\n")
     assert raised_names(source) == ["errors.Bad", None, "E"]
+
+
+def kernel_checks(body: str, constants: dict) -> list:
+    """What a kernel body raises, then the exception classes its constants bind, by name."""
+    return raised_names(body) + sorted(name for name, value in constants.items() if isinstance(
+        value, type) and issubclass(value, BaseException))
+
+
+def test_detects_kernel_checks():
+    body = "if not x > 0:\n    raise Bad('x')\nreturn x\n"
+    assert kernel_checks(body, {"Bad": ValueError, "c": 1.0, "kind": float}) == ["Bad", "Bad"]
+    assert kernel_checks("return x\n", {"c": 1.0}) == []
+
+
+def one_call_kernels(monkeypatch) -> dict:
+    """The body and the constants of each kernel the one-call functions render, by name."""
+    made, kernel = {}, render.kernel
+
+    def record(name, constants, signature, body):
+        made[name] = body, constants
+        return kernel(name, constants, signature, body)
+    monkeypatch.setattr(render, "kernel", record)
+    params = QuadParams()
+    disturbances.lump(QuadState(), 0.0, DisturbanceParams(), DisturbanceFlags.all_on(),
+                      MassProperties())
+    model.state_derivative(QuadState(), ControlInputs(), DisturbanceOutputs(), params)
+    model.rotor_speeds([20.0, 0.0, 0.0, 0.0], params.mixer)
+    model.mix([1.0] * 4, params.mixer)
+    adrc.eso_step(EsoState(), 0.0, 0.0, 1.0, EsoGains(), 0.001)
+    adrc.pd(0.0, 0.0, 0.0, 0.0, PdGains(1.0, 1.0))
+    adrc.b_hat_altitude(0.0, 0.0, 1.0, 2.0)
+    AdrcController(ControllerGains().loops(params)[0], 0.001)
+    monkeypatch.undo()
+    return made
+
+
+def test_one_call_kernels_only_compute(monkeypatch):
+    # a one-call function reads its inputs through ``errors.floats`` before its kernel
+    # runs, so each kernel, like the loop's formulas, computes and checks nothing
+    kernels = one_call_kernels(monkeypatch)
+    assert {name: body for name, (body, _) in kernels.items()} == {
+        "lump": disturbances._LUMP, "derivative": model._DERIVATIVE, "mixer": model._MIXER,
+        "speed": model.SPEED + "return omega_r\n", "control": adrc._CONTROL,
+        "observe": adrc._OBSERVE, "pd": adrc._PD, "b_hat": adrc._B_HAT}
+    assert {name: kernel_checks(*made) for name, made in kernels.items()} == dict.fromkeys(
+        kernels, [])
+
+
+def test_inputs_are_read_by_one_rule():
+    # a one-call input is refused by the rule of every record: ``InvalidParameterError``
+    assert not hasattr(errors, "InvalidInputError")
+    assert attributes_used((PACKAGE / "model.py").read_text(encoding="utf-8"),
+                           {"np.asarray"}) == set()
 
 
 def test_config_raises_only_config_error():

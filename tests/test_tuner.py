@@ -268,7 +268,7 @@ class TestCost:
         total, report = cost(table_gains_vector(), problem)
         assert total == SENTINEL_COST
         assert not report["feasible"]
-        assert report["diverged_at"] == pytest.approx(0.25)
+        assert report["diverged_at"] == pytest.approx(0.2)
 
     def test_oversized_scenario_sentinel(self):
         # the step count is refused before any trace is allocated
