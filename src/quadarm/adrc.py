@@ -83,6 +83,8 @@ class SubsystemConfig:
         in_range("finite", **{f"b_hat of {self.which}": self.b_hat})
         if self.which != ALTITUDE and abs(self.b_hat) < B_MIN:
             raise InvalidParameterError(f"b_hat of {self.which} is below {B_MIN}")
+        in_range(EsoGains, eso=self.eso)
+        in_range(PdGains, pd=self.pd)
         limits(self.u_limits)
 
 

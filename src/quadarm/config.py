@@ -98,7 +98,7 @@ _Loader.add_implicit_resolver(
 
 def _kind(value) -> str | None:
     """The kind of leaf a default asks for, or None for a free-form one."""
-    if isinstance(value, bool):
+    if admits("switch", value):
         return "true or false"
     if admits("finite", value):
         return "a finite number"
@@ -240,7 +240,7 @@ def resolve(data: dict | None) -> Config:
                                   ("wind", WindParams))}
     flags = DisturbanceFlags(**dist["enable"])
 
-    sc = data["scenario"]
+    sc, before = data["scenario"], len(problems)
     initial = _build(problems, "scenario.initial_state", lambda: QuadState(sc["initial_state"]))
     refs = {key: _profile(value, f"scenario.references.{key}", problems,
                           DEG if key.endswith("_deg") else 1.0)
@@ -248,7 +248,8 @@ def resolve(data: dict | None) -> Config:
     d1_profile = (None if sc["d1_profile"] is None
                   else _profile(sc["d1_profile"], "scenario.d1_profile", problems))
     open_loop_u1 = _profile(sc["open_loop_u1"], "scenario.open_loop_u1", problems)
-    scenario = _build(problems, "scenario", lambda: Scenario(
+    # a part's problem is reported once: the Scenario is built only from parts that resolved
+    scenario = None if len(problems) > before else _build(problems, "scenario", lambda: Scenario(
         duration=float(sc["duration"]), dt=float(sc["dt"]), initial_state=initial,
         ref_roll=refs["roll_deg"], ref_pitch=refs["pitch_deg"], ref_yaw=refs["yaw_deg"],
         ref_z=refs["z"], flags=flags, d1_profile=d1_profile,

@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import render
-from .errors import InvalidParameterError, floats, in_range, switches
+from .errors import InvalidParameterError, floats, in_range
 from .model import MassProperties, QuadState
 
 
@@ -69,7 +69,7 @@ class DisturbanceFlags:
     com: bool = False
 
     def __post_init__(self):
-        switches(**vars(self))
+        in_range("switch", **vars(self))
 
     @classmethod
     def all_on(cls):
@@ -87,7 +87,10 @@ class DisturbanceParams:
     strict_signs: bool = True
 
     def __post_init__(self):
-        switches(strict_signs=self.strict_signs)
+        in_range(DragParams, drag=self.drag)
+        in_range(GroundEffectParams, ground_effect=self.ground_effect)
+        in_range(WindParams, wind=self.wind)
+        in_range("switch", strict_signs=self.strict_signs)
 
 
 #: the lumped disturbance accelerations and the thrust scaling factor, ``LUMP``'s results
@@ -152,5 +155,6 @@ def ground_effect_factor(z: float, p: GroundEffectParams) -> float:
 def lump(state: QuadState, t: float, params: DisturbanceParams,
          flags: DisturbanceFlags, masses: MassProperties) -> DisturbanceOutputs:
     """Assemble delta_a..delta_f from the enabled channels plus G."""
+    in_range("finite", t=t)
     return DisturbanceOutputs._make(lump_kernel(params, flags, masses.m)(
         *state.read(), t, masses.z_G))

@@ -1,4 +1,4 @@
-"""Exception types of the package, what a number is, its ranges, switches, and number lists."""
+"""Exception types of the package, what a number is, the kinds of value, and number lists."""
 
 from math import isfinite
 
@@ -17,41 +17,40 @@ def number(value) -> bool:
                                         and abs(value) <= 1.7976931348623157e308)  # largest float
 
 
-#: each range a parameter may be asked to lie in: its words in a refusal, what it admits
-RANGES = {"positive": ("positive and finite", lambda x: x > 0),
-          "non-negative": ("non-negative and finite", lambda x: x >= 0),
-          "finite": ("finite", lambda x: True)}
+#: each kind of scalar a parameter may be asked to be: its words in a refusal, what it admits
+RANGES = {
+    "positive": ("positive and finite", lambda x: number(x) and isfinite(x) and x > 0),
+    "non-negative": ("non-negative and finite", lambda x: number(x) and isfinite(x) and x >= 0),
+    "finite": ("finite", lambda x: number(x) and isfinite(x)),
+    "switch": ("true or false", lambda x: isinstance(x, bool)),
+    "count": ("an integer >= 0", lambda x: number(x) and isinstance(x, int) and x >= 0),
+    "positive count": ("an integer >= 1", lambda x: number(x) and isinstance(x, int) and x >= 1),
+}
 
 
-def admits(range: str, value) -> bool:
-    """Whether ``value`` is a finite ``number`` in ``range``, a key of ``RANGES``."""
-    return number(value) and isfinite(value) and RANGES[range][1](value)
+def admits(kind, value) -> bool:
+    """Whether ``value`` is of ``kind``: a key of ``RANGES``, or a record class."""
+    return isinstance(value, kind) if isinstance(kind, type) else RANGES[kind][1](value)
 
 
-def in_range(range: str, **values) -> None:
-    """Refuse the first of the named ``values`` that ``range`` does not admit with an
-    ``InvalidParameterError``: ``<name> must be positive and finite``, say."""
+def in_range(kind, **values) -> None:
+    """Refuse the first of ``values`` that ``kind`` does not admit: ``<name> must be <words>``."""
     for name, value in values.items():
-        if not admits(range, value):
-            raise InvalidParameterError(f"{name} must be {RANGES[range][0]}")
+        if not admits(kind, value):
+            words = (("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
+                     if isinstance(kind, type) else RANGES[kind][0])  # "a QuadState", say
+            raise InvalidParameterError(f"{name} must be {words}")
 
 
-def switches(**values) -> None:
-    """Refuse the first of ``values`` that is not a bool: ``<name> must be true or false``."""
-    for name, value in values.items():
-        if not isinstance(value, bool):
-            raise InvalidParameterError(f"{name} must be true or false")
-
-
-def floats(entries, n: int, refusal: str, range: str | None = None) -> tuple:
-    """A list, tuple or 1-D numpy vector of ``n`` ``number``s, each in ``range`` unless that
-    is None, as a tuple of floats; anything else is an ``InvalidParameterError`` saying
-    ``refusal``."""
+def floats(entries, n: int, refusal: str, range: str | None = None, lead: bool = False) -> tuple:
+    """A list, tuple or 1-D numpy vector of ``n`` ``number``s, or if ``lead`` the leading ``n``
+    of a longer one, each in ``range`` unless that is None, as a tuple of floats; anything
+    else is an ``InvalidParameterError`` saying ``refusal``."""
     entries = entries.tolist() if hasattr(entries, "tolist") else entries  # a numpy vector
-    if not (isinstance(entries, (list, tuple)) and len(entries) == n and all(
-            admits(range, x) if range else number(x) for x in entries)):
+    if not (isinstance(entries, (list, tuple)) and len(entries) >= n and (lead or len(entries) == n)
+            and all(admits(range, x) if range else number(x) for x in entries[:n])):
         raise InvalidParameterError(refusal)
-    return tuple(map(float, entries))
+    return tuple(map(float, entries[:n]))
 
 
 class ConfigurationError(QuadArmError):

@@ -242,7 +242,7 @@ def unmix(u, params: MixerParams) -> tuple[np.ndarray, bool]:
     Components that solve negative are clamped to zero; the second return
     value flags that saturation.
     """
-    w2, saturated, _ = mixer_kernel(params)(*floats(u[:4], 4, _INPUTS_REFUSAL, "finite"))
+    w2, saturated, _ = mixer_kernel(params)(*floats(u, 4, _INPUTS_REFUSAL, "finite", lead=True))
     return np.array(w2), saturated
 
 
@@ -253,7 +253,7 @@ def rotor_speeds(u, params: MixerParams) -> ControlInputs:
     The commanded U1..U4 are kept verbatim for the dynamics; the rotor
     decomposition only feeds the gyroscopic relative-speed term.
     """
-    uv = floats(u[:4], 4, _INPUTS_REFUSAL, "finite")
+    uv = floats(u, 4, _INPUTS_REFUSAL, "finite", lead=True)
     _, saturated, omega_r = mixer_kernel(params)(*uv)
     return ControlInputs(*uv, omega_r, saturated)
 
@@ -268,6 +268,9 @@ class QuadParams:
     g: float = GRAVITY
 
     def __post_init__(self):
+        in_range(MassProperties, masses=self.masses)
+        in_range(InertiaParams, inertia=self.inertia)
+        in_range(MixerParams, mixer=self.mixer)
         in_range("positive", g=self.g)
 
     @property
@@ -316,9 +319,11 @@ def state_derivative(state: QuadState, u: ControlInputs, dist,
 
     ``u`` leads with the ``INPUTS``; ``dist`` is a ``DisturbanceOutputs``, the
     lumped disturbance accelerations delta_a..delta_f and the ground-effect
-    thrust factor G.  Both reach the kernel as they are.  The six
+    thrust factor G.  Both are read as finite numbers.  The six
     accelerations are returned separately so the caller can store them as
     the next step's lagged values.
     """
-    deriv = derivative_kernel(params)(state.read()[0], u[:5], dist)
+    deriv = derivative_kernel(params)(
+        state.read()[0], floats(u, 5, "control inputs need 5 finite numbers", "finite", lead=True),
+        floats(dist, 7, "disturbances need 7 finite numbers", "finite"))
     return np.array(deriv), np.array(deriv[1::2])

@@ -24,8 +24,7 @@ from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
 from .disturbances import (COUPLING, GUST, LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams,
                            lump_constants)
-from .errors import (DivergenceError, IntegrationError, InvalidParameterError, floats, in_range,
-                     switches)
+from .errors import DivergenceError, IntegrationError, InvalidParameterError, floats, in_range
 from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, THRUST, TRIG, QuadParams, QuadState,
                     derivative_constants)
 
@@ -82,7 +81,13 @@ class Scenario:
     def __post_init__(self):
         in_range("positive", dt=self.dt)
         in_range("non-negative", duration=self.duration)
-        switches(open_loop=self.open_loop)
+        in_range("switch", open_loop=self.open_loop)
+        in_range(QuadState, initial_state=self.initial_state)
+        in_range(DisturbanceFlags, flags=self.flags)
+        in_range(PiecewiseConstant, ref_roll=self.ref_roll, ref_pitch=self.ref_pitch,
+                 ref_yaw=self.ref_yaw, ref_z=self.ref_z, open_loop_u1=self.open_loop_u1)
+        if self.d1_profile is not None:
+            in_range(PiecewiseConstant, d1_profile=self.d1_profile)
 
     @property
     def n_steps(self) -> int:
@@ -343,6 +348,10 @@ class ControllerGains:
         ROLL: (-5.0, 5.0), PITCH: (-5.0, 5.0), YAW: (-5.0, 5.0),
         ALTITUDE: (0.0, 40.0),
     })
+
+    def __post_init__(self):
+        in_range(adrc.EsoGains, eso=self.eso)
+        in_range(adrc.PdGains, **{f"pd_{name}": self.pd_for(name) for name in SUBSYSTEMS})
 
     def eso_for(self, name: str) -> adrc.EsoGains:
         return self.eso_overrides.get(name, self.eso)

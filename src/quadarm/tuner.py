@@ -17,8 +17,7 @@ import numpy as np
 
 from . import adrc
 from .disturbances import DisturbanceParams
-from .errors import (DivergenceError, InvalidParameterError, QuadArmError, floats, in_range,
-                     number)
+from .errors import DivergenceError, InvalidParameterError, QuadArmError, floats, in_range
 from .model import QuadParams
 from .sim import COLUMNS, ControllerGains, Scenario, estimation_oracle, run
 
@@ -140,6 +139,10 @@ class TuneProblem:
     box_upper: np.ndarray | None = None
 
     def __post_init__(self):
+        in_range(Scenario, scenario=self.scenario)
+        in_range(QuadParams, params=self.params)
+        in_range(DisturbanceParams, dist_params=self.dist_params)
+        in_range(CostWeights, weights=self.weights)
         n = len(layout_names(self.layout))
         self.box_lower = layout_vector(np.full(n, 1e-3) if self.box_lower is None
                                        else self.box_lower, self.layout)
@@ -209,9 +212,8 @@ class TuneOptions:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        for name, least in (("max_iterations", 0), ("max_backtracks", 1)):
-            if not (number(n := getattr(self, name)) and isinstance(n, int)) or n < least:
-                raise InvalidParameterError(f"{name} must be an integer >= {least}")
+        in_range("count", max_iterations=self.max_iterations)
+        in_range("positive count", max_backtracks=self.max_backtracks)
         in_range("positive", fd_eps_rel=self.fd_eps_rel, fd_eps_floor=self.fd_eps_floor,
                  initial_step=self.initial_step)
         in_range("non-negative", rel_tol=self.rel_tol)

@@ -16,6 +16,8 @@ SPEEDS = "squared rotor speeds need 4 non-negative finite numbers"
 INPUTS = "generalized inputs need 4 finite numbers"
 STATE = "state vector needs 12 finite numbers"
 LAGGED = "lagged_accel needs 6 finite numbers"
+CONTROLS = "control inputs need 5 finite numbers"
+DISTURBANCES = "disturbances need 7 finite numbers"
 START = "initial vector outside box bounds"
 
 
@@ -37,18 +39,24 @@ class Bowl:
 
 
 #: each one-call function on a list of numbers: the call, the width it reads, its
-#: refusal, and whether its range admits a negative entry
+#: refusal, whether its range admits a negative entry, and whether it reads the
+#: leading entries of a longer list
 CALLS = {
-    "mix": (lambda v: mix(v, PARAMS.mixer), 4, SPEEDS, False),
-    "unmix": (lambda v: unmix(v, PARAMS.mixer), 4, INPUTS, True),
-    "rotor_speeds": (lambda v: rotor_speeds(v, PARAMS.mixer), 4, INPUTS, True),
+    "mix": (lambda v: mix(v, PARAMS.mixer), 4, SPEEDS, False, False),
+    "unmix": (lambda v: unmix(v, PARAMS.mixer), 4, INPUTS, True, True),
+    "rotor_speeds": (lambda v: rotor_speeds(v, PARAMS.mixer), 4, INPUTS, True, True),
     "state_derivative": (lambda v: state_derivative(
-        changed(vector=v), ControlInputs(), DisturbanceOutputs(), PARAMS), 12, STATE, True),
+        changed(vector=v), ControlInputs(), DisturbanceOutputs(), PARAMS), 12, STATE, True, False),
+    "state_derivative_u": (lambda v: state_derivative(
+        QuadState(), v, DisturbanceOutputs(), PARAMS), 5, CONTROLS, True, True),
+    "state_derivative_dist": (lambda v: state_derivative(
+        QuadState(), ControlInputs(), v, PARAMS), 7, DISTURBANCES, True, False),
     "lump": (lambda v: lump(changed(vector=v), 0.0, DisturbanceParams(),
-                            DisturbanceFlags.all_on(), MassProperties()), 12, STATE, True),
+                            DisturbanceFlags.all_on(), MassProperties()), 12, STATE, True, False),
     "lump_lagged": (lambda v: lump(changed(lagged_accel=v), 0.0, DisturbanceParams(),
-                                   DisturbanceFlags.all_on(), MassProperties()), 6, LAGGED, True),
-    "tune": (lambda v: tune(Bowl(), v, TuneOptions(max_iterations=1)), 3, START, True),
+                                   DisturbanceFlags.all_on(), MassProperties()),
+                    6, LAGGED, True, False),
+    "tune": (lambda v: tune(Bowl(), v, TuneOptions(max_iterations=1)), 3, START, True, False),
 }
 
 #: what a sweep sets one entry to, one value at a time
@@ -70,11 +78,10 @@ def test_numbers_opens_every_container():
 
 @pytest.mark.parametrize("name", CALLS)
 def test_list_returns_numbers_or_is_refused(name):
-    call, width, refusal, negatives = CALLS[name]
-    # the reads of ``u[:4]`` take the first four of a longer list
+    call, width, refusal, negatives, lead = CALLS[name]
     cases = {**{repr(value): ([0.5] * (width - 1) + [value], value == -1 and negatives)
                 for value in VALUES},
-             "width 2": ([0.5] * 2, False), "width 5": ([0.5] * 5, width == 4 and name != "mix")}
+             "width 2": ([0.5] * 2, False), f"width {width + 1}": ([0.5] * (width + 1), lead)}
     for case, (entries, loads) in cases.items():
         try:
             result = call(entries)
@@ -92,7 +99,19 @@ def test_list_returns_numbers_or_is_refused(name):
     (lambda: unmix([1.0, 2.0], PARAMS.mixer), INPUTS),
     (lambda: rotor_speeds("abcd", PARAMS.mixer), INPUTS),
     (lambda: tune(Bowl(), ["a", "b"]), START),
-], ids=["mix_strings", "mix_booleans", "unmix_two", "rotor_speeds_string", "tune_strings"])
+    (lambda: state_derivative(QuadState(), [1.0], DisturbanceOutputs(), PARAMS), CONTROLS),
+    (lambda: state_derivative(QuadState(), ControlInputs(), None, PARAMS), DISTURBANCES),
+    (lambda: state_derivative(QuadState(), ["1"] * 5, DisturbanceOutputs(), PARAMS), CONTROLS),
+    (lambda: lump(QuadState(), "a", DisturbanceParams(), DisturbanceFlags(), MassProperties()),
+     "t must be finite"),
+    (lambda: lump(QuadState(), None, DisturbanceParams(), DisturbanceFlags(), MassProperties()),
+     "t must be finite"),
+    (lambda: unmix(None, PARAMS.mixer), INPUTS),
+    (lambda: rotor_speeds(5, PARAMS.mixer), INPUTS),
+], ids=["mix_strings", "mix_booleans", "unmix_two", "rotor_speeds_string", "tune_strings",
+        "state_derivative_one_input", "state_derivative_no_disturbances",
+        "state_derivative_string_inputs", "lump_string_time", "lump_no_time", "unmix_none",
+        "rotor_speeds_scalar"])
 def test_input_once_let_through_is_refused(call, refusal):
     with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
         call()

@@ -2,16 +2,18 @@
 
 import math
 import re
-from dataclasses import fields
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from quadarm import (CostWeights, DisturbanceFlags, DisturbanceParams, DragParams, EsoGains,
-                     GeometryParams, GroundEffectParams, InertiaParams, MassProperties,
-                     MixerParams, PdGains, PiecewiseConstant, QuadParams, QuadState, Scenario,
-                     TuneOptions, WindParams)
-from quadarm.errors import InvalidParameterError, QuadArmError, floats, in_range
+import quadarm
+from quadarm import (ControllerGains, CostWeights, DisturbanceFlags, DisturbanceParams,
+                     DragParams, EsoGains, GeometryParams, GroundEffectParams, InertiaParams,
+                     MassProperties, MixerParams, PdGains, PiecewiseConstant, QuadParams,
+                     QuadState, Scenario, SubsystemConfig, TuneOptions, TuneProblem, WindParams)
+from quadarm.errors import RANGES, InvalidParameterError, QuadArmError, admits, floats, in_range
 
 GEOMETRY = dict(R_q=0.1, L_q=0.45, L_r=0.2, W_r=0.05, H_r=0.05, D_r=0.1)
 
@@ -64,6 +66,81 @@ def test_switch_is_true_or_false(record, name):
         if value is not True:
             with pytest.raises(InvalidParameterError, match=f"^{name} must be true or false$"):
                 record(**{name: value})
+
+
+def record_fields(record) -> dict:
+    """Each field of ``record`` whose annotation names a package record: that record's class,
+    and whether the annotation admits None too."""
+    found = {}
+    for name, hint in typing.get_type_hints(record).items():
+        kinds = typing.get_args(hint) or (hint,)
+        named = [kind for kind in kinds if is_dataclass(kind)
+                 and kind.__module__.startswith("quadarm.")]
+        if named:
+            found[name] = named[0], type(None) in kinds
+    return found
+
+
+def test_detects_record_fields():
+    assert record_fields(Scenario)["d1_profile"] == (PiecewiseConstant, True)
+    assert record_fields(ControllerGains)["eso"] == (EsoGains, False)
+    assert record_fields(TuneProblem).keys() == {"scenario", "params", "dist_params", "weights"}
+    assert record_fields(MassProperties) == {}
+
+
+#: each record field of every record the package exports: those annotated as a record
+RECORD_FIELDS = [(record, name, kind, optional) for record in vars(quadarm).values()
+                 if isinstance(record, type) and is_dataclass(record)
+                 for name, (kind, optional) in record_fields(record).items()]
+
+#: what a record needs besides the field under test
+GIVEN = {SubsystemConfig: dict(which="roll", b_hat=1.0, eso=EsoGains(), pd=PdGains(1.0, 1.0),
+                               u_limits=(-1.0, 1.0))}
+
+
+def test_record_fields_found():
+    assert len(RECORD_FIELDS) == 25
+    assert {record for record, _, _, _ in RECORD_FIELDS} == {
+        Scenario, QuadParams, DisturbanceParams, ControllerGains, SubsystemConfig, TuneProblem}
+
+
+@pytest.mark.parametrize("record, name, kind, optional", RECORD_FIELDS,
+                         ids=[f"{r.__name__}.{name}" for r, name, _, _ in RECORD_FIELDS])
+def test_record_field_refuses_anything_else(record, name, kind, optional):
+    given = GIVEN.get(record, {})
+    assert isinstance(getattr(record(**given), name), kind) or optional
+    other = WindParams() if kind is MixerParams else MixerParams()  # a record of another class
+    for value in (5, None, "a", other):
+        if value is None and optional:
+            assert getattr(record(**{**given, name: None}), name) is None
+            continue
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{name} must be an? {kind.__name__}$"):
+            record(**{**given, name: value})
+
+
+#: each kind of ``RANGES`` with values it admits and values it refuses
+KINDS = {
+    "positive": ([1e-300, 1], [0, -1, math.inf, math.nan, True, "1", None]),
+    "non-negative": ([0, 0.0, 2.5], [-1e-300, math.inf, math.nan, False, "0", None]),
+    "finite": ([-1, 0.0, 1e308], [math.inf, -math.inf, math.nan, 10 ** 400, True, "1", None]),
+    "switch": ([True, False], [1, 0, 1.0, "false", None, np.bool_(True)]),
+    "count": ([0, 7], [-1, 1.0, True, "1", None, 10 ** 400, math.inf]),
+    "positive count": ([1, 7], [0, 1.0, True, "1", None]),
+}
+
+
+def test_every_kind_is_tabled():
+    assert KINDS.keys() == RANGES.keys()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_admits_and_refuses(kind):
+    admitted, refused = KINDS[kind]
+    assert [admits(kind, x) for x in admitted + refused] == [True] * len(admitted) + [
+        False] * len(refused)
+    with pytest.raises(InvalidParameterError, match=f"^x must be {RANGES[kind][0]}$"):
+        in_range(kind, **{f"a{i}": x for i, x in enumerate(admitted)}, x=refused[0])
 
 
 #: each list record, the list it builds from a number ``x`` in one entry, and its refusal

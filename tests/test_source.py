@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from quadarm import (AdrcController, ControlInputs, ControllerGains, DisturbanceFlags,
                      DisturbanceOutputs, DisturbanceParams, EsoGains, EsoState, MassProperties,
@@ -16,7 +17,8 @@ from quadarm import (AdrcController, ControlInputs, ControllerGains, Disturbance
 from quadarm.config import Config
 from quadarm.sim import TraceLog
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadarm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quadarm"
 # __init__.py imports names to re-export them through __all__
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -24,7 +26,7 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 #: the oldest Python that ``pyproject.toml`` admits, read by a regex: 3.10 has no tomllib
 FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', (
-    PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")).groups()))
+    ROOT / "pyproject.toml").read_text(encoding="utf-8")).groups()))
 
 
 def test_detects_newer_syntax():
@@ -324,6 +326,43 @@ def test_inputs_are_read_by_one_rule():
                            {"np.asarray"}) == set()
 
 
+def type_tests(source: str) -> list:
+    """The ``isinstance`` calls of a source that ask for ``bool`` or ``int``, alone or in a
+    tuple, in line order."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+             and ast.unparse(n.func) == "isinstance" and len(n.args) == 2]
+    return [ast.unparse(n) for n in sorted(calls, key=lambda n: (n.lineno, n.col_offset))
+            if {"bool", "int"} & {ast.unparse(k) for k in getattr(n.args[1], "elts", [n.args[1]])}]
+
+
+def test_detects_type_tests():
+    source = ("if isinstance(x, bool):\n    f(isinstance(y, (float, int)))\n"
+              "isinstance(z, list)\nbool(w)\nisinstance(v, str)\n")
+    assert type_tests(source) == ["isinstance(x, bool)", "isinstance(y, (float, int))"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_kinds_are_asked_of_the_rule(path):
+    # a switch, a count and a number have one home: ``errors.RANGES``, asked through
+    # ``errors.admits`` and ``errors.in_range``
+    assert type_tests(path.read_text(encoding="utf-8")) == [] or path.name == "errors.py"
+
+
+def test_switches_have_no_rule_of_their_own():
+    assert not hasattr(errors, "switches")
+
+
+def test_workflow_runs_the_tier_one_command():
+    # the CI runs the command ROADMAP names, at the requires-python floor and on 3.11
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text(
+        encoding="utf-8")).group(1)
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8"))
+    (job,) = workflow["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == [".".join(map(str, FLOOR)), "3.11"]
+    assert [step["run"] for step in job["steps"] if "pytest" in step.get("run", "")] == [command]
+
+
 def test_config_raises_only_config_error():
     # a rule the library checks is reported through ``_build``, not checked again here
     assert set(raised_names((PACKAGE / "config.py").read_text(encoding="utf-8"))) == {
@@ -344,7 +383,7 @@ def test_cli_exits_in_one_function():
 
 def traced_targets() -> dict:
     """``SPANS`` and ``COUNTED`` of the benchmark's tracer, read from ``bench/tracing.py``."""
-    path = PACKAGE.parent.parent / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -392,7 +431,7 @@ def test_detects_package_calls():
     assert package_calls(source) == [("sim.run", 2, ("gains",), 1), ("tuner.tune", 1, (), 2)]
 
 
-BENCH_CALLS = package_calls((PACKAGE.parent.parent / "bench" / "run.py").read_text(
+BENCH_CALLS = package_calls((ROOT / "bench" / "run.py").read_text(
     encoding="utf-8"))
 
 
@@ -439,7 +478,7 @@ def test_detects_owner_reads():
 
 #: the benchmark's names for a loaded config and for a trace
 BENCH_OWNERS = {"cfg": Config, "trace": TraceLog, "fresh": TraceLog}
-BENCH_READS = owner_reads((PACKAGE.parent.parent / "bench" / "run.py").read_text(
+BENCH_READS = owner_reads((ROOT / "bench" / "run.py").read_text(
     encoding="utf-8"), BENCH_OWNERS)
 
 
