@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import render
-from .errors import ConfigurationError, InvalidParameterError, floats, in_range
+from .errors import ConfigurationError, InvalidParameterError, Record, floats, in_range, ranged
 
 ROLL, PITCH, YAW, ALTITUDE = "roll", "pitch", "yaw", "altitude"
 SUBSYSTEMS = (ROLL, PITCH, YAW, ALTITUDE)
@@ -29,14 +29,14 @@ def is_hurwitz(p1: float, p2: float, p3: float) -> bool:
 
 
 @dataclass(frozen=True)
-class EsoGains:
-    p1: float = 29.5659
-    p2: float = 2907.0
-    p3: float = 3000.0
+class EsoGains(Record):
+    p1: float = ranged("finite", 29.5659)
+    p2: float = ranged("finite", 2907.0)
+    p3: float = ranged("finite", 3000.0)
 
     def __post_init__(self):
+        super().__post_init__()
         p = (self.p1, self.p2, self.p3)
-        in_range("finite", **vars(self))
         if not is_hurwitz(*p):
             raise ConfigurationError(
                 f"observer gains {p} are not Hurwitz (need p1>0, p3>0, p1*p2>p3)")
@@ -52,12 +52,9 @@ EsoState = namedtuple("EsoState", ("x1_hat", "x2_hat", "x3_hat"), defaults=(0.0,
 
 
 @dataclass(frozen=True)
-class PdGains:
-    kp: float
-    kd: float
-
-    def __post_init__(self):
-        in_range("positive", **vars(self))
+class PdGains(Record):
+    kp: float = ranged("positive")
+    kd: float = ranged("positive")
 
 
 def limits(pair) -> tuple[float, float]:
@@ -70,7 +67,7 @@ def limits(pair) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SubsystemConfig:
+class SubsystemConfig(Record):
     which: str
     b_hat: float  # control effectiveness (recomputed per step for altitude)
     eso: EsoGains
@@ -78,13 +75,12 @@ class SubsystemConfig:
     u_limits: tuple[float, float]
 
     def __post_init__(self):
+        super().__post_init__()
         if self.which not in SUBSYSTEMS:
             raise InvalidParameterError(f"unknown subsystem {self.which!r}")
         in_range("finite", **{f"b_hat of {self.which}": self.b_hat})
         if self.which != ALTITUDE and abs(self.b_hat) < B_MIN:
             raise InvalidParameterError(f"b_hat of {self.which} is below {B_MIN}")
-        in_range(EsoGains, eso=self.eso)
-        in_range(PdGains, pd=self.pd)
         limits(self.u_limits)
 
 

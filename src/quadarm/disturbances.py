@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import render
-from .errors import InvalidParameterError, floats, in_range
+from .errors import InvalidParameterError, Record, floats, in_range, ranged
 from .model import MassProperties, QuadState
 
 
@@ -27,14 +27,13 @@ class DragParams:
 
 
 @dataclass(frozen=True)
-class GroundEffectParams:
-    rho: float = 8.6  # ground-effect coefficient
-    r: float = 0.1905  # rotor radius, m
-    z_min: float = 0.2  # altitude clamp floor, m (landing skids keep z > 0)
+class GroundEffectParams(Record):
+    rho: float = ranged("positive", 8.6)  # ground-effect coefficient
+    r: float = ranged("positive", 0.1905)  # rotor radius, m
+    z_min: float = ranged("finite", 0.2)  # altitude clamp floor, m (landing skids keep z > 0)
 
     def __post_init__(self):
-        in_range("positive", rho=self.rho, r=self.r)
-        in_range("finite", z_min=self.z_min)
+        super().__post_init__()
         # below r*sqrt(rho)/4 the thrust scaling is singular
         singular = self.r * math.sqrt(self.rho) / 4
         if not self.z_min > singular:
@@ -43,7 +42,7 @@ class GroundEffectParams:
 
 
 @dataclass(frozen=True)
-class WindParams:
+class WindParams(Record):
     """Sinusoidal gust: offset alpha plus amplitude beta at frequency n.
 
     The default frequency is quasi-static.  With the stock observer gains
@@ -52,24 +51,17 @@ class WindParams:
     see the README for the trade-off.
     """
 
-    alpha: float = 0.1
-    beta: float = 1.0
-    n: float = 0.002  # rad/s
-
-    def __post_init__(self):
-        in_range("finite", alpha=self.alpha, beta=self.beta)
-        in_range("positive", n=self.n)
+    alpha: float = ranged("finite", 0.1)
+    beta: float = ranged("finite", 1.0)
+    n: float = ranged("positive", 0.002)  # rad/s
 
 
 @dataclass(frozen=True)
-class DisturbanceFlags:
-    drag: bool = False
-    ground_effect: bool = False
-    wind: bool = False
-    com: bool = False
-
-    def __post_init__(self):
-        in_range("switch", **vars(self))
+class DisturbanceFlags(Record):
+    drag: bool = ranged("switch", False)
+    ground_effect: bool = ranged("switch", False)
+    wind: bool = ranged("switch", False)
+    com: bool = ranged("switch", False)
 
     @classmethod
     def all_on(cls):
@@ -77,20 +69,14 @@ class DisturbanceFlags:
 
 
 @dataclass(frozen=True)
-class DisturbanceParams:
+class DisturbanceParams(Record):
     drag: DragParams = field(default_factory=DragParams)
     ground_effect: GroundEffectParams = field(default_factory=GroundEffectParams)
     wind: WindParams = field(default_factory=WindParams)
     # sign convention of the lumped terms exactly as published (the yaw
     # CoM term enters with + and the altitude drag with +); set False for
     # the uniformly-dissipative variant
-    strict_signs: bool = True
-
-    def __post_init__(self):
-        in_range(DragParams, drag=self.drag)
-        in_range(GroundEffectParams, ground_effect=self.ground_effect)
-        in_range(WindParams, wind=self.wind)
-        in_range("switch", strict_signs=self.strict_signs)
+    strict_signs: bool = ranged("switch", True)
 
 
 #: the lumped disturbance accelerations and the thrust scaling factor, ``LUMP``'s results

@@ -1,5 +1,8 @@
-"""Exception types of the package, what a number is, the kinds of value, and number lists."""
+"""Exception types of the package, what a number is, the kinds of value, records, number lists."""
 
+import dataclasses
+import functools
+import typing
 from math import isfinite
 
 
@@ -40,6 +43,34 @@ def in_range(kind, **values) -> None:
             words = (("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
                      if isinstance(kind, type) else RANGES[kind][0])  # "a QuadState", say
             raise InvalidParameterError(f"{name} must be {words}")
+
+
+def ranged(kind: str, default=dataclasses.MISSING):
+    """A dataclass field whose value ``Record`` asks to be of ``kind``, a key of ``RANGES``."""
+    return dataclasses.field(default=default, metadata={"kind": kind})
+
+
+@functools.cache
+def kinds(record: type) -> tuple:
+    """Each field of the dataclass ``record`` with a kind, as (name, kind, optional) in field
+    order: its ``ranged`` kind or the package record its annotation names; optional: None too."""
+    hints, found = typing.get_type_hints(record), []
+    for f in dataclasses.fields(record):
+        args = typing.get_args(hints[f.name]) or (hints[f.name],)
+        kind = f.metadata.get("kind") or next((a for a in args if dataclasses.is_dataclass(a)
+                                               and a.__module__.startswith(__package__)), None)
+        if kind:
+            found.append((f.name, kind, type(None) in args))
+    return tuple(found)
+
+
+class Record:
+    """A dataclass base that, when built, refuses the first field its ``kinds`` do not admit."""
+
+    def __post_init__(self):
+        for name, kind, optional in kinds(type(self)):
+            if not (optional and getattr(self, name) is None):
+                in_range(kind, **{name: getattr(self, name)})
 
 
 def floats(entries, n: int, refusal: str, range: str | None = None, lead: bool = False) -> tuple:

@@ -15,7 +15,7 @@ from math import cos, sin, sqrt
 import numpy as np
 
 from . import render
-from .errors import ConfigurationError, InvalidParameterError, floats, in_range
+from .errors import ConfigurationError, InvalidParameterError, Record, floats, ranged
 
 GRAVITY = 9.81
 
@@ -45,18 +45,13 @@ class QuadState:
 
 
 @dataclass(frozen=True)
-class MassProperties:
+class MassProperties(Record):
     """Component masses and the resulting center-of-mass shift."""
 
-    m_q: float = 1.8  # quadrotor mass, kg
-    m_r: float = 0.2  # manipulator mass, kg
-    d0: float = 0.0  # quadrotor CoM reference offset, m
-    d1: float = 0.8  # arm CoM distance from d0, m
-
-    def __post_init__(self):
-        in_range("positive", m_q=self.m_q)
-        in_range("non-negative", m_r=self.m_r)
-        in_range("finite", d0=self.d0, d1=self.d1)
+    m_q: float = ranged("positive", 1.8)  # quadrotor mass, kg
+    m_r: float = ranged("non-negative", 0.2)  # manipulator mass, kg
+    d0: float = ranged("finite", 0.0)  # quadrotor CoM reference offset, m
+    d1: float = ranged("finite", 0.8)  # arm CoM distance from d0, m
 
     @property
     def m(self) -> float:
@@ -72,33 +67,26 @@ class MassProperties:
 
 
 @dataclass(frozen=True)
-class GeometryParams:
+class GeometryParams(Record):
     """Cylinder (airframe cross) and cuboid (arm) dimensions, meters."""
 
-    R_q: float  # cylinder radius
-    L_q: float  # cylinder length
-    L_r: float  # cuboid length
-    W_r: float  # cuboid width
-    H_r: float  # cuboid height
-    D_r: float  # cuboid distance to the central axis
-
-    def __post_init__(self):
-        in_range("positive", **vars(self))
+    R_q: float = ranged("positive")  # cylinder radius
+    L_q: float = ranged("positive")  # cylinder length
+    L_r: float = ranged("positive")  # cuboid length
+    W_r: float = ranged("positive")  # cuboid width
+    H_r: float = ranged("positive")  # cuboid height
+    D_r: float = ranged("positive")  # cuboid distance to the central axis
 
 
 @dataclass(frozen=True)
-class InertiaParams:
+class InertiaParams(Record):
     """Principal inertias plus the derived dynamics coefficients a1..a8."""
 
-    I_xx: float = 0.018
-    I_yy: float = 0.018
-    I_zz: float = 0.035
-    J_r: float = 6e-3  # rotor inertia
-    l: float = 0.45  # arm length of the airframe cross
-
-    def __post_init__(self):
-        in_range("positive", I_xx=self.I_xx, I_yy=self.I_yy, I_zz=self.I_zz, l=self.l)
-        in_range("non-negative", J_r=self.J_r)
+    I_xx: float = ranged("positive", 0.018)
+    I_yy: float = ranged("positive", 0.018)
+    I_zz: float = ranged("positive", 0.035)
+    J_r: float = ranged("non-negative", 6e-3)  # rotor inertia
+    l: float = ranged("positive", 0.45)  # arm length of the airframe cross
 
     @property
     def a1(self):
@@ -160,7 +148,7 @@ def compose_inertia(geometry: GeometryParams, masses: MassProperties,
 
 
 @dataclass(frozen=True)
-class MixerParams:
+class MixerParams(Record):
     """Aerodynamic force/moment constants of the control allocation.
 
     The numeric defaults are implementer-chosen; they affect only the
@@ -168,11 +156,8 @@ class MixerParams:
     speed), not the closed-loop torques, which use U directly.
     """
 
-    k_f: float = 1e-5  # N s^2 / rad^2
-    k_m: float = 1.5e-6  # N m s^2 / rad^2
-
-    def __post_init__(self):
-        in_range("positive", **vars(self))
+    k_f: float = ranged("positive", 1e-5)  # N s^2 / rad^2
+    k_m: float = ranged("positive", 1.5e-6)  # N m s^2 / rad^2
 
     def matrix(self) -> np.ndarray:
         kf, km = self.k_f, self.k_m
@@ -259,19 +244,13 @@ def rotor_speeds(u, params: MixerParams) -> ControlInputs:
 
 
 @dataclass(frozen=True)
-class QuadParams:
+class QuadParams(Record):
     """Aggregate physical parameter set (Table-of-constants defaults)."""
 
     masses: MassProperties = field(default_factory=MassProperties)
     inertia: InertiaParams = field(default_factory=InertiaParams)
     mixer: MixerParams = field(default_factory=MixerParams)
-    g: float = GRAVITY
-
-    def __post_init__(self):
-        in_range(MassProperties, masses=self.masses)
-        in_range(InertiaParams, inertia=self.inertia)
-        in_range(MixerParams, mixer=self.mixer)
-        in_range("positive", g=self.g)
+    g: float = ranged("positive", GRAVITY)
 
     @property
     def m(self) -> float:

@@ -24,7 +24,8 @@ from . import adrc, render
 from .adrc import ALTITUDE, PITCH, ROLL, SUBSYSTEMS, YAW
 from .disturbances import (COUPLING, GUST, LUMP, OUTPUTS, DisturbanceFlags, DisturbanceParams,
                            lump_constants)
-from .errors import DivergenceError, IntegrationError, InvalidParameterError, floats, in_range
+from .errors import (DivergenceError, IntegrationError, InvalidParameterError, Record, floats,
+                     in_range, ranged)
 from .model import (DERIVATIVE, INVERSE, MIXER, SPEED, THRUST, TRIG, QuadParams, QuadState,
                     derivative_constants)
 
@@ -64,9 +65,9 @@ class PiecewiseConstant:
 
 
 @dataclass
-class Scenario:
-    duration: float = 10.0
-    dt: float = 0.001
+class Scenario(Record):
+    duration: float = ranged("non-negative", 10.0)
+    dt: float = ranged("positive", 0.001)
     initial_state: QuadState = field(default_factory=QuadState)
     # piecewise-constant reference per controlled subsystem
     ref_roll: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(5 * DEG))
@@ -75,19 +76,8 @@ class Scenario:
     ref_z: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(5.0))
     flags: DisturbanceFlags = field(default_factory=DisturbanceFlags.all_on)
     d1_profile: PiecewiseConstant | None = None  # arm position; None = constant default
-    open_loop: bool = False
+    open_loop: bool = ranged("switch", False)
     open_loop_u1: PiecewiseConstant = field(default_factory=lambda: PiecewiseConstant.constant(0.0))
-
-    def __post_init__(self):
-        in_range("positive", dt=self.dt)
-        in_range("non-negative", duration=self.duration)
-        in_range("switch", open_loop=self.open_loop)
-        in_range(QuadState, initial_state=self.initial_state)
-        in_range(DisturbanceFlags, flags=self.flags)
-        in_range(PiecewiseConstant, ref_roll=self.ref_roll, ref_pitch=self.ref_pitch,
-                 ref_yaw=self.ref_yaw, ref_z=self.ref_z, open_loop_u1=self.open_loop_u1)
-        if self.d1_profile is not None:
-            in_range(PiecewiseConstant, d1_profile=self.d1_profile)
 
     @property
     def n_steps(self) -> int:
@@ -334,7 +324,7 @@ def rk4_step(state: QuadState, deriv_fn, t: float, dt: float) -> QuadState:
 
 
 @dataclass(frozen=True)
-class ControllerGains:
+class ControllerGains(Record):
     """Stock optimized gain set; ESO gains shared across subsystems by
     default, with optional per-subsystem overrides."""
 
@@ -350,8 +340,15 @@ class ControllerGains:
     })
 
     def __post_init__(self):
-        in_range(adrc.EsoGains, eso=self.eso)
-        in_range(adrc.PdGains, **{f"pd_{name}": self.pd_for(name) for name in SUBSYSTEMS})
+        super().__post_init__()
+        in_range(dict, eso_overrides=self.eso_overrides, u_limits=self.u_limits)
+        for name, eso in self.eso_overrides.items():
+            if name not in SUBSYSTEMS:
+                raise InvalidParameterError(f"unknown subsystem {name!r} in eso_overrides")
+            in_range(adrc.EsoGains, **{f"eso_overrides.{name}": eso})
+        for name in SUBSYSTEMS:
+            if name not in self.u_limits:
+                raise InvalidParameterError(f"u_limits lacks the {name} loop")
 
     def eso_for(self, name: str) -> adrc.EsoGains:
         return self.eso_overrides.get(name, self.eso)
@@ -453,6 +450,12 @@ def run(scenario: Scenario, params: QuadParams,
         gains: ControllerGains | None = None) -> TraceLog:
     """Integrate the closed loop (or the open-loop fixture) and log it: the
     rendering of ``loop_text`` with this run's constants."""
+    dist_params = DisturbanceParams() if dist_params is None else dist_params
+    gains = ControllerGains() if gains is None else gains
+    in_range(Scenario, scenario=scenario)
+    in_range(QuadParams, params=params)
+    in_range(DisturbanceParams, dist_params=dist_params)
+    in_range(ControllerGains, gains=gains)
     n, dt, open_loop, masses = scenario.n_steps, scenario.dt, scenario.open_loop, params.masses
     refs = (scenario.ref_roll, scenario.ref_pitch, scenario.ref_yaw, scenario.ref_z)
     arm, u1 = scenario.d1_profile or PiecewiseConstant.constant(masses.d1), scenario.open_loop_u1
@@ -461,10 +464,10 @@ def run(scenario: Scenario, params: QuadParams,
                   for p in (*refs, arm, u1) for t_start, _ in p.segments)}
     changes = {k: (*(p(k * dt) for p in refs), masses.z_G_at(arm(k * dt)), u1(k * dt))
                for k in steps if k <= n}
-    loops = None if open_loop else (gains or ControllerGains()).loops(params)
+    loops = None if open_loop else gains.loops(params)
     log = TraceLog(n + 1)
     constants = {
-        **lump_constants(dist_params or DisturbanceParams(), scenario.flags, params.m),
+        **lump_constants(dist_params, scenario.flags, params.m),
         **derivative_constants(params), "dt": dt, "steps": n, "open_loop": open_loop,
         "changes": changes,
         "loops": loops and tuple((*adrc.loop_gains(c), c.b_hat) for c in loops),

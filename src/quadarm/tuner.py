@@ -17,7 +17,8 @@ import numpy as np
 
 from . import adrc
 from .disturbances import DisturbanceParams
-from .errors import DivergenceError, InvalidParameterError, QuadArmError, floats, in_range
+from .errors import (DivergenceError, InvalidParameterError, QuadArmError, Record, floats,
+                     in_range, ranged)
 from .model import QuadParams
 from .sim import COLUMNS, ControllerGains, Scenario, estimation_oracle, run
 
@@ -115,34 +116,32 @@ class SignalBound:
 
 
 @dataclass(frozen=True)
-class CostWeights:
-    tracking: float = 1.0
-    estimation: float = 1.0
-    effort: float = 0.01
-    bound_penalty: float = 1e3
-
-    def __post_init__(self):
-        in_range("non-negative", **vars(self))
+class CostWeights(Record):
+    tracking: float = ranged("non-negative", 1.0)
+    estimation: float = ranged("non-negative", 1.0)
+    effort: float = ranged("non-negative", 0.01)
+    bound_penalty: float = ranged("non-negative", 1e3)
 
 
 @dataclass
-class TuneProblem:
+class TuneProblem(Record):
     """Gain-tuning problem backed by the closed-loop simulation."""
 
     scenario: Scenario = field(default_factory=Scenario)
     params: QuadParams = field(default_factory=QuadParams)
     dist_params: DisturbanceParams = field(default_factory=DisturbanceParams)
     weights: CostWeights = field(default_factory=CostWeights)
-    bounds: tuple = ()
+    bounds: tuple = ()  # of SignalBound
     layout: str = "shared"
     box_lower: np.ndarray | None = None
     box_upper: np.ndarray | None = None
 
     def __post_init__(self):
-        in_range(Scenario, scenario=self.scenario)
-        in_range(QuadParams, params=self.params)
-        in_range(DisturbanceParams, dist_params=self.dist_params)
-        in_range(CostWeights, weights=self.weights)
+        super().__post_init__()
+        if not isinstance(self.bounds, (list, tuple)):
+            raise InvalidParameterError("bounds must be a list of SignalBound")
+        in_range(SignalBound, **{f"bounds[{i}]": bound for i, bound in enumerate(self.bounds)})
+        self.bounds = tuple(self.bounds)
         n = len(layout_names(self.layout))
         self.box_lower = layout_vector(np.full(n, 1e-3) if self.box_lower is None
                                        else self.box_lower, self.layout)
@@ -203,20 +202,13 @@ def cost(vector, problem: TuneProblem) -> tuple[float, dict]:
 
 
 @dataclass(frozen=True)
-class TuneOptions:
-    max_iterations: int = 20
-    fd_eps_rel: float = 1e-4
-    fd_eps_floor: float = 1e-6
-    initial_step: float = 1.0
-    max_backtracks: int = 25
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        in_range("count", max_iterations=self.max_iterations)
-        in_range("positive count", max_backtracks=self.max_backtracks)
-        in_range("positive", fd_eps_rel=self.fd_eps_rel, fd_eps_floor=self.fd_eps_floor,
-                 initial_step=self.initial_step)
-        in_range("non-negative", rel_tol=self.rel_tol)
+class TuneOptions(Record):
+    max_iterations: int = ranged("count", 20)
+    fd_eps_rel: float = ranged("positive", 1e-4)
+    fd_eps_floor: float = ranged("positive", 1e-6)
+    initial_step: float = ranged("positive", 1.0)
+    max_backtracks: int = ranged("positive count", 25)
+    rel_tol: float = ranged("non-negative", 1e-6)
 
 
 @dataclass

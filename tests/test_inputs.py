@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from quadarm import (ControlInputs, DisturbanceFlags, DisturbanceOutputs, DisturbanceParams,
-                     MassProperties, QuadParams, QuadState, TuneOptions, TuneResult, tune)
+                     MassProperties, QuadParams, QuadState, Scenario, TuneOptions, TuneResult,
+                     run, tune)
 from quadarm.disturbances import lump
 from quadarm.errors import InvalidParameterError, QuadArmError
 from quadarm.model import mix, rotor_speeds, state_derivative, unmix
 
 PARAMS = QuadParams()
+SHORT = Scenario(duration=0.01)
 SPEEDS = "squared rotor speeds need 4 non-negative finite numbers"
 INPUTS = "generalized inputs need 4 finite numbers"
 STATE = "state vector needs 12 finite numbers"
@@ -108,10 +110,14 @@ def test_list_returns_numbers_or_is_refused(name):
      "t must be finite"),
     (lambda: unmix(None, PARAMS.mixer), INPUTS),
     (lambda: rotor_speeds(5, PARAMS.mixer), INPUTS),
+    (lambda: run(5, PARAMS), "scenario must be a Scenario"),
+    (lambda: run(SHORT, 5), "params must be a QuadParams"),
+    (lambda: run(SHORT, PARAMS, 5), "dist_params must be a DisturbanceParams"),
+    (lambda: run(SHORT, PARAMS, None, 5), "gains must be a ControllerGains"),
 ], ids=["mix_strings", "mix_booleans", "unmix_two", "rotor_speeds_string", "tune_strings",
         "state_derivative_one_input", "state_derivative_no_disturbances",
         "state_derivative_string_inputs", "lump_string_time", "lump_no_time", "unmix_none",
-        "rotor_speeds_scalar"])
+        "rotor_speeds_scalar", "run_scenario", "run_params", "run_dist_params", "run_gains"])
 def test_input_once_let_through_is_refused(call, refusal):
     with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
         call()

@@ -3,7 +3,7 @@
 import math
 import re
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -12,8 +12,10 @@ import quadarm
 from quadarm import (ControllerGains, CostWeights, DisturbanceFlags, DisturbanceParams,
                      DragParams, EsoGains, GeometryParams, GroundEffectParams, InertiaParams,
                      MassProperties, MixerParams, PdGains, PiecewiseConstant, QuadParams,
-                     QuadState, Scenario, SubsystemConfig, TuneOptions, TuneProblem, WindParams)
-from quadarm.errors import RANGES, InvalidParameterError, QuadArmError, admits, floats, in_range
+                     QuadState, Scenario, SignalBound, SubsystemConfig, TuneOptions, TuneProblem,
+                     TuneResult, WindParams)
+from quadarm.errors import (RANGES, InvalidParameterError, QuadArmError, Record, admits, floats,
+                            in_range, kinds)
 
 GEOMETRY = dict(R_q=0.1, L_q=0.45, L_r=0.2, W_r=0.05, H_r=0.05, D_r=0.1)
 
@@ -117,6 +119,117 @@ def test_record_field_refuses_anything_else(record, name, kind, optional):
         with pytest.raises(InvalidParameterError,
                            match=rf"^{name} must be an? {kind.__name__}$"):
             record(**{**given, name: value})
+
+
+#: every record the package exports
+EXPORTED = [record for record in vars(quadarm).values()
+            if isinstance(record, type) and is_dataclass(record)]
+
+#: the scalar fields whose kind is not in ``kinds``: an output record's, and the b_hat whose
+#: refusal names its loop
+UNKINDED = {(TuneResult, name) for name in ("cost", "iterations", "converged")} | {
+    (SubsystemConfig, "b_hat")}
+
+
+def test_every_scalar_field_has_a_kind():
+    scalars = {(record, f.name) for record in EXPORTED for f in fields(record)
+               if f.type in ("float", "int", "bool")}
+    kinded = {(record, name) for record in EXPORTED for name, _, _ in kinds(record)}
+    assert scalars - kinded == UNKINDED
+    assert len(scalars & kinded) == 47
+
+
+def test_records_with_kinds_ask_them():
+    assert {record for record in EXPORTED if kinds(record)} == {
+        record for record in EXPORTED if issubclass(record, Record)}
+
+
+def test_kinds_find_the_record_fields():
+    found = {(record, name, kind, optional) for record in EXPORTED
+             for name, kind, optional in kinds(record) if isinstance(kind, type)}
+    assert found == set(RECORD_FIELDS)
+
+
+def test_kinds_follow_field_order():
+    assert [name for name, _, _ in kinds(InertiaParams)] == ["I_xx", "I_yy", "I_zz", "J_r", "l"]
+    assert [name for name, _, _ in kinds(Scenario)][:3] == ["duration", "dt", "initial_state"]
+    with pytest.raises(InvalidParameterError, match="^J_r must be non-negative and finite$"):
+        InertiaParams(J_r=-1.0, l=-1.0)  # the first refusal is the first field's
+    with pytest.raises(InvalidParameterError, match="^duration must be non-negative and finite$"):
+        Scenario(duration=-1.0, dt=0.0)
+
+
+REQUIRED, FACTORY = "<required>", "<factory>"
+
+#: each exported record's fields in order, with their defaults: positional calls rely on both
+ORDER = {
+    EsoGains: [("p1", 29.5659), ("p2", 2907.0), ("p3", 3000.0)],
+    PdGains: [("kp", REQUIRED), ("kd", REQUIRED)],
+    SubsystemConfig: [("which", REQUIRED), ("b_hat", REQUIRED), ("eso", REQUIRED),
+                      ("pd", REQUIRED), ("u_limits", REQUIRED)],
+    DisturbanceFlags: [("drag", False), ("ground_effect", False), ("wind", False),
+                       ("com", False)],
+    DisturbanceParams: [("drag", FACTORY), ("ground_effect", FACTORY), ("wind", FACTORY),
+                        ("strict_signs", True)],
+    DragParams: [("k", (0.3729,) * 6)],
+    GroundEffectParams: [("rho", 8.6), ("r", 0.1905), ("z_min", 0.2)],
+    WindParams: [("alpha", 0.1), ("beta", 1.0), ("n", 0.002)],
+    GeometryParams: [("R_q", REQUIRED), ("L_q", REQUIRED), ("L_r", REQUIRED),
+                     ("W_r", REQUIRED), ("H_r", REQUIRED), ("D_r", REQUIRED)],
+    InertiaParams: [("I_xx", 0.018), ("I_yy", 0.018), ("I_zz", 0.035), ("J_r", 6e-3),
+                    ("l", 0.45)],
+    MassProperties: [("m_q", 1.8), ("m_r", 0.2), ("d0", 0.0), ("d1", 0.8)],
+    MixerParams: [("k_f", 1e-5), ("k_m", 1.5e-6)],
+    QuadParams: [("masses", FACTORY), ("inertia", FACTORY), ("mixer", FACTORY), ("g", 9.81)],
+    QuadState: [("vector", FACTORY), ("lagged_accel", FACTORY)],
+    ControllerGains: [("eso", FACTORY), ("pd_roll", FACTORY), ("pd_pitch", FACTORY),
+                      ("pd_yaw", FACTORY), ("pd_altitude", FACTORY), ("eso_overrides", FACTORY),
+                      ("u_limits", FACTORY)],
+    PiecewiseConstant: [("segments", ((0.0, 0.0),))],
+    Scenario: [("duration", 10.0), ("dt", 0.001), ("initial_state", FACTORY),
+               ("ref_roll", FACTORY), ("ref_pitch", FACTORY), ("ref_yaw", FACTORY),
+               ("ref_z", FACTORY), ("flags", FACTORY), ("d1_profile", None),
+               ("open_loop", False), ("open_loop_u1", FACTORY)],
+    CostWeights: [("tracking", 1.0), ("estimation", 1.0), ("effort", 0.01),
+                  ("bound_penalty", 1e3)],
+    SignalBound: [("signal", REQUIRED), ("segments", REQUIRED)],
+    TuneOptions: [("max_iterations", 20), ("fd_eps_rel", 1e-4), ("fd_eps_floor", 1e-6),
+                  ("initial_step", 1.0), ("max_backtracks", 25), ("rel_tol", 1e-6)],
+    TuneProblem: [("scenario", FACTORY), ("params", FACTORY), ("dist_params", FACTORY),
+                  ("weights", FACTORY), ("bounds", ()), ("layout", "shared"),
+                  ("box_lower", None), ("box_upper", None)],
+    TuneResult: [("vector", REQUIRED), ("cost", REQUIRED), ("report", REQUIRED),
+                 ("history", REQUIRED), ("iterations", REQUIRED), ("converged", REQUIRED)],
+}
+
+
+def test_field_order_and_defaults_are_pinned():
+    assert {record: [(f.name, f.default if f.default is not MISSING else FACTORY
+                      if f.default_factory is not MISSING else REQUIRED)
+                     for f in fields(record)] for record in EXPORTED} == ORDER
+
+
+@pytest.mark.parametrize("make, refusal", [
+    (lambda: ControllerGains(eso_overrides=5), "eso_overrides must be a dict"),
+    (lambda: ControllerGains(u_limits=5), "u_limits must be a dict"),
+    (lambda: ControllerGains(eso_overrides={"roll": 5}), "eso_overrides.roll must be an EsoGains"),
+    (lambda: ControllerGains(eso_overrides={"bogus": EsoGains()}),
+     "unknown subsystem 'bogus' in eso_overrides"),
+    (lambda: ControllerGains(u_limits={"roll": (-1.0, 1.0)}), "u_limits lacks the pitch loop"),
+    (lambda: TuneProblem(bounds=5), "bounds must be a list of SignalBound"),
+    (lambda: TuneProblem(bounds=(5,)), r"bounds\[0\] must be a SignalBound"),
+    (lambda: TuneProblem(bounds=[SignalBound("z", [[0, 1, 0, 1]]), None]),
+     r"bounds\[1\] must be a SignalBound"),
+], ids=["overrides_not_a_dict", "limits_not_a_dict", "override_not_eso", "override_unknown_loop",
+        "limits_lack_a_loop", "bounds_not_a_list", "bound_not_a_bound", "second_bound_none"])
+def test_record_table_entry_is_refused_by_name(make, refusal):
+    with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
+        make()
+
+
+def test_bounds_are_kept_as_a_tuple():
+    bound = SignalBound("z", [[0, 1, 0, 1]])
+    assert TuneProblem(bounds=[bound]).bounds == (bound,)
 
 
 #: each kind of ``RANGES`` with values it admits and values it refuses

@@ -352,6 +352,35 @@ def test_switches_have_no_rule_of_their_own():
     assert not hasattr(errors, "switches")
 
 
+def post_init_kinds(source: str) -> list:
+    """The calls of each ``__post_init__`` in a source that ask a ``RANGES`` kind through
+    ``in_range`` or ``admits``, in line order."""
+    calls = [call for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and ast.unparse(call.func).split(".")[-1] in ("in_range", "admits") and call.args
+             and isinstance(call.args[0], ast.Constant) and call.args[0].value in errors.RANGES]
+    return [ast.unparse(n) for n in sorted(calls, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_detects_post_init_kinds():
+    source = ("class A:\n    def __post_init__(self):\n        in_range('positive', x=self.x)\n"
+              "        in_range(B, b=self.b)\n        errors.admits('finite', self.y)\n"
+              "        in_range('odd', z=self.z)\n\n"
+              "    def f(self):\n        in_range('finite', z=self.z)\n")
+    assert post_init_kinds(source) == ["in_range('positive', x=self.x)",
+                                       "errors.admits('finite', self.y)"]
+
+
+def test_fields_declare_their_kinds():
+    # a field's kind is declared once, with the field (``errors.ranged`` or its record
+    # annotation) and asked by ``errors.Record``; only b_hat, whose refusal names its loop,
+    # is asked in a ``__post_init__``
+    found = {path.name: post_init_kinds(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "adrc.py": ["in_range('finite', **{f'b_hat of {self.which}': self.b_hat})"]}
+
+
 def test_workflow_runs_the_tier_one_command():
     # the CI runs the command ROADMAP names, at the requires-python floor and on 3.11
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text(
