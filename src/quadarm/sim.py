@@ -64,7 +64,7 @@ class PiecewiseConstant:
         return cls(((0.0, value),))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario(Record):
     duration: float = ranged("non-negative", 10.0)
     dt: float = ranged("positive", 0.001)
@@ -342,10 +342,11 @@ class ControllerGains(Record):
     def __post_init__(self):
         super().__post_init__()
         in_range(dict, eso_overrides=self.eso_overrides, u_limits=self.u_limits)
-        for name, eso in self.eso_overrides.items():
-            if name not in SUBSYSTEMS:
-                raise InvalidParameterError(f"unknown subsystem {name!r} in eso_overrides")
-            in_range(adrc.EsoGains, **{f"eso_overrides.{name}": eso})
+        for table in ("eso_overrides", "u_limits"):
+            for name in getattr(self, table):
+                if name not in SUBSYSTEMS:
+                    raise InvalidParameterError(f"unknown subsystem {name!r} in {table}")
+        in_range(adrc.EsoGains, **{f"eso_overrides.{n}": e for n, e in self.eso_overrides.items()})
         for name in SUBSYSTEMS:
             if name not in self.u_limits:
                 raise InvalidParameterError(f"u_limits lacks the {name} loop")

@@ -123,7 +123,7 @@ class CostWeights(Record):
     bound_penalty: float = ranged("non-negative", 1e3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuneProblem(Record):
     """Gain-tuning problem backed by the closed-loop simulation."""
 
@@ -141,12 +141,13 @@ class TuneProblem(Record):
         if not isinstance(self.bounds, (list, tuple)):
             raise InvalidParameterError("bounds must be a list of SignalBound")
         in_range(SignalBound, **{f"bounds[{i}]": bound for i, bound in enumerate(self.bounds)})
-        self.bounds = tuple(self.bounds)
+        object.__setattr__(self, "bounds", tuple(self.bounds))  # frozen: keep the tuple
         n = len(layout_names(self.layout))
-        self.box_lower = layout_vector(np.full(n, 1e-3) if self.box_lower is None
-                                       else self.box_lower, self.layout)
-        self.box_upper = layout_vector(np.full(n, 1e5) if self.box_upper is None
-                                       else self.box_upper, self.layout)
+        for name, default in (("box_lower", 1e-3), ("box_upper", 1e5)):
+            box = getattr(self, name)
+            box = layout_vector(np.full(n, default) if box is None else box, self.layout)
+            box.setflags(write=False)  # the problem's own read-only copy
+            object.__setattr__(self, name, box)
         if not np.all(self.box_lower <= self.box_upper):
             raise InvalidParameterError("lower bound exceeds upper bound")
 

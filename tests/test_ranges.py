@@ -3,7 +3,7 @@
 import math
 import re
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -216,12 +216,15 @@ def test_field_order_and_defaults_are_pinned():
     (lambda: ControllerGains(eso_overrides={"bogus": EsoGains()}),
      "unknown subsystem 'bogus' in eso_overrides"),
     (lambda: ControllerGains(u_limits={"roll": (-1.0, 1.0)}), "u_limits lacks the pitch loop"),
+    (lambda: ControllerGains(u_limits={**ControllerGains().u_limits, "bogus": (0.0, 1.0)}),
+     "unknown subsystem 'bogus' in u_limits"),
     (lambda: TuneProblem(bounds=5), "bounds must be a list of SignalBound"),
     (lambda: TuneProblem(bounds=(5,)), r"bounds\[0\] must be a SignalBound"),
     (lambda: TuneProblem(bounds=[SignalBound("z", [[0, 1, 0, 1]]), None]),
      r"bounds\[1\] must be a SignalBound"),
 ], ids=["overrides_not_a_dict", "limits_not_a_dict", "override_not_eso", "override_unknown_loop",
-        "limits_lack_a_loop", "bounds_not_a_list", "bound_not_a_bound", "second_bound_none"])
+        "limits_lack_a_loop", "limits_unknown_loop", "bounds_not_a_list", "bound_not_a_bound",
+        "second_bound_none"])
 def test_record_table_entry_is_refused_by_name(make, refusal):
     with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
         make()
@@ -230,6 +233,39 @@ def test_record_table_entry_is_refused_by_name(make, refusal):
 def test_bounds_are_kept_as_a_tuple():
     bound = SignalBound("z", [[0, 1, 0, 1]])
     assert TuneProblem(bounds=[bound]).bounds == (bound,)
+
+
+def test_every_input_record_is_frozen():
+    records = [record for record in EXPORTED if issubclass(record, Record)]
+    assert len(records) == 17
+    assert all(record.__dataclass_params__.frozen for record in records)
+
+
+@pytest.mark.parametrize("record, name, value", [(Scenario, "dt", "a"), (TuneProblem, "bounds", 5)])
+def test_built_record_refuses_a_field(record, name, value):
+    with pytest.raises(FrozenInstanceError):
+        setattr(record(), name, value)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["default", "given"])
+@pytest.mark.parametrize("name", ["box_lower", "box_upper"])
+def test_tune_box_is_a_read_only_copy(name, given):
+    array = np.full(11, 1.0)
+    box = getattr(TuneProblem(**{name: array} if given else {}), name)
+    with pytest.raises(ValueError, match="read-only"):
+        box[0] = 2.0
+    array[0] = 3.0  # the caller's array stays its own
+    assert box[0] != 3.0
+
+
+@pytest.mark.parametrize("record, change, refusal", [
+    (Scenario, {"dt": 0}, "dt must be positive and finite"),
+    (TuneProblem, {"bounds": 5}, "bounds must be a list of SignalBound"),
+    (TuneProblem, {"box_lower": [2e5] * 11}, "lower bound exceeds upper bound"),
+], ids=["scenario_dt", "problem_bounds", "problem_box"])
+def test_replace_checks_again(record, change, refusal):
+    with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
+        replace(record(), **change)
 
 
 #: each kind of ``RANGES`` with values it admits and values it refuses

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -272,8 +272,7 @@ class TestCost:
 
     def test_oversized_scenario_sentinel(self):
         # the step count is refused before any trace is allocated
-        p = short_problem()
-        p.scenario = Scenario(duration=1e300)
+        p = replace(short_problem(), scenario=Scenario(duration=1e300))
         total, report = cost(table_gains_vector(), p)
         assert total == SENTINEL_COST
         assert not report["feasible"]
